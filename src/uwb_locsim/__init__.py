@@ -78,7 +78,6 @@ __all__ = [
     "preset_scenario",
     "propagation_time",
     "run_scenario",
-    "sample",
     "scenario_from_dict",
     "segment_crosses_wall",
     "select_best_model",
@@ -86,5 +85,3 @@ __all__ = [
     "solve",
     "true_distance",
 ]
-
-from .distributions import sample  # noqa: E402  (re-export after __all__)

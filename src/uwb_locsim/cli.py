@@ -25,7 +25,7 @@ from .outputs import write_outputs
 from .randomness import RandomStream
 from .scenarios import PRESETS, load_scenario, preset_scenario
 from .simulator import aggregate, run_scenario
-from .solver import SolverConfig, solve
+from .solver import solve, solver_config_from_dict
 
 
 class _UsageError(Exception):
@@ -37,13 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write_text(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _read_json_input(path: str) -> dict:
@@ -143,18 +146,16 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.model.lstrip().startswith("{"):
-        spec = json.loads(args.model)
+        try:
+            spec = json.loads(args.model)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"--model: invalid JSON at column {exc.colno}: {exc.msg}") from exc
     else:
         spec = _read_json_input(args.model)
     dist = distributions.from_dict(spec)
     draws = dist.sample(RandomStream(args.seed), args.count)
     lines = ["error_m"] + [str(float(v)) for v in np.atleast_1d(draws)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -178,16 +179,7 @@ def _cmd_solve(args) -> int:
         Anchor(id=str(spec.get("id", i)), position=_point_from(spec, f"anchors[{i}]"))
         for i, spec in enumerate(anchor_specs)
     ]
-    cfg = payload.get("config", {})
-    config = SolverConfig(
-        delta=float(cfg.get("delta", 1e-3)),
-        k_max=int(cfg.get("k_max", 10)),
-        c=float(cfg.get("c", 0.1)),
-        x_r=_point_from(cfg["x_r"], "config.x_r") if "x_r" in cfg else None,
-        x_r_mode=str(cfg.get("x_r_mode", "median")),
-        weights=tuple(float(w) for w in cfg["weights"]) if "weights" in cfg else None,
-        x0=_point_from(cfg["x0"], "config.x0") if "x0" in cfg else None,
-    )
+    config = solver_config_from_dict(payload.get("config", {}), "config")
     estimate = solve(config, anchors, distances)
     _emit(
         {
@@ -317,7 +309,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed (64-bit integer)")
     p_sim.add_argument("--threads", type=int, default=1,
-                       help="solver worker threads; 0 = one per CPU core")
+                       help="accepted for compatibility; the solver runs serially and "
+                            "results and speed do not depend on it")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_stats = sub.add_parser("range-stats",

@@ -277,8 +277,3 @@ def from_dict(spec: dict) -> ErrorDistribution:
             f"{family} parameters must be exactly {sorted(expected)}, got {sorted(params)}"
         )
     return _CLASSES[family](**{k: float(v) for k, v in params.items()})
-
-
-def sample(dist: ErrorDistribution, stream: RandomStream, n: int | None = None):
-    """Inverse-transform draw(s) from ``dist`` using ``stream``."""
-    return dist.sample(stream, n)

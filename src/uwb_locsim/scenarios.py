@@ -37,7 +37,7 @@ from .distributions import BurrXII, Gaussian
 from .errors import DataError
 from .geometry import Anchor, Point3, Wall
 from .simulator import DiversityConfig, Scenario
-from .solver import SolverConfig
+from .solver import SolverConfig, solver_config_from_dict, solver_config_to_dict
 
 PRESETS = ("paper-los", "paper-drywall", "paper-concrete")
 
@@ -77,61 +77,49 @@ def preset_scenario(name: str) -> Scenario:
     )
 
 
-def _need(mapping: dict, key: str, context: str):
+def _need(mapping, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise DataError(f"scenario config: {context} must be a JSON object")
     if key not in mapping:
         raise DataError(f"scenario config: missing {key!r} in {context}")
     return mapping[key]
 
 
+def _number(mapping, key: str, context: str, kind=float):
+    value = _need(mapping, key, context)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"scenario config: {context}.{key} is not a number: {value!r}") from exc
+
+
 def scenario_from_dict(config: dict) -> Scenario:
     """Build a scenario from its JSON form, naming any offending field."""
-    if not isinstance(config, dict):
-        raise DataError("scenario config must be a JSON object")
     area_cfg = _need(config, "area", "scenario")
-    area = (float(_need(area_cfg, "w", "area")), float(_need(area_cfg, "h", "area")))
+    area = (_number(area_cfg, "w", "area"), _number(area_cfg, "h", "area"))
 
     anchors = []
     for i, spec in enumerate(_need(config, "anchors", "scenario")):
-        anchors.append(
-            Anchor(
-                id=str(_need(spec, "id", f"anchors[{i}]")),
-                position=Point3(
-                    float(_need(spec, "x", f"anchors[{i}]")),
-                    float(_need(spec, "y", f"anchors[{i}]")),
-                    float(_need(spec, "z", f"anchors[{i}]")),
-                ),
-            )
-        )
+        context = f"anchors[{i}]"
+        position = Point3(*(_number(spec, k, context) for k in ("x", "y", "z")))
+        anchors.append(Anchor(id=str(_need(spec, "id", context)), position=position))
 
     walls = []
     for i, spec in enumerate(config.get("walls", [])):
-        walls.append(
-            Wall(
-                a=(float(_need(spec, "ax", f"walls[{i}]")), float(_need(spec, "ay", f"walls[{i}]"))),
-                b=(float(_need(spec, "bx", f"walls[{i}]")), float(_need(spec, "by", f"walls[{i}]"))),
-                material=str(_need(spec, "material", f"walls[{i}]")),
-            )
-        )
+        context = f"walls[{i}]"
+        ax, ay, bx, by = (_number(spec, k, context) for k in ("ax", "ay", "bx", "by"))
+        walls.append(Wall(a=(ax, ay), b=(bx, by), material=str(_need(spec, "material", context))))
 
     models = {
         condition: distributions.from_dict(spec)
         for condition, spec in _need(config, "models", "scenario").items()
     }
 
-    solver_cfg = config.get("solver", {})
-    solver = SolverConfig(
-        delta=float(solver_cfg.get("delta", 1e-3)),
-        k_max=int(solver_cfg.get("k_max", 10)),
-        c=float(solver_cfg.get("c", 0.1)),
-        x_r_mode=str(solver_cfg.get("x_r_mode", "median")),
-        weights=tuple(solver_cfg["weights"]) if "weights" in solver_cfg else None,
-    )
-
     diversity_cfg = config.get("diversity")
     diversity = None
     if diversity_cfg:
         diversity = DiversityConfig(
-            channels=int(_need(diversity_cfg, "channels", "diversity")),
+            channels=_number(diversity_cfg, "channels", "diversity", int),
             strategy=str(_need(diversity_cfg, "strategy", "diversity")),
         )
 
@@ -139,12 +127,12 @@ def scenario_from_dict(config: dict) -> Scenario:
         area=area,
         anchors=tuple(anchors),
         walls=tuple(walls),
-        grid_step=float(_need(config, "grid_step", "scenario")),
-        tag_height=float(_need(config, "tag_height", "scenario")),
-        runs=int(_need(config, "runs", "scenario")),
-        seed=int(_need(config, "seed", "scenario")),
+        grid_step=_number(config, "grid_step", "scenario"),
+        tag_height=_number(config, "tag_height", "scenario"),
+        runs=_number(config, "runs", "scenario", int),
+        seed=_number(config, "seed", "scenario", int),
         model_table=models,
-        solver=solver,
+        solver=solver_config_from_dict(config.get("solver", {})),
         diversity=diversity,
     )
 
@@ -168,16 +156,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             condition: distributions.to_dict(model)
             for condition, model in sorted(scenario.model_table.items())
         },
-        "solver": {
-            "delta": scenario.solver.delta,
-            "k_max": scenario.solver.k_max,
-            "c": scenario.solver.c,
-            "x_r_mode": scenario.solver.x_r_mode,
-        },
+        "solver": solver_config_to_dict(scenario.solver),
         "diversity": None,
     }
-    if scenario.solver.weights is not None:
-        out["solver"]["weights"] = list(scenario.solver.weights)
     if scenario.diversity is not None:
         out["diversity"] = {
             "channels": scenario.diversity.channels,

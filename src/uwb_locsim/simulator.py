@@ -16,9 +16,7 @@ whose solve fails are excluded from the aggregates and counted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import os
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .randomness import cell_uniform_array
 from .ranging import DIVERSITY_STRATEGIES
 from .solver import SolverConfig, anchor_positions, reference_point, solve_batch
 
-_CHUNK = 1024  # points per solver batch; fixed so results never depend on threads
+_CHUNK = 1024  # points per solver batch; bounds the kernel's temporaries
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,9 @@ def _apply_diversity(measured: np.ndarray, diversity: DiversityConfig | None) ->
 def run_scenario(scenario: Scenario, threads: int = 1) -> RunStatistics:
     """Execute the full study: classify, sample, solve, aggregate.
 
-    ``threads`` only schedules fixed-size solver chunks; results are
-    byte-identical for any thread count (0 = use all cores).
+    ``threads`` is accepted for compatibility and ignored: the solver
+    runs serially in fixed-size chunks, which measured faster than a
+    thread pool, so results never depend on it.
     """
     grid = build_grid(scenario.area, scenario.grid_step, scenario.tag_height)
     positions = anchor_positions(list(scenario.anchors))
@@ -232,21 +231,11 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> RunStatistics:
 
     estimates = np.empty((n_runs * n_points, 3))
     failed = np.zeros(n_runs * n_points, dtype=bool)
-
-    def _solve_chunk(lo: int) -> None:
-        hi = min(lo + _CHUNK, flat.shape[0])
+    for lo in range(0, flat.shape[0], _CHUNK):
+        hi = lo + _CHUNK
         result = solve_batch(config, positions, flat[lo:hi], x_r, starts[lo:hi])
         estimates[lo:hi] = result.positions
         failed[lo:hi] = result.failed
-
-    offsets = range(0, flat.shape[0], _CHUNK)
-    workers = os.cpu_count() if threads == 0 else threads
-    if workers <= 1:
-        for lo in offsets:
-            _solve_chunk(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_solve_chunk, offsets))
 
     estimates = estimates.reshape(n_runs, n_points, 3)
     failed = failed.reshape(n_runs, n_points)

@@ -1,18 +1,21 @@
 """Regularized Gauss-Newton true-range multilateration.
 
-Each iteration solves a stacked linear least-squares problem
-
-    [ W * J(x_k) ]            [ W * (h(x_k) - d) ]
-    [   c * I3   ] * dx  =~   [  c * (x_r - x_k) ]
-
-where h maps a position to its anchor distances, J has unit rows
-(x_Ai - x)/||x_Ai - x||, W holds optional per-anchor inverse standard
-deviations, and c pulls the iterate toward the reference point x_r
-with the strength of an inverse prior standard deviation. The inner
-solve uses a QR factorization of the stacked matrix rather than the
-normal equations, which keeps near-degenerate geometries well
-conditioned. Iteration stops when the step norm drops below ``delta``
-or after ``k_max`` iterations.
+Each iteration solves (J^T W^2 J + c^2 I) dx = J^T W^2 (h - d) + c^2 (x_r - x),
+where h maps x to its anchor distances, J has unit rows pointing from x
+toward the anchors (so h(x + dx) ~ h - J dx), W holds optional inverse
+per-anchor standard deviations, and c pulls the iterate toward the
+reference point x_r with the strength of an inverse prior standard
+deviation. The 3 x 3 systems are solved elementwise across a batch by
+an explicit Cholesky factorization. With c > 0 the matrix is symmetric
+positive definite with smallest eigenvalue >= c^2. With c = 0 a
+degenerate geometry makes it singular; a pivot at most 1e-12 times the
+largest flags the point failed (in exact arithmetic the pivots equal
+|R_ii| of a QR of the stacked system). Forming J^T J squares the
+condition number, so at c = 0 diverging iterates (|x| ~ 1e4 m) agree
+with a QR solve only to ~1e-5 m; converged ones agree to ~1e-14 m.
+Points whose pivots or step are not finite are flagged failed and keep
+their last finite iterate. Iteration stops when the step norm drops
+below ``delta`` or after ``k_max`` iterations.
 
 The batched entry point runs many independent solves at once with the
 same per-point arithmetic; the single-point API is a thin wrapper over
@@ -21,15 +24,16 @@ a batch of one, so the two can never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SingularGeometryError
+from .errors import DataError, ParameterError, SingularGeometryError
 from .geometry import Anchor, Point3
 
 _ANCHOR_COINCIDENCE = 1e-9  # meters; closer than this counts as "on an anchor"
 _PERTURB_Z = 1e-6  # meters; nudge applied when an iterate lands on an anchor
+_RANK_TOL = 1e-12  # smallest / largest Cholesky pivot at or below this is singular
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,35 @@ class SolverConfig:
             raise ParameterError("anchor weights must all be > 0")
 
 
+def solver_config_from_dict(spec: dict, context: str = "solver") -> SolverConfig:
+    """SolverConfig from its JSON form; missing or null fields take defaults.
+
+    Numeric strings are coerced; a value that cannot be read raises
+    DataError naming the field as ``<context>.<key>``.
+    """
+    if not isinstance(spec, dict):
+        raise DataError(f"{context} must be a JSON object")
+
+    def point(value) -> Point3:
+        return Point3(float(value["x"]), float(value["y"]), float(value["z"]))
+
+    parsers = {"delta": float, "k_max": int, "c": float, "x_r": point, "x_r_mode": str,
+               "weights": lambda ws: tuple(float(w) for w in ws), "x0": point}
+    fields = {}
+    for key, parse in parsers.items():
+        if spec.get(key) is not None:
+            try:
+                fields[key] = parse(spec[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{context}.{key}: invalid value {spec[key]!r}") from exc
+    return SolverConfig(**fields)
+
+
+def solver_config_to_dict(config: SolverConfig) -> dict:
+    """JSON form of a SolverConfig; unset optional fields are omitted."""
+    return {key: value for key, value in asdict(config).items() if value is not None}
+
+
 @dataclass(frozen=True)
 class LocationEstimate:
     position: Point3
@@ -85,14 +118,29 @@ def reference_point(anchors: list[Anchor], mode: str = "median") -> np.ndarray:
     raise ParameterError("mode must be 'median' or 'mean'")
 
 
+def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
+    """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (B, N), from
+    iterates ``x`` (B, 3) toward the anchors. An iterate on an anchor raises
+    SingularGeometryError or, with ``nudge``, moves along +z in place."""
+    for _attempt in range(3):
+        ex = positions[:, 0] - x[:, 0, None]
+        ey = positions[:, 1] - x[:, 1, None]
+        ez = positions[:, 2] - x[:, 2, None]
+        dist = np.sqrt(ex * ex + ey * ey + ez * ez)
+        too_close = dist < _ANCHOR_COINCIDENCE
+        if not too_close.any():
+            break
+        if not nudge:
+            raise SingularGeometryError("position coincides with an anchor")
+        x[too_close.any(axis=1), 2] += _PERTURB_Z
+    return ex / dist, ey / dist, ez / dist, dist
+
+
 def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
     """Unit-row direction matrix from position x toward every anchor."""
-    positions = anchor_positions(anchors)
-    diff = positions - np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float)
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < _ANCHOR_COINCIDENCE):
-        raise SingularGeometryError("position coincides with an anchor")
-    return diff / dist[:, None]
+    point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float)
+    ux, uy, uz, _ = _unit_rows(anchor_positions(anchors), point.reshape(1, 3), nudge=False)
+    return np.column_stack([ux[0], uy[0], uz[0]])
 
 
 def localization_error(estimate: Point3, truth: Point3, mode: str = "2d") -> float:
@@ -114,6 +162,43 @@ class BatchSolveResult:
     failed: np.ndarray = field(default=None)  # (B,) bool, unsolvable points
 
 
+def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
+    """Steps (B, 3) for iterates ``xk`` and a (B,) mask of unsolvable points:
+    singular normal matrix, or a non-finite pivot or step."""
+    ux, uy, uz, dist = _unit_rows(positions, xk, nudge=True)
+    wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
+    resid = dist - d
+    a11 = (wx * ux).sum(axis=1) + c2
+    a12 = (wx * uy).sum(axis=1)
+    a13 = (wx * uz).sum(axis=1)
+    a22 = (wy * uy).sum(axis=1) + c2
+    a23 = (wy * uz).sum(axis=1)
+    a33 = (wz * uz).sum(axis=1) + c2
+    pull = c2 * (x_r - xk)
+    b1 = (wx * resid).sum(axis=1) + pull[:, 0]
+    b2 = (wy * resid).sum(axis=1) + pull[:, 1]
+    b3 = (wz * resid).sum(axis=1) + pull[:, 2]
+
+    # A = L L^T, then L y = b and L^T dx = y.
+    l11 = np.sqrt(a11)
+    l21 = a12 / l11
+    l31 = a13 / l11
+    l22 = np.sqrt(a22 - l21 * l21)
+    l32 = (a23 - l31 * l21) / l22
+    l33 = np.sqrt(a33 - l31 * l31 - l32 * l32)
+    y1 = b1 / l11
+    y2 = (b2 - l21 * y1) / l22
+    y3 = (b3 - l31 * y1 - l32 * y2) / l33
+    s3 = y3 / l33
+    s2 = (y2 - l32 * s3) / l22
+    step = np.column_stack([(y1 - l21 * s2 - l31 * s3) / l11, s2, s3])
+
+    # NaN or infinite pivots fail the comparison and count as singular.
+    low, high = np.minimum(np.minimum(l11, l22), l33), np.maximum(np.maximum(l11, l22), l33)
+    unsolvable = ~(low > _RANK_TOL * high) | ~np.isfinite(step).all(axis=1)
+    return step, unsolvable
+
+
 def solve_batch(
     config: SolverConfig,
     positions: np.ndarray,
@@ -125,9 +210,8 @@ def solve_batch(
 
     ``positions`` is (N, 3) anchor coordinates, ``distances`` is (B, N)
     measured ranges, ``x0`` is (B, 3) start iterates. Points whose
-    stacked system is rank-deficient (possible only with c = 0) or
-    whose distances are not all positive are flagged failed instead of
-    aborting the batch.
+    distances are not all finite and positive, or that become unsolvable,
+    are flagged failed instead of aborting the batch.
     """
     positions = np.asarray(positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
@@ -137,99 +221,56 @@ def solve_batch(
             f"anchor array {positions.shape} does not match distances ({n_anchors} per point)"
         )
 
+    w2 = None
     if config.weights is not None:
         if len(config.weights) != n_anchors:
             raise ParameterError("one weight per anchor required")
-        w = 1.0 / np.asarray(config.weights, dtype=float)
-    else:
-        w = np.ones(n_anchors)
-
-    reg_rows = config.c * np.eye(3)
+        w2 = 1.0 / np.asarray(config.weights, dtype=float) ** 2
+    c2 = config.c * config.c
 
     x = np.array(x0, dtype=float).reshape(n_points, 3).copy()
     iterations = np.zeros(n_points, dtype=int)
     converged = np.zeros(n_points, dtype=bool)
-    failed = ~np.all(distances > 0.0, axis=1)
+    failed = ~np.all(np.isfinite(distances) & (distances > 0.0), axis=1)
     step_norms = np.zeros(n_points)
 
-    active = ~failed
-    for _ in range(config.k_max):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        xk = x[idx]
-
-        # Iterates that land on an anchor get nudged along +z so the
-        # Jacobian row stays defined (keeps Monte Carlo sweeps alive).
-        for _attempt in range(3):
-            diff = positions[None, :, :] - xk[:, None, :]
-            dist = np.linalg.norm(diff, axis=2)
-            too_close = dist < _ANCHOR_COINCIDENCE
-            if not too_close.any():
-                break
-            xk[too_close.any(axis=1), 2] += _PERTURB_Z
-
-        jac = diff / dist[:, :, None]
-        # rows are unit vectors by construction; guard against NaN creep
-        assert np.allclose(np.linalg.norm(jac, axis=2), 1.0, atol=1e-9)
-
-        a_stack = np.concatenate(
-            [jac * w[None, :, None], np.broadcast_to(reg_rows, (idx.size, 3, 3))], axis=1
-        )
-        b_stack = np.concatenate(
-            [(dist - distances[idx]) * w[None, :], config.c * (x_r[None, :] - xk)], axis=1
-        )
-
-        q, r = np.linalg.qr(a_stack)
-        rhs = np.einsum("bmi,bm->bi", q, b_stack)
-
-        # Rank-deficient slices (c = 0 with degenerate anchors) are
-        # flagged failed; solving them would blow up or raise.
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        singular = diag.min(axis=1) <= 1e-12 * diag.max(axis=1)
-        if singular.any():
-            bad = idx[singular]
-            failed[bad] = True
-            active[bad] = False
-            keep = ~singular
-            idx, xk, r, rhs = idx[keep], xk[keep], r[keep], rhs[keep]
+    idx = np.flatnonzero(~failed)
+    with np.errstate(all="ignore"):
+        for _ in range(config.k_max):
             if idx.size == 0:
                 break
+            xk = x[idx]
+            step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, xk, distances[idx])
+            if unsolvable.any():
+                failed[idx[unsolvable]] = True
+                keep = ~unsolvable
+                idx, xk, step = idx[keep], xk[keep], step[keep]
 
-        delta_x = np.linalg.solve(r, rhs[..., None])[..., 0]
-        norms = np.linalg.norm(delta_x, axis=1)
+            norms = np.sqrt((step * step).sum(axis=1))
+            x[idx] = xk + step
+            step_norms[idx] = norms
+            iterations[idx] += 1
+            done = norms < config.delta
+            converged[idx] = done
+            idx = idx[~done]
 
-        x[idx] = xk + delta_x
-        step_norms[idx] = norms
-        iterations[idx] += 1
-        done = norms < config.delta
-        converged[idx] = done
-        active[idx] = ~done
-
-    return BatchSolveResult(
-        positions=x,
-        iterations=iterations,
-        converged=converged,
-        step_norms=step_norms,
-        failed=failed,
-    )
+    return BatchSolveResult(x, iterations, converged, step_norms, failed)
 
 
 def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEstimate:
     """Estimate a position from anchor distances.
 
-    Raises SingularGeometryError when the stacked system is rank
-    deficient (only possible with c = 0) and ParameterError on
-    malformed inputs.
+    Raises ParameterError on malformed inputs, including distances that
+    are not finite and positive, and SingularGeometryError when the
+    anchor geometry is rank deficient (only possible with c = 0) or the
+    iterate stops being finite.
     """
     positions = anchor_positions(anchors)
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 1 or distances.size != len(anchors):
-        raise ParameterError(
-            f"got {distances.size} distances for {len(anchors)} anchors"
-        )
-    if np.any(distances <= 0.0):
-        raise ParameterError("distances must all be > 0")
+        raise ParameterError(f"got {distances.size} distances for {len(anchors)} anchors")
+    if not np.all(np.isfinite(distances) & (distances > 0.0)):
+        raise ParameterError("distances must all be finite and > 0")
     if len(anchors) < 3:
         raise ParameterError("at least three anchors are required")
 
@@ -238,7 +279,7 @@ def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEst
 
     result = solve_batch(config, positions, distances[None, :], x_r, x0[None, :])
     if result.failed[0]:
-        raise SingularGeometryError("anchor geometry is rank deficient for this solve")
+        raise SingularGeometryError("rank-deficient anchor geometry or non-finite iterate")
     pos = result.positions[0]
     return LocationEstimate(
         position=Point3(float(pos[0]), float(pos[1]), float(pos[2])),

@@ -147,6 +147,33 @@ def test_solve_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_solve_non_finite_distance_is_a_data_error(tmp_path, capsys, bad):
+    anchors = [{"id": str(i), "x": x, "y": y, "z": 2.5}
+               for i, (x, y) in enumerate([(0, 0), (9, 0), (9, 20), (0, 20)])]
+    path = tmp_path / "problem.json"
+    path.write_text(f'{{"anchors": {json.dumps(anchors)}, "distances": [5.0, 6.0, {bad}, 7.0]}}')
+    code, _, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
+def test_solve_config_reads_numeric_strings_and_names_bad_fields(tmp_path, capsys):
+    anchors = [{"id": str(i), "x": x, "y": y, "z": 2.5}
+               for i, (x, y) in enumerate([(0, 0), (9, 0), (9, 20), (0, 20)])]
+    payload = {"anchors": anchors, "distances": [10.0, 11.0, 12.0, 10.5],
+               "config": {"c": "0.1", "weights": ["0.1", "0.1", "0.2", "0.2"]}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload))
+    assert _run(capsys, "solve", "--input", str(path))[0] == 0
+    payload["config"]["weights"] = ["0.1", "x", "0.2", "0.2"]
+    path.write_text(json.dumps(payload))
+    code, _, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2
+    assert "config.weights" in err
+
+
 def test_range_stats_groups(tmp_path, capsys):
     rows = ["true_m,measured_m,channel,condition"]
     rows += ["5.0,5.10,6.5,los", "5.0,5.20,6.5,los", "5.0,5.66,6.5,concrete"]
@@ -161,8 +188,8 @@ def test_range_stats_groups(tmp_path, capsys):
     assert by_condition["concrete"]["mean_m"] == pytest.approx(0.66, abs=1e-12)
 
 
-def test_simulate_writes_outputs(tmp_path, capsys):
-    config = {
+def _small_scenario():
+    return {
         "area": {"w": 3.0, "h": 3.0},
         "anchors": [
             {"id": "a1", "x": 0.0, "y": 0.0, "z": 2.0},
@@ -182,6 +209,10 @@ def test_simulate_writes_outputs(tmp_path, capsys):
         "solver": {"delta": 0.001, "k_max": 10, "c": 0.1, "x_r_mode": "median"},
         "diversity": None,
     }
+
+
+def test_simulate_writes_outputs(tmp_path, capsys):
+    config = _small_scenario()
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(config))
     out_dir = tmp_path / "results"
@@ -209,6 +240,36 @@ def test_simulate_seed_and_threads_determinism(tmp_path, capsys):
     assert code_a == code_b == 0
     for name in ("points.csv", "ecdf.csv", "report.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_simulate_non_numeric_field_is_a_data_error(tmp_path, capsys):
+    config = _small_scenario()
+    config["area"]["w"] = "x"
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "area.w" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_reads_string_weights(tmp_path, capsys):
+    config = _small_scenario()
+    config["solver"]["weights"] = ["0.071", "0.071", "0.092", "0.092"]
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "results"
+    code, _, _ = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["scenario"]["solver"]["weights"] == [0.071, 0.071, 0.092, 0.092]
+
+
+def test_sample_malformed_inline_model(capsys):
+    code, _, err = _run(capsys, "sample", "--model", "{bad")
+    assert code == 2
+    assert "--model" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_requires_source(capsys):

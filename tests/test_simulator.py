@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -225,6 +226,30 @@ def test_scenario_dict_round_trip():
     stats_a = run_scenario(dataclasses.replace(scenario, grid_step=1.0))
     stats_b = run_scenario(dataclasses.replace(rebuilt, grid_step=1.0))
     assert np.array_equal(stats_a.err2d, stats_b.err2d)
+
+
+def test_scenario_dict_round_trip_keeps_solver_points_and_weights():
+    solver = SolverConfig(
+        delta=1e-4, k_max=12, c=0.05, x_r=Point3(4.0, 9.5, 2.0), x_r_mode="mean",
+        weights=(0.071, 0.071, 0.72, 0.72), x0=Point3(1.0, 2.0, 1.2),
+    )
+    scenario = dataclasses.replace(preset_scenario("paper-concrete"), solver=solver)
+    config = scenario_to_dict(scenario)
+    assert config["solver"]["x_r"] == {"x": 4.0, "y": 9.5, "z": 2.0}
+    assert config["solver"]["x0"] == {"x": 1.0, "y": 2.0, "z": 1.2}
+    assert scenario_from_dict(config) == scenario
+    assert scenario_from_dict(json.loads(json.dumps(config))) == scenario
+
+
+def test_scenario_from_dict_names_non_numeric_field():
+    config = scenario_to_dict(preset_scenario("paper-los"))
+    config["anchors"][2]["z"] = "high"
+    with pytest.raises(DataError, match=r"anchors\[2\]\.z"):
+        scenario_from_dict(config)
+    config = scenario_to_dict(preset_scenario("paper-los"))
+    config["solver"]["k_max"] = "ten"
+    with pytest.raises(DataError, match="solver.k_max"):
+        scenario_from_dict(config)
 
 
 def test_scenario_from_dict_reports_missing_field():

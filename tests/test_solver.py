@@ -1,3 +1,12 @@
+import dataclasses
+import functools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +20,8 @@ from uwb_locsim import (
     localization_error,
     solve,
 )
+from uwb_locsim import simulator
+from uwb_locsim.scenarios import PRESETS, preset_scenario
 from uwb_locsim.solver import reference_point, solve_batch, anchor_positions
 
 
@@ -94,6 +105,12 @@ def test_solve_input_validation():
         solve(SolverConfig(), SQUARE[:2], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solve_rejects_non_finite_distances(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        solve(SolverConfig(), SQUARE, [5.0, 5.0, bad, 5.0])
+
+
 def test_singular_geometry_with_unregularized_collinear_anchors():
     collinear = [_anchor(i, float(i), 0.0, 0.0) for i in range(4)]
     with pytest.raises(SingularGeometryError):
@@ -172,6 +189,17 @@ def test_batch_flags_nonpositive_distances_as_failed():
     assert result.failed[1]
 
 
+def test_batch_flags_non_finite_distances_as_failed_up_front():
+    positions = anchor_positions(SQUARE)
+    good = _exact_distances(SQUARE, np.array([3.0, 4.0, 1.0]))
+    distances = np.array([good, [5.0, np.nan, 5.0, 5.0], [5.0, 5.0, np.inf, 5.0]])
+    x_r = reference_point(SQUARE, "median")
+    result = solve_batch(SolverConfig(), positions, distances, x_r, np.broadcast_to(x_r, (3, 3)))
+    assert result.failed.tolist() == [False, True, True]
+    assert result.iterations[1:].tolist() == [0, 0]
+    np.testing.assert_array_equal(result.positions[1:], [x_r, x_r])
+
+
 def test_iterate_on_anchor_is_perturbed_not_fatal():
     config = SolverConfig(delta=1e-9, k_max=30, c=0.1, x0=Point3(0.0, 0.0, 0.0))
     distances = _exact_distances(SQUARE, np.array([2.0, 2.0, 1.0]))
@@ -218,3 +246,149 @@ def test_config_validation():
         SolverConfig(weights=(1.0, 0.0))
     with pytest.raises(ParameterError):
         SolverConfig(x_r_mode="centroid")
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the batched-QR kernel the closed-form kernel replaced.
+
+def _qr_reference(config, positions, distances, x_r, x0):
+    """Batched QR Gauss-Newton: each iteration solves the stacked system
+    [W J; c I] dx = [W (h - d); c (x_r - x)] by QR, with the same anchor
+    nudge, rank test and stopping rule as the kernel under test."""
+    w = np.ones(len(positions)) if config.weights is None else 1.0 / np.asarray(config.weights)
+    x = np.array(x0, dtype=float)
+    iterations = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    failed = ~np.all(distances > 0.0, axis=1)
+    active = ~failed
+    for _ in range(config.k_max):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        xk = x[idx]
+        for _attempt in range(3):
+            diff = positions[None, :, :] - xk[:, None, :]
+            dist = np.linalg.norm(diff, axis=2)
+            too_close = dist < 1e-9
+            if not too_close.any():
+                break
+            xk[too_close.any(axis=1), 2] += 1e-6
+        reg = np.broadcast_to(config.c * np.eye(3), (idx.size, 3, 3))
+        a = np.concatenate([diff / dist[:, :, None] * w[None, :, None], reg], axis=1)
+        b = np.concatenate([(dist - distances[idx]) * w, config.c * (x_r - xk)], axis=1)
+        q, r = np.linalg.qr(a)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        singular = diag.min(axis=1) <= 1e-12 * diag.max(axis=1)
+        failed[idx[singular]] = True
+        active[idx[singular]] = False
+        keep = ~singular
+        idx, xk, q, r, b = idx[keep], xk[keep], q[keep], r[keep], b[keep]
+        step = np.linalg.solve(r, np.einsum("bmi,bm->bi", q, b)[..., None])[..., 0]
+        norms = np.linalg.norm(step, axis=1)
+        x[idx] = xk + step
+        iterations[idx] += 1
+        converged[idx] = norms < config.delta
+        active[idx] = norms >= config.delta
+    return x, iterations, converged, failed
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_problem(name, seed):
+    """The anchors, ranges, x_r and starts a preset study hands the solver."""
+    calls = []
+
+    def spy(config, positions, distances, x_r, x0):
+        calls.append((positions, distances, x_r, x0))
+        return solve_batch(config, positions, distances, x_r, x0)
+
+    original = simulator.solve_batch
+    simulator.solve_batch = spy
+    try:
+        simulator.run_scenario(dataclasses.replace(preset_scenario(name), seed=seed))
+    finally:
+        simulator.solve_batch = original
+    positions, _, x_r, _ = calls[0]
+    distances = np.concatenate([call[1] for call in calls])
+    starts = np.concatenate([call[3] for call in calls])
+    return positions, distances, x_r, starts
+
+
+# LOS sigma for the two anchors in front of the presets' wall, concrete
+# scale for the two behind it
+_WEIGHTED = SolverConfig(weights=(0.071, 0.071, 0.72, 0.72))
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize(
+    "config", [SolverConfig(), _WEIGHTED, SolverConfig(delta=1e-9)],
+    ids=["default", "weights", "delta1e-9"],
+)
+def test_kernel_matches_qr_reference_on_presets(preset, seed, config):
+    positions, distances, x_r, starts = _preset_problem(preset, seed)
+    result = solve_batch(config, positions, distances, x_r, starts)
+    ref_x, ref_iterations, ref_converged, ref_failed = _qr_reference(
+        config, positions, distances, x_r, starts
+    )
+    assert np.abs(result.positions - ref_x).max() <= 1e-9
+    np.testing.assert_array_equal(result.iterations, ref_iterations)
+    np.testing.assert_array_equal(result.converged, ref_converged)
+    np.testing.assert_array_equal(result.failed, ref_failed)
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_kernel_matches_qr_reference_unregularized(preset, seed):
+    # At c = 0 the normal equations square the condition number of the
+    # QR system. Converged solves still agree to ~1e-14 m, but the
+    # ~4,000 unconverged ones per preset diverge to |x| ~ 1e4 m, where
+    # the two kernels differ by up to ~7e-6 m; only converged positions
+    # are held to 1e-9 m. Iteration counts and flags must match for all.
+    config = SolverConfig(c=0.0)
+    positions, distances, x_r, starts = _preset_problem(preset, seed)
+    result = solve_batch(config, positions, distances, x_r, starts)
+    ref_x, ref_iterations, ref_converged, ref_failed = _qr_reference(
+        config, positions, distances, x_r, starts
+    )
+    assert ref_converged.sum() > 0.5 * len(ref_converged)
+    assert np.abs(result.positions - ref_x)[ref_converged].max() <= 1e-9
+    np.testing.assert_array_equal(result.iterations, ref_iterations)
+    np.testing.assert_array_equal(result.converged, ref_converged)
+    np.testing.assert_array_equal(result.failed, ref_failed)
+
+
+_OVERFLOW_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from uwb_locsim.scenarios import preset_scenario
+    from uwb_locsim.solver import SolverConfig, anchor_positions, reference_point, solve_batch
+
+    anchors = list(preset_scenario("paper-los").anchors)
+    positions, x_r = anchor_positions(anchors), reference_point(anchors)
+    good = np.linalg.norm(positions - np.array([3.0, 4.0, 1.2]), axis=1) + 0.01
+    rows = np.array([good, [1e308] * 4, [1e308, 5.0, 5.0, 5.0]])
+    batch = solve_batch(SolverConfig(), positions, rows, x_r, np.broadcast_to(x_r, (3, 3)))
+    alone = solve_batch(SolverConfig(), positions, rows[:1], x_r, x_r[None, :])
+    print(json.dumps({
+        "failed": batch.failed.tolist(),
+        "finite": np.isfinite(batch.positions).all(axis=1).tolist(),
+        "good_unchanged": bool((batch.positions[0] == alone.positions[0]).all()
+                               and batch.iterations[0] == alone.iterations[0]),
+    }))
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_overflowing_distances_fail_only_their_row(flags):
+    # The guard must be a real check: under python -O an assert would
+    # vanish and let a NaN position through unflagged.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _OVERFLOW_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    outcome = json.loads(done.stdout)
+    assert outcome == {"failed": [False, True, True], "finite": [True] * 3, "good_unchanged": True}
