@@ -171,14 +171,15 @@ def _point_from(spec: dict, context: str) -> Point3:
 def _cmd_solve(args) -> int:
     payload = _read_json_input(args.input)
     try:
-        anchor_specs = payload["anchors"]
+        anchor_specs = list(payload["anchors"])
         distances = [float(d) for d in payload["distances"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError("solve input needs 'anchors' and numeric 'distances'") from exc
-    anchors = [
-        Anchor(id=str(spec.get("id", i)), position=_point_from(spec, f"anchors[{i}]"))
-        for i, spec in enumerate(anchor_specs)
-    ]
+    anchors = []
+    for i, spec in enumerate(anchor_specs):
+        if not isinstance(spec, dict):
+            raise DataError(f"anchors[{i}] must be a JSON object with numeric x, y, z")
+        anchors.append(Anchor(id=str(spec.get("id", i)), position=_point_from(spec, f"anchors[{i}]")))
     config = solver_config_from_dict(payload.get("config", {}), "config")
     estimate = solve(config, anchors, distances)
     _emit(

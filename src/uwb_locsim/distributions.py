@@ -110,8 +110,17 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+class _InverseTransform:
+    """The one sampling path: a uniform draw through the family's quantile."""
+
+    def sample(self, stream: RandomStream, n: int | None = None):
+        if n is None:
+            return self.quantile(stream.uniform())
+        return self.quantile(stream.uniforms(n))
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_InverseTransform):
     """Gaussian error model: f(x) = exp(-((x-mu)/sigma)^2 / 2) / (sigma*sqrt(2*pi))."""
 
     mu: float  # mean, meters
@@ -135,14 +144,9 @@ class Gaussian:
         u_arr = _check_unit_interval(u)
         return _scalar_ok(u, self.mu + self.sigma * _norm_ppf(u_arr))
 
-    def sample(self, stream: RandomStream, n: int | None = None):
-        if n is None:
-            return self.quantile(stream.uniform())
-        return self.quantile(stream.uniforms(n))
-
 
 @dataclass(frozen=True)
-class BurrXII:
+class BurrXII(_InverseTransform):
     """Shifted Burr XII (Singh-Maddala) error model.
 
     With z = (x - mu)/sigma > 0:
@@ -193,14 +197,9 @@ class BurrXII:
         z = np.expm1(-np.log1p(-u_arr) / self.d) ** (1.0 / self.c)
         return _scalar_ok(u, self.mu + self.sigma * z)
 
-    def sample(self, stream: RandomStream, n: int | None = None):
-        if n is None:
-            return self.quantile(stream.uniform())
-        return self.quantile(stream.uniforms(n))
-
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_InverseTransform):
     """Shifted log-normal error model.
 
     With z = (x - mu)/sigma > 0:
@@ -237,11 +236,6 @@ class LogNormal:
     def quantile(self, u):
         u_arr = _check_unit_interval(u)
         return _scalar_ok(u, self.mu + self.sigma * np.exp(self.s * _norm_ppf(u_arr)))
-
-    def sample(self, stream: RandomStream, n: int | None = None):
-        if n is None:
-            return self.quantile(stream.uniform())
-        return self.quantile(stream.uniforms(n))
 
 
 ErrorDistribution = Gaussian | BurrXII | LogNormal

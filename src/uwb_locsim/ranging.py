@@ -123,8 +123,9 @@ def calibrate_apply(coef: CalibrationCoefficients, x_m):
     return float(corrected) if np.ndim(x_m) == 0 else corrected
 
 
-def diversity_select(values, strategy: str) -> float:
-    """Collapse per-channel measurements into one value.
+def diversity_select(values, strategy: str, axis: int | None = None):
+    """Collapse per-channel measurements into one value, or, with ``axis``,
+    into an array with that axis removed.
 
     ``median`` returns the lower-middle element for even counts so the
     result is always a member of the input set.
@@ -133,10 +134,12 @@ def diversity_select(values, strategy: str) -> float:
     if arr.size == 0:
         raise DataError("diversity selection needs at least one value")
     if strategy == "min":
-        return float(arr.min())
-    if strategy == "mean":
-        return float(arr.mean())
-    if strategy == "median":
-        ordered = np.sort(arr)
-        return float(ordered[(arr.size - 1) // 2])
-    raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}, got {strategy!r}")
+        out = arr.min(axis=axis)
+    elif strategy == "mean":
+        out = arr.mean(axis=axis)
+    elif strategy == "median":
+        middle = ((arr.size if axis is None else arr.shape[axis]) - 1) // 2
+        out = np.take(np.sort(arr, axis=axis), middle, axis=axis)
+    else:
+        raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}, got {strategy!r}")
+    return float(out) if axis is None else out

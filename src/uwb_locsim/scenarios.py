@@ -85,6 +85,12 @@ def _need(mapping, key: str, context: str):
     return mapping[key]
 
 
+def _of_type(value, kind: type, name: str):
+    if not isinstance(value, kind):
+        raise DataError(f"scenario config: {name} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def _number(mapping, key: str, context: str, kind=float):
     value = _need(mapping, key, context)
     try:
@@ -99,20 +105,20 @@ def scenario_from_dict(config: dict) -> Scenario:
     area = (_number(area_cfg, "w", "area"), _number(area_cfg, "h", "area"))
 
     anchors = []
-    for i, spec in enumerate(_need(config, "anchors", "scenario")):
+    for i, spec in enumerate(_of_type(_need(config, "anchors", "scenario"), list, "anchors")):
         context = f"anchors[{i}]"
         position = Point3(*(_number(spec, k, context) for k in ("x", "y", "z")))
         anchors.append(Anchor(id=str(_need(spec, "id", context)), position=position))
 
     walls = []
-    for i, spec in enumerate(config.get("walls", [])):
+    for i, spec in enumerate(_of_type(config.get("walls", []), list, "walls")):
         context = f"walls[{i}]"
         ax, ay, bx, by = (_number(spec, k, context) for k in ("ax", "ay", "bx", "by"))
         walls.append(Wall(a=(ax, ay), b=(bx, by), material=str(_need(spec, "material", context))))
 
     models = {
         condition: distributions.from_dict(spec)
-        for condition, spec in _need(config, "models", "scenario").items()
+        for condition, spec in _of_type(_need(config, "models", "scenario"), dict, "models").items()
     }
 
     diversity_cfg = config.get("diversity")

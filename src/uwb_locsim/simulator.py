@@ -1,12 +1,18 @@
 """Monte Carlo deployment studies: tag grid, link classification, error
 sampling, batched solving, and error statistics.
 
+A study is one loop over fixed chunks of (run, point) cells. Each pass
+draws the chunk's uniforms, maps them through the error model of each
+link's condition, collapses channels with ``ranging.diversity_select``
+and solves the chunk, so draws and solver temporaries stay bounded and
+only per-point results grow with the number of runs.
+
 Every (run, point, anchor, channel) cell owns one uniform draw, derived
 by avalanche-mixing the cell indices into the master seed. Draws are
-therefore independent of execution order and thread count, and the
-link condition only chooses how a cell's uniform is transformed — so
-removing all walls from a scenario reproduces the LOS outputs for the
-same seed, draw for draw.
+therefore independent of execution order, chunk size and thread count,
+and the link condition only chooses how a cell's uniform is transformed
+— so removing all walls from a scenario reproduces the LOS outputs for
+the same seed, draw for draw.
 
 Results aggregate the errors of all runs concatenated (not averaged
 per point). The standard deviation is the population form. Points
@@ -30,10 +36,10 @@ from .geometry import (
     classify_links_bulk,
 )
 from .randomness import cell_uniform_array
-from .ranging import DIVERSITY_STRATEGIES
-from .solver import SolverConfig, anchor_positions, reference_point, solve_batch
+from .ranging import DIVERSITY_STRATEGIES, diversity_select
+from .solver import SolverConfig, anchor_positions, solve_batch, start_points
 
-_CHUNK = 1024  # points per solver batch; bounds the kernel's temporaries
+_CHUNK = 4096  # (run, point) cells per pass; bounds draws and solver temporaries
 
 
 @dataclass(frozen=True)
@@ -169,71 +175,48 @@ def _classify_grid(grid: np.ndarray, anchors, walls) -> np.ndarray:
     return severity
 
 
-def _draw_errors(scenario: Scenario, grid: np.ndarray, severity: np.ndarray) -> np.ndarray:
-    """Error draws for every (run, point, anchor, channel) cell."""
-    n_runs = scenario.runs
-    n_points, n_anchors = severity.shape
-    n_channels = scenario.diversity.channels if scenario.diversity else 1
-
-    u = cell_uniform_array(
-        scenario.seed,
-        np.arange(n_runs, dtype=np.uint64)[:, None, None, None],
-        np.arange(n_points, dtype=np.uint64)[None, :, None, None],
-        np.arange(n_anchors, dtype=np.uint64)[None, None, :, None],
-        np.arange(n_channels, dtype=np.uint64)[None, None, None, :],
-    )
-
-    errors = np.empty_like(u)
-    for level in np.unique(severity):
-        condition = SEVERITY_TO_CONDITION[int(level)]
-        model = scenario.model_table[condition]
-        mask = severity == level
-        errors[:, mask, :] = model.quantile(u[:, mask, :])
-    return errors
-
-
-def _apply_diversity(measured: np.ndarray, diversity: DiversityConfig | None) -> np.ndarray:
-    if diversity is None or measured.shape[-1] == 1:
-        return measured[..., 0]
-    if diversity.strategy == "min":
-        return measured.min(axis=-1)
-    if diversity.strategy == "mean":
-        return measured.mean(axis=-1)
-    ordered = np.sort(measured, axis=-1)
-    return ordered[..., (measured.shape[-1] - 1) // 2]
-
-
 def run_scenario(scenario: Scenario, threads: int = 1) -> RunStatistics:
-    """Execute the full study: classify, sample, solve, aggregate.
+    """Execute the full study: classify; draw, select and solve chunk by
+    chunk; aggregate.
 
-    ``threads`` is accepted for compatibility and ignored: the solver
+    ``threads`` is accepted for compatibility and ignored: the study
     runs serially in fixed-size chunks, which measured faster than a
     thread pool, so results never depend on it.
     """
     grid = build_grid(scenario.area, scenario.grid_step, scenario.tag_height)
-    positions = anchor_positions(list(scenario.anchors))
-    severity = _classify_grid(grid, scenario.anchors, scenario.walls)
-
+    anchors = list(scenario.anchors)
+    positions = anchor_positions(anchors)
+    severity = _classify_grid(grid, anchors, scenario.walls)
     true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
-    errors = _draw_errors(scenario, grid, severity)
-    measured = _apply_diversity(true_dist[None, :, :, None] + errors, scenario.diversity)
-
-    config = scenario.solver
-    if config.x_r is not None:
-        x_r = config.x_r.as_array()
-    else:
-        x_r = reference_point(list(scenario.anchors), config.x_r_mode)
-    x0 = config.x0.as_array() if config.x0 is not None else x_r
+    x_r, x0 = start_points(scenario.solver, anchors)
+    models = {
+        level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
+        for level in np.unique(severity)
+    }
+    diversity = scenario.diversity or DiversityConfig(channels=1, strategy="min")
+    anchor_keys = np.arange(len(anchors))[:, None]
+    channel_keys = np.arange(diversity.channels)
 
     n_runs, n_points = scenario.runs, len(grid)
-    flat = measured.reshape(n_runs * n_points, len(scenario.anchors))
-    starts = np.broadcast_to(x0, (n_runs * n_points, 3))
-
-    estimates = np.empty((n_runs * n_points, 3))
-    failed = np.zeros(n_runs * n_points, dtype=bool)
-    for lo in range(0, flat.shape[0], _CHUNK):
-        hi = lo + _CHUNK
-        result = solve_batch(config, positions, flat[lo:hi], x_r, starts[lo:hi])
+    n_cells = n_runs * n_points
+    estimates = np.empty((n_cells, 3))
+    failed = np.empty(n_cells, dtype=bool)
+    for lo in range(0, n_cells, _CHUNK):
+        hi = min(lo + _CHUNK, n_cells)
+        run, point = np.divmod(np.arange(lo, hi), n_points)
+        u = cell_uniform_array(
+            scenario.seed, run[:, None, None], point[:, None, None], anchor_keys, channel_keys
+        )
+        chunk_severity = severity[point]
+        errors = np.empty_like(u)
+        for level, model in models.items():
+            mask = chunk_severity == level
+            errors[mask] = model.quantile(u[mask])
+        measured = diversity_select(
+            true_dist[point][:, :, None] + errors, diversity.strategy, axis=-1
+        )
+        starts = np.broadcast_to(x0, (hi - lo, 3))
+        result = solve_batch(scenario.solver, positions, measured, x_r, starts)
         estimates[lo:hi] = result.positions
         failed[lo:hi] = result.failed
 

@@ -118,6 +118,13 @@ def reference_point(anchors: list[Anchor], mode: str = "median") -> np.ndarray:
     raise ParameterError("mode must be 'median' or 'mean'")
 
 
+def start_points(config: SolverConfig, anchors: list[Anchor]) -> tuple[np.ndarray, np.ndarray]:
+    """Regularization point x_r and first iterate x0: the configured points,
+    else x_r from the anchors by ``x_r_mode`` and x0 = x_r."""
+    x_r = config.x_r.as_array() if config.x_r is not None else reference_point(anchors, config.x_r_mode)
+    return x_r, (config.x0.as_array() if config.x0 is not None else x_r)
+
+
 def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
     """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (B, N), from
     iterates ``x`` (B, 3) toward the anchors. An iterate on an anchor raises
@@ -274,9 +281,7 @@ def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEst
     if len(anchors) < 3:
         raise ParameterError("at least three anchors are required")
 
-    x_r = config.x_r.as_array() if config.x_r is not None else reference_point(anchors, config.x_r_mode)
-    x0 = config.x0.as_array() if config.x0 is not None else x_r
-
+    x_r, x0 = start_points(config, anchors)
     result = solve_batch(config, positions, distances[None, :], x_r, x0[None, :])
     if result.failed[0]:
         raise SingularGeometryError("rank-deficient anchor geometry or non-finite iterate")

@@ -132,6 +132,10 @@ def test_solve_malformed_input(tmp_path, capsys):
     assert _run(capsys, "solve", "--input", str(path))[0] == 2
     path.write_text("not json")
     assert _run(capsys, "solve", "--input", str(path))[0] == 2
+    path.write_text('{"anchors": [1, 2, 3, 4], "distances": [1, 2, 3, 4]}')
+    code, _, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2
+    assert "anchors[0]" in err
 
 
 def test_solve_numerical_failure_exit_code(tmp_path, capsys):
@@ -250,6 +254,18 @@ def test_simulate_non_numeric_field_is_a_data_error(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert code == 2
     assert "area.w" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("models", []), ("walls", 5), ("anchors", 5)])
+def test_simulate_wrongly_typed_collection_is_a_data_error(tmp_path, capsys, field, value):
+    config = _small_scenario()
+    config[field] = value
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert field in err
     assert "Traceback" not in err
 
 

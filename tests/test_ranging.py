@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from uwb_locsim import (
     BurrXII,
@@ -16,6 +18,7 @@ from uwb_locsim import (
     propagation_time,
     simulate_range,
 )
+from uwb_locsim.ranging import DIVERSITY_STRATEGIES
 
 # high-precision evaluation of the drift formula for
 # e1 = 20 ppm, e2 = -20 ppm, t_proc = 300 us, t_p = 33.356 ns
@@ -151,6 +154,22 @@ def test_diversity_select_examples():
 def test_diversity_median_lower_middle_for_even_counts():
     assert diversity_select([4.0, 1.0, 3.0, 2.0], "median") == 2.0
     assert diversity_select([4.0, 1.0], "median") == 1.0
+
+
+@given(
+    values=st.integers(1, 5).flatmap(lambda channels: arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda shape: shape + (channels,)),
+        elements=st.floats(-1e3, 1e3),
+    )),
+    strategy=st.sampled_from(DIVERSITY_STRATEGIES),
+)
+def test_diversity_select_along_axis_equals_each_row(values, strategy):
+    rows = values.reshape(-1, values.shape[-1])
+    expected = np.array([diversity_select(row, strategy) for row in rows])
+    selected = diversity_select(values, strategy, axis=-1)
+    assert selected.shape == values.shape[:-1]
+    assert np.array_equal(selected.ravel(), expected)
 
 
 def test_diversity_select_errors():

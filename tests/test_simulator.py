@@ -1,8 +1,10 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwb_locsim import (
     Anchor,
@@ -19,6 +21,8 @@ from uwb_locsim import (
     preset_scenario,
     run_scenario,
 )
+from uwb_locsim import simulator
+from uwb_locsim.ranging import DIVERSITY_STRATEGIES
 from uwb_locsim.scenarios import scenario_from_dict, scenario_to_dict
 
 
@@ -182,6 +186,40 @@ def test_diversity_min_lowers_measurements():
     # channel 0 draws are shared, so min over three channels can only shrink errors
     assert np.all(b.err2d <= a.err2d + 1.0)  # sanity: same scale
     assert a.aggregate_2d.median != b.aggregate_2d.median
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), strategy=st.sampled_from(DIVERSITY_STRATEGIES),
+       runs=st.integers(2, 3))
+def test_chunk_size_does_not_change_results(chunk, seed, strategy, runs):
+    # 81 points per run: chunks of 7 cells straddle run boundaries
+    scenario = _mini_scenario(
+        seed=seed, runs=runs, diversity=DiversityConfig(channels=3, strategy=strategy),
+        walls=(Wall((0.0, 2.0), (4.0, 2.0), "concrete"),),
+    )
+    reference = run_scenario(scenario)
+    with mock.patch.object(simulator, "_CHUNK", chunk):
+        chunked = run_scenario(scenario)
+    for name in ("estimates", "err2d", "failed"):
+        assert np.array_equal(getattr(chunked, name), getattr(reference, name), equal_nan=True)
+
+
+def test_draws_are_made_chunk_by_chunk(monkeypatch):
+    sizes, draw = [], simulator.cell_uniform_array
+
+    def spy(*args):
+        uniforms = draw(*args)
+        sizes.append(uniforms.size)
+        return uniforms
+
+    monkeypatch.setattr(simulator, "cell_uniform_array", spy)
+    monkeypatch.setattr(simulator, "_CHUNK", 7)
+    scenario = _mini_scenario(runs=3, diversity=DiversityConfig(channels=3, strategy="min"))
+    run_scenario(scenario)
+    points = len(build_grid(scenario.area, scenario.grid_step, scenario.tag_height))
+    assert max(sizes) <= 7 * 4 * 3
+    assert sum(sizes) == 3 * points * 4 * 3
 
 
 def test_diversity_validation():
