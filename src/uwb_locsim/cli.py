@@ -9,10 +9,12 @@ stderr. Exit codes: 0 success, 1 usage error, 2 data or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -198,14 +200,30 @@ def _cmd_solve(args) -> int:
 
 # -------------------------------------------------------------- simulate
 
+@contextlib.contextmanager
+def _stage_timer(stage: str):
+    """Print a stage's wall time to stderr (``simulate --timings``)."""
+    start = time.perf_counter()
+    yield
+    print(f"timing: {stage} {time.perf_counter() - start:.3f} s", file=sys.stderr)
+
+
 def _cmd_simulate(args) -> int:
-    scenario = preset_scenario(args.preset) if args.preset else load_scenario(args.config)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    stats = run_scenario(scenario, threads=args.threads)
-    report = write_outputs(stats, scenario, args.out)
+    timed = _stage_timer if args.timings else contextlib.nullcontext
+    with timed("scenario build"):
+        scenario = preset_scenario(args.preset) if args.preset else load_scenario(args.config)
+        if args.seed is not None:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+    with timed("run_scenario"):
+        stats = run_scenario(scenario, threads=args.threads)
+    report = write_outputs(stats, scenario, args.out, timed)
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote points.csv, ecdf.csv, report.json to {args.out}", file=sys.stderr)
+    if args.timings:
+        import resource  # POSIX only, so imported on request
+
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+        print(f"timing: peak RSS {peak_mb:.1f} MB", file=sys.stderr)
     return 0
 
 
@@ -312,6 +330,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; the solver runs serially and "
                             "results and speed do not depend on it")
+    p_sim.add_argument("--timings", action="store_true",
+                       help="print the wall time of each stage (seconds) and the peak "
+                            "RSS (MB) to stderr; result files and stdout are unchanged")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_stats = sub.add_parser("range-stats",

@@ -259,15 +259,22 @@ def to_dict(dist: ErrorDistribution) -> dict:
 def from_dict(spec: dict) -> ErrorDistribution:
     """Build a distribution from its serialized form; validates names strictly."""
     try:
-        family = spec["family"]
-        params = dict(spec["params"])
+        family, params = spec["family"], spec["params"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"distribution spec needs 'family' and 'params': {spec!r}") from exc
-    if family not in _CLASSES:
+    if not isinstance(family, str) or family not in _CLASSES:
         raise ParameterError(f"unknown distribution family {family!r}; expected one of {FAMILIES}")
+    if not isinstance(params, dict):
+        raise ParameterError(f"distribution 'params' must be a JSON object, got {params!r}")
     expected = set(_PARAM_NAMES[family])
     if set(params) != expected:
         raise ParameterError(
             f"{family} parameters must be exactly {sorted(expected)}, got {sorted(params)}"
         )
-    return _CLASSES[family](**{k: float(v) for k, v in params.items()})
+    values = {}
+    for name, value in params.items():
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{family} params.{name} is not a number: {value!r}") from exc
+    return _CLASSES[family](**values)

@@ -290,3 +290,46 @@ def test_sample_malformed_inline_model(capsys):
 
 def test_simulate_requires_source(capsys):
     assert _run(capsys, "simulate", "--out", "x")[0] == 1
+
+
+_BAD_PARAMS = [
+    pytest.param({"family": "gaussian", "params": {"mu": "abc", "sigma": 0.071}}, "params.mu",
+                 id="non-numeric-param"),
+    pytest.param({"family": "gaussian", "params": "ab"}, "params", id="params-not-an-object"),
+]
+
+
+@pytest.mark.parametrize("spec, field", _BAD_PARAMS)
+def test_sample_bad_model_params_are_a_parameter_error(capsys, spec, field):
+    code, _, err = _run(capsys, "sample", "--model", json.dumps(spec))
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, field", _BAD_PARAMS)
+def test_simulate_bad_model_params_are_a_parameter_error(tmp_path, capsys, spec, field):
+    config = _small_scenario()
+    config["models"]["los"] = spec
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_simulate_timings_go_to_stderr_only(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(_small_scenario()))
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    code_a, out_a, err_a = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(plain))
+    code_b, out_b, err_b = _run(capsys, "simulate", "--config", str(cfg_path), "--out", str(timed),
+                                "--timings")
+    assert code_a == code_b == 0
+    assert out_a == out_b
+    for name in ("points.csv", "ecdf.csv", "report.json"):
+        assert (plain / name).read_bytes() == (timed / name).read_bytes()
+    assert "timing:" not in err_a
+    for stage in ("scenario build", "run_scenario", "points.csv", "ecdf.csv", "report", "peak RSS"):
+        assert f"timing: {stage} " in err_b

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -185,3 +186,27 @@ def test_from_dict_rejects_bad_specs():
         distributions.from_dict({"family": "gaussian", "params": {"mu": 0.0, "sd": 1.0}})
     with pytest.raises(ParameterError):
         distributions.from_dict({"params": {"mu": 0.0, "sigma": 1.0}})
+    with pytest.raises(ParameterError, match="params.mu"):
+        distributions.from_dict({"family": "gaussian", "params": {"mu": "abc", "sigma": 1.0}})
+    with pytest.raises(ParameterError, match="params"):
+        distributions.from_dict({"family": "gaussian", "params": "ab"})
+    with pytest.raises(ParameterError, match="family"):
+        distributions.from_dict({"family": [], "params": {}})
+
+
+_UNIT = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
+_LOCATION = st.floats(min_value=-2.0, max_value=2.0)
+_SCALE = st.floats(min_value=0.01, max_value=2.0)
+_MODELS = st.one_of(
+    st.builds(Gaussian, mu=_LOCATION, sigma=_SCALE),
+    # d spans both Burr XII likelihood basins: d ~ 1 (concrete) and d ~ 0.24 (human)
+    st.builds(BurrXII, c=st.floats(1.0, 40.0), d=st.floats(0.2, 1.5), mu=_LOCATION, sigma=_SCALE),
+    st.builds(LogNormal, s=st.floats(0.05, 1.5), mu=_LOCATION, sigma=_SCALE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_MODELS, us=st.lists(_UNIT, min_size=1, max_size=20))
+def test_cdf_inverts_quantile_across_parameter_space(model, us):
+    us = np.array(us)
+    np.testing.assert_allclose(model.cdf(model.quantile(us)), us, rtol=0.0, atol=1e-9)

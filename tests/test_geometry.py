@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwb_locsim import Anchor, ParameterError, Point3, Wall, classify_link, segment_crosses_wall, true_distance
 from uwb_locsim.geometry import classify_links_bulk, SEVERITY_TO_CONDITION
@@ -145,3 +146,24 @@ def test_bulk_classification_matches_scalar():
     for i, (x, y) in enumerate(points):
         scalar = classify_link(Point3(x, y, 1.2), anchor, walls)
         assert SEVERITY_TO_CONDITION[int(bulk[i])] == scalar
+
+
+# Integer coordinates on a small lattice make shared endpoints, endpoints
+# on walls and collinear overlaps (grazing contact) common.
+_COORD = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
+_XY = st.tuples(_COORD, _COORD)
+_WALLS = st.lists(
+    st.tuples(_XY, _XY, st.sampled_from(["drywall", "concrete"]))
+    .filter(lambda t: t[0] != t[1])
+    .map(lambda t: Wall(a=t[0], b=t[1], material=t[2])),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walls=_WALLS, anchor_xy=_XY, tags=st.lists(_XY, min_size=1, max_size=20))
+def test_bulk_classification_equals_scalar_per_link(walls, anchor_xy, tags):
+    bulk = classify_links_bulk(np.array(tags), anchor_xy, walls)
+    anchor = Anchor("a", Point3(anchor_xy[0], anchor_xy[1], 2.5))
+    for (x, y), severity in zip(tags, bulk):
+        assert SEVERITY_TO_CONDITION[int(severity)] == classify_link(Point3(x, y, 1.0), anchor, walls)
