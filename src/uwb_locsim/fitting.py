@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import BurrXII, ErrorDistribution, Gaussian, LogNormal
 from .errors import ConvergenceError, DataError, ParameterError
@@ -114,6 +113,14 @@ def _burr12_nll(theta, data, mu_bound):
         - (c - 1.0) * log_z.sum()
         + (d + 1.0) * tail.sum()
     )
+
+
+def minimize(func, theta0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call so that
+    ``import uwb_locsim`` and a simulation load numpy only."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(func, theta0, **kwargs)
 
 
 def _simplex(func, theta0, args):

@@ -64,9 +64,19 @@ def combine_array(seed: np.ndarray | int, keys: np.ndarray) -> np.ndarray:
     return mix64_array(seed_arr ^ mixed)
 
 
+# Top 53 bits k, offset to the cell center: (k + 0.5) * 2**-53. For the
+# last cell, k = 2**53 - 1, that rounds to exactly 1.0, so every path
+# clamps to the largest double below 1; no other value changes.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
 def _to_unit_interval(z: int) -> float:
-    # Top 53 bits, offset to the cell center: result is in (0, 1) strictly.
-    return ((z >> 11) + 0.5) * 2.0**-53
+    return min(((z >> 11) + 0.5) * 2.0**-53, _BELOW_ONE)
+
+
+def _to_unit_interval_array(z: np.ndarray) -> np.ndarray:
+    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 class RandomStream:
@@ -85,7 +95,7 @@ class RandomStream:
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
         z = mix64_array(np.uint64(self._state) + steps)
         self._state = (self._state + n * _GOLDEN) & _MASK
-        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return _to_unit_interval_array(z)
 
     def spawn(self, key: int) -> "RandomStream":
         """Child stream for an index key; independent of draw order."""
@@ -111,4 +121,4 @@ def cell_uniform_array(master_seed: int, *index_arrays: np.ndarray) -> np.ndarra
     for keys in index_arrays:
         seeds = combine_array(seeds, keys)
     z = mix64_array(seeds + _U_GOLDEN)
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _to_unit_interval_array(z)

@@ -95,7 +95,7 @@ def _number(mapping, key: str, context: str, kind=float):
     value = _need(mapping, key, context)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinity overflows
         raise DataError(f"scenario config: {context}.{key} is not a number: {value!r}") from exc
 
 

@@ -134,6 +134,8 @@ def build_grid(area: tuple[float, float], grid_step: float, tag_height: float) -
     width, depth = float(area[0]), float(area[1])
     if not grid_step > 0.0:
         raise ParameterError("grid_step must be > 0")
+    if not (math.isfinite(width) and math.isfinite(depth)):
+        raise ParameterError(f"area dimensions must be finite, got {area}")
     if grid_step > width and grid_step > depth:
         raise DataError(f"grid step {grid_step} m exceeds both area dimensions {area}")
     nx = int(math.floor(width / grid_step + 1e-9)) + 1

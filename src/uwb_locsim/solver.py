@@ -86,7 +86,7 @@ def solver_config_from_dict(spec: dict, context: str = "solver") -> SolverConfig
         if spec.get(key) is not None:
             try:
                 fields[key] = parse(spec[key])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{context}.{key}: invalid value {spec[key]!r}") from exc
     return SolverConfig(**fields)
 

@@ -1,10 +1,22 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwb_locsim import Gaussian, RandomStream
 from uwb_locsim.cli import main
+from uwb_locsim.scenarios import preset_scenario, scenario_to_dict
 
 
 def _run(capsys, *argv):
@@ -333,3 +345,112 @@ def test_simulate_timings_go_to_stderr_only(tmp_path, capsys):
     assert "timing:" not in err_a
     for stage in ("scenario build", "run_scenario", "points.csv", "ecdf.csv", "report", "peak RSS"):
         assert f"timing: {stage} " in err_b
+
+
+_NO_SCIPY_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from uwb_locsim import cli, fitting
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", "--preset", "paper-los", "--out", sys.argv[1]])
+    print(json.dumps({
+        "code": code,
+        "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+        "minimize": callable(getattr(fitting, "minimize", None)),
+    }))
+    """
+)
+
+
+def test_simulate_process_never_imports_scipy(tmp_path):
+    # A simulation needs numpy only; scipy is for fits and cdf methods.
+    # The benchmark's tracer wraps fitting.minimize by name, so the lazy
+    # import must keep that module attribute.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    outcome = json.loads(done.stdout)
+    assert outcome["code"] == 0
+    assert outcome["scipy"] == []
+    assert outcome["minimize"] is True
+    assert (tmp_path / "out" / "points.csv").exists()
+
+
+def _fuzz_base():
+    """paper-concrete with diversity, weights and x0 set, one run, a 1 m grid."""
+    config = scenario_to_dict(preset_scenario("paper-concrete"))
+    config.update(runs=1, grid_step=1.0, diversity={"channels": 3, "strategy": "min"})
+    config["solver"].update(weights=[0.071, 0.071, 0.72, 0.72],
+                            x0={"x": 4.5, "y": 10.0, "z": 1.2})
+    return config
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_FUZZ_PATHS = list(_paths(_fuzz_base()))[1:]
+_FUZZ_VALUES = st.sampled_from([
+    None, True, False, "", "abc", "nan", "inf", "-1e999", [], [1.0], {}, {"x": 1.0},
+    0, -1, math.nan, math.inf, -math.inf,
+])
+_DROP = object()
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(_FUZZ_PATHS), st.one_of(st.just(_DROP), _FUZZ_VALUES)),
+    min_size=1, max_size=3,
+)
+
+
+def _mutate(config, path, value):
+    try:
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)  # the sampled [] and {} are shared
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or retyped this path
+
+
+def _simulate_config(config):
+    """Exit code and stderr of ``simulate --config`` on a config dict."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "scenario.json")
+        with open(cfg_path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)  # NaN and Infinity as Python's json writes them
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", cfg_path, "--out", os.path.join(tmp, "out")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=_MUTATIONS)
+def test_fuzzed_simulate_config_exits_cleanly(mutations):
+    config = _fuzz_base()
+    for path, value in mutations:
+        _mutate(config, path, value)
+    code, err = _simulate_config(config)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+def test_every_non_finite_config_number_exits_cleanly():
+    # The random search above reaches a given field only now and then;
+    # this sweep puts each non-finite value into every key and item once.
+    for path in _FUZZ_PATHS:
+        for value in (math.nan, math.inf, -math.inf, "inf"):
+            config = _fuzz_base()
+            _mutate(config, path, value)
+            code, err = _simulate_config(config)
+            assert code in (0, 2, 3), (path, value, err)
+            assert "Traceback" not in err, (path, value)

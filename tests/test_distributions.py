@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from uwb_locsim import BurrXII, Gaussian, LogNormal, ParameterError, RandomStream
 from uwb_locsim import distributions
+from uwb_locsim.randomness import cell_uniform_array
 
 from conftest import MODEL_SETS
 
@@ -111,6 +113,22 @@ def test_pdf_nonnegative_and_cdf_monotone(label, family, model):
     assert np.all(pdf >= 0.0)
     assert np.all(np.isfinite(pdf))
     assert np.all(np.diff(cdf) >= 0.0)
+
+
+def test_norm_ppf_within_8_ulp_of_ndtri():
+    # Cell uniforms as the simulator draws them, deep tails on both sides
+    # and the two extreme cell values (0.5 * 2**-53 and 1 - 2**-53).
+    tiny = np.logspace(-300, -1, 3000)
+    u = np.concatenate([
+        cell_uniform_array(2024, np.arange(100_000), np.arange(2)[:, None]).ravel(),
+        tiny,
+        1.0 - np.logspace(-16, -1, 3000),
+        [0.5 * 2.0**-53, 1.0 - 2.0**-53],
+    ])
+    ref = ndtri(u)
+    got = distributions._norm_ppf(u)
+    ulps = np.abs(got - ref) / np.spacing(np.abs(ref))
+    assert ulps.max() <= 8, f"worst {ulps.max():.0f} ulp at u = {u[ulps.argmax()]!r}"
 
 
 def test_sampling_is_inverse_transform():

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from uwb_locsim import Gaussian, randomness
 from uwb_locsim.randomness import (
     RandomStream,
     cell_seed,
@@ -70,3 +72,23 @@ def test_spawn_matches_combine():
     parent = RandomStream(5)
     child = parent.spawn(17)
     assert child.uniform() == RandomStream(combine(5, 17)).uniform()
+
+
+_DRAWS = {
+    "uniform": lambda: RandomStream(5).uniform(),
+    "uniforms": lambda: RandomStream(5).uniforms(3),
+    "cell_uniform_array": lambda: cell_uniform_array(5, np.arange(3)),
+}
+
+
+@pytest.mark.parametrize("path", list(_DRAWS))
+def test_all_ones_word_maps_below_one(monkeypatch, path):
+    # The top cell, k = 2**53 - 1, would round (k + 0.5) * 2**-53 to 1.0.
+    ones = (1 << 64) - 1
+    monkeypatch.setattr(randomness, "mix64", lambda value: ones)
+    monkeypatch.setattr(
+        randomness, "mix64_array", lambda values: np.full(np.shape(values), ones, dtype=np.uint64)
+    )
+    u = _DRAWS[path]()
+    assert np.all(np.asarray(u) == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(Gaussian(0.0, 1.0).quantile(u)))

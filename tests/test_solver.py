@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwb_locsim import (
     Anchor,
@@ -21,8 +22,9 @@ from uwb_locsim import (
     solve,
 )
 from uwb_locsim import simulator
+from uwb_locsim.geometry import SEVERITY_TO_CONDITION, classify_links_bulk
 from uwb_locsim.scenarios import PRESETS, preset_scenario
-from uwb_locsim.solver import reference_point, solve_batch, anchor_positions
+from uwb_locsim.solver import anchor_positions, reference_point, solve_batch, start_points
 
 
 def _anchor(i, x, y, z):
@@ -392,3 +394,45 @@ def test_overflowing_distances_fail_only_their_row(flags):
     )
     outcome = json.loads(done.stdout)
     assert outcome == {"failed": [False, True, True], "finite": [True] * 3, "good_unchanged": True}
+
+
+_CONCRETE = preset_scenario("paper-concrete")
+_CONCRETE_POSITIONS = anchor_positions(list(_CONCRETE.anchors))
+_UNIT = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
+
+
+@st.composite
+def _concrete_floor_batches(draw):
+    """Tags anywhere on the concrete preset floor, each range drawn from
+    the bundled model of its link condition."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    tags = np.array([
+        [draw(st.floats(0.0, _CONCRETE.area[0])), draw(st.floats(0.0, _CONCRETE.area[1])), 1.2]
+        for _ in range(n)
+    ])
+    distances = np.linalg.norm(_CONCRETE_POSITIONS[None, :, :] - tags[:, None, :], axis=2)
+    for j, anchor in enumerate(_CONCRETE.anchors):
+        severity = classify_links_bulk(tags[:, :2], anchor.position.xy, _CONCRETE.walls)
+        for i in range(n):
+            model = _CONCRETE.model_table[SEVERITY_TO_CONDITION[int(severity[i])]]
+            distances[i, j] += model.quantile(draw(_UNIT))
+    return distances
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distances=_concrete_floor_batches(),
+    config=st.sampled_from([SolverConfig(), _WEIGHTED, SolverConfig(c=0.0)]),
+)
+def test_solve_batch_does_not_depend_on_how_the_batch_is_split(distances, config):
+    x_r, x0 = start_points(config, list(_CONCRETE.anchors))
+    starts = np.broadcast_to(x0, (len(distances), 3))
+    whole = solve_batch(config, _CONCRETE_POSITIONS, distances, x_r, starts)
+    for size in (1, 7):
+        parts = [
+            solve_batch(config, _CONCRETE_POSITIONS, distances[lo:lo + size], x_r, starts[lo:lo + size])
+            for lo in range(0, len(distances), size)
+        ]
+        for name in ("positions", "iterations", "converged", "failed"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert np.array_equal(joined, getattr(whole, name), equal_nan=name == "positions"), name
