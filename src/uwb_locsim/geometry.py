@@ -52,6 +52,8 @@ class Wall:
     material: str
 
     def __post_init__(self):
+        if not np.isfinite([*self.a, *self.b]).all():
+            raise ParameterError(f"wall endpoints must be finite, got {self.a}, {self.b}")
         if tuple(self.a) == tuple(self.b):
             raise ParameterError("wall endpoints must differ")
         if self.material not in WALL_MATERIALS:

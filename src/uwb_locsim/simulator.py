@@ -40,6 +40,7 @@ from .ranging import DIVERSITY_STRATEGIES, diversity_select
 from .solver import SolverConfig, anchor_positions, solve_batch, start_points
 
 _CHUNK = 4096  # (run, point) cells per pass; bounds draws and solver temporaries
+_MAX_GRID_POINTS = 10**7  # tag lattice cap; the presets have 2,997 points
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,8 @@ class Scenario:
     def __post_init__(self):
         if not self.grid_step > 0.0:
             raise ParameterError("grid_step must be > 0")
+        if not math.isfinite(self.tag_height):
+            raise ParameterError(f"tag_height must be finite, got {self.tag_height}")
         if self.runs < 1:
             raise ParameterError("runs must be >= 1")
         if len(self.anchors) < 3:
@@ -134,12 +137,15 @@ def build_grid(area: tuple[float, float], grid_step: float, tag_height: float) -
     width, depth = float(area[0]), float(area[1])
     if not grid_step > 0.0:
         raise ParameterError("grid_step must be > 0")
-    if not (math.isfinite(width) and math.isfinite(depth)):
-        raise ParameterError(f"area dimensions must be finite, got {area}")
+    if not (0.0 <= width < math.inf and 0.0 <= depth < math.inf):
+        raise ParameterError(f"area dimensions must be finite and >= 0, got {area}")
     if grid_step > width and grid_step > depth:
         raise DataError(f"grid step {grid_step} m exceeds both area dimensions {area}")
-    nx = int(math.floor(width / grid_step + 1e-9)) + 1
-    ny = int(math.floor(depth / grid_step + 1e-9)) + 1
+    span_x, span_y = width / grid_step + 1e-9, depth / grid_step + 1e-9
+    if not (span_x + 1.0) * (span_y + 1.0) <= _MAX_GRID_POINTS:  # also an infinite quotient
+        raise DataError(f"grid step {grid_step} m gives over {_MAX_GRID_POINTS:.0e} tag points")
+    nx = int(math.floor(span_x)) + 1
+    ny = int(math.floor(span_y)) + 1
     xs = np.arange(nx) * grid_step
     ys = np.arange(ny) * grid_step
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

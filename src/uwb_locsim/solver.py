@@ -55,16 +55,16 @@ class SolverConfig:
     x0: Point3 | None = None  # initial iterate; None = x_r
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ParameterError("delta must be > 0")
+        if not (np.isfinite(self.delta) and self.delta > 0.0):
+            raise ParameterError(f"delta must be finite and > 0, got {self.delta}")
         if self.k_max < 1:
             raise ParameterError("k_max must be >= 1")
-        if self.c < 0.0:
-            raise ParameterError("c must be >= 0")
+        if not (np.isfinite(self.c) and self.c >= 0.0):
+            raise ParameterError(f"c must be finite and >= 0, got {self.c}")
         if self.x_r_mode not in ("median", "mean"):
             raise ParameterError("x_r_mode must be 'median' or 'mean'")
-        if self.weights is not None and any(w <= 0.0 for w in self.weights):
-            raise ParameterError("anchor weights must all be > 0")
+        if self.weights is not None and not all(np.isfinite(w) and w > 0.0 for w in self.weights):
+            raise ParameterError(f"anchor weights must all be finite and > 0, got {self.weights}")
 
 
 def solver_config_from_dict(spec: dict, context: str = "solver") -> SolverConfig:

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from uwb_locsim import (
     Anchor,
+    BurrXII,
     DataError,
     DiversityConfig,
     Gaussian,
+    LogNormal,
     ParameterError,
     Point3,
     Scenario,
@@ -48,6 +50,19 @@ def test_grid_step_larger_than_one_dimension():
 def test_grid_step_exceeding_both_dimensions():
     with pytest.raises(DataError):
         build_grid((9.0, 20.0), 25.0, 1.0)
+
+
+@pytest.mark.parametrize("area", [(-9.0, 20.0), (9.0, -1.0)])
+def test_grid_rejects_a_negative_area(area):
+    with pytest.raises(ParameterError, match="area"):
+        build_grid(area, 1.0, 1.2)
+
+
+@pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-4])
+def test_grid_size_is_bounded_before_allocation(step):
+    # 5e-324 makes the step count overflow to inf; 1e-4 would be 1.8e10 points
+    with pytest.raises(DataError, match="tag points"):
+        build_grid((9.0, 20.0), step, 1.2)
 
 
 def test_aggregate_basic_examples():
@@ -277,6 +292,51 @@ def test_scenario_dict_round_trip_keeps_solver_points_and_weights():
     assert config["solver"]["x0"] == {"x": 1.0, "y": 2.0, "z": 1.2}
     assert scenario_from_dict(config) == scenario
     assert scenario_from_dict(json.loads(json.dumps(config))) == scenario
+
+
+_coord = st.floats(-50.0, 50.0)
+_positive = st.floats(0.01, 50.0)
+_point = st.builds(Point3, _coord, _coord, _coord)
+_model = st.one_of(
+    st.builds(Gaussian, mu=_coord, sigma=_positive),
+    st.builds(LogNormal, s=_positive, mu=_coord, sigma=_positive),
+    st.builds(BurrXII, c=_positive, d=_positive, mu=_coord, sigma=_positive),
+)
+_wall = st.tuples(
+    st.tuples(_coord, _coord), st.tuples(_coord, _coord), st.sampled_from(["drywall", "concrete"]),
+).filter(lambda abm: abm[0] != abm[1]).map(lambda abm: Wall(*abm))
+
+
+@st.composite
+def _scenarios(draw):
+    n_anchors = draw(st.integers(3, 6))
+    walls = tuple(draw(st.lists(_wall, max_size=3)))
+    conditions = {"los"} | {w.material for w in walls} | draw(st.sets(st.sampled_from(["human"])))
+    solver = SolverConfig(
+        delta=draw(_positive), k_max=draw(st.integers(1, 50)), c=draw(st.floats(0.0, 1.0)),
+        x_r=draw(st.none() | _point), x_r_mode=draw(st.sampled_from(["median", "mean"])),
+        weights=draw(st.none() | st.tuples(*[_positive] * n_anchors)), x0=draw(st.none() | _point),
+    )
+    diversity = draw(st.none() | st.builds(
+        DiversityConfig, channels=st.integers(1, 5), strategy=st.sampled_from(DIVERSITY_STRATEGIES)))
+    return Scenario(
+        area=(draw(_positive), draw(_positive)),
+        anchors=tuple(Anchor(f"a{i}", draw(_point)) for i in range(n_anchors)),
+        walls=walls,
+        grid_step=draw(_positive),
+        tag_height=draw(_coord),
+        runs=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        model_table={condition: draw(_model) for condition in sorted(conditions)},
+        solver=solver,
+        diversity=diversity,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=_scenarios())
+def test_scenario_dict_json_round_trip(scenario):
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario)))) == scenario
 
 
 def test_scenario_from_dict_names_non_numeric_field():
