@@ -22,12 +22,13 @@ from . import distributions
 from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr, profile_from_dict
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
 from .fitting import select_best_model
-from .geometry import Anchor, Point3
 from .outputs import write_outputs
 from .randomness import RandomStream
-from .scenarios import PRESETS, load_scenario, preset_scenario
+from .scenarios import (
+    PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, solve_input_from_dict,
+)
 from .simulator import aggregate, run_scenario
-from .solver import solve, solver_config_from_dict
+from .solver import solve
 
 
 class _UsageError(Exception):
@@ -48,44 +49,34 @@ def _write_text(text: str, out_path: str | None) -> None:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-
-
-def _read_json_input(path: str) -> dict:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN and Infinity are not JSON
+        raise DataError("a result is not finite and cannot be written as JSON") from exc
+    _write_text(text + "\n", out_path)
 
 
-def _read_csv_rows(path: str, has_header: bool) -> tuple[list[str] | None, list[list[str]]]:
+def _read_table(path: str, names: list[str] | None) -> tuple[list[str], list[tuple[int, dict]]]:
+    """Column names and ``(line number, {column: text})`` rows of a CSV file.
+    The header is the first non-blank line unless ``names`` are given; blank
+    lines are skipped, and line numbers count every physical line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-    except OSError as exc:
+            lines = [(i, line.split(",")) for i, line in enumerate(handle, 1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [line.split(",") for line in lines if line]
-    if not rows:
+    if not lines:
         raise DataError(f"{path}: file is empty")
-    header = None
-    if has_header:
-        header = [name.strip() for name in rows[0]]
-        rows = rows[1:]
-    return header, rows
+    if names is None:
+        names = [name.strip() for name in lines.pop(0)[1]]
+    return names, [(i, {k: cell.strip() for k, cell in zip(names, cells)}) for i, cells in lines]
 
 
-def _parse_float(token: str, path: str, line_no: int, column: str) -> float:
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise DataError(
-            f"{path}:{line_no}: column {column!r}: {token!r} is not a number"
-        ) from exc
+def _cell_number(path: str, line_no: int, row: dict, column: str) -> float:
+    """A table cell as a finite float; DataError naming ``file:line`` and the column."""
+    if column not in row:
+        raise DataError(f"{path}:{line_no}: column {column!r} is missing")
+    return number(row[column], f"{path}:{line_no}: column {column!r}")
 
 
 # ---------------------------------------------------------------- energy
@@ -94,7 +85,7 @@ def _cmd_energy(args) -> int:
     if args.profile in BUILTIN_PROFILES:
         profile = BUILTIN_PROFILES[args.profile]
     elif os.path.exists(args.profile):
-        profile = profile_from_dict(_read_json_input(args.profile))
+        profile = profile_from_dict(read_json(args.profile))
     else:
         raise DataError(
             f"unknown profile {args.profile!r}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
@@ -115,12 +106,8 @@ def _cmd_energy(args) -> int:
 # ------------------------------------------------------------------- fit
 
 def _cmd_fit(args) -> int:
-    header, rows = _read_csv_rows(args.input, has_header=not args.no_header)
-    column = header[0] if header else "column 1"
-    offset = 2 if header else 1
-    data = [
-        _parse_float(row[0], args.input, i + offset, column) for i, row in enumerate(rows)
-    ]
+    names, rows = _read_table(args.input, ["column 1"] if args.no_header else None)
+    data = [_cell_number(args.input, line_no, row, names[0]) for line_no, row in rows]
     families = [name.strip() for name in args.families.split(",") if name.strip()]
     ranking = select_best_model(data, families, bins=args.bins)
     payload = {
@@ -147,13 +134,8 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------- sample
 
 def _cmd_sample(args) -> int:
-    if args.model.lstrip().startswith("{"):
-        try:
-            spec = json.loads(args.model)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"--model: invalid JSON at column {exc.colno}: {exc.msg}") from exc
-    else:
-        spec = _read_json_input(args.model)
+    inline = args.model.lstrip().startswith("{")
+    spec = parse_json(args.model, "--model") if inline else read_json(args.model)
     dist = distributions.from_dict(spec)
     draws = dist.sample(RandomStream(args.seed), args.count)
     lines = ["error_m"] + [str(float(v)) for v in np.atleast_1d(draws)]
@@ -163,26 +145,8 @@ def _cmd_sample(args) -> int:
 
 # ----------------------------------------------------------------- solve
 
-def _point_from(spec: dict, context: str) -> Point3:
-    try:
-        return Point3(float(spec["x"]), float(spec["y"]), float(spec["z"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{context} needs numeric x, y, z fields") from exc
-
-
 def _cmd_solve(args) -> int:
-    payload = _read_json_input(args.input)
-    try:
-        anchor_specs = list(payload["anchors"])
-        distances = [float(d) for d in payload["distances"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("solve input needs 'anchors' and numeric 'distances'") from exc
-    anchors = []
-    for i, spec in enumerate(anchor_specs):
-        if not isinstance(spec, dict):
-            raise DataError(f"anchors[{i}] must be a JSON object with numeric x, y, z")
-        anchors.append(Anchor(id=str(spec.get("id", i)), position=_point_from(spec, f"anchors[{i}]")))
-    config = solver_config_from_dict(payload.get("config", {}), "config")
+    anchors, distances, config = solve_input_from_dict(read_json(args.input))
     estimate = solve(config, anchors, distances)
     _emit(
         {
@@ -230,52 +194,26 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------- range-stats
 
 def _cmd_range_stats(args) -> int:
-    header, rows = _read_csv_rows(args.input, has_header=not args.no_header)
-    if header:
-        try:
-            i_true = header.index("true_m")
-            i_meas = header.index("measured_m")
-        except ValueError as exc:
-            raise DataError(
-                f"{args.input}: header must contain 'true_m' and 'measured_m', got {header}"
-            ) from exc
-        i_cond = header.index("condition") if "condition" in header else None
-        i_chan = header.index("channel") if "channel" in header else None
-    else:
-        i_true, i_meas = 0, 1
-        width = len(rows[0])
-        i_chan = 2 if width > 2 else None
-        i_cond = 3 if width > 3 else None
-
-    offset = 2 if header else 1
+    names, rows = _read_table(
+        args.input, ["true_m", "measured_m", "channel", "condition"] if args.no_header else None
+    )
+    if not {"true_m", "measured_m"} <= set(names):
+        raise DataError(f"{args.input}: header must contain 'true_m' and 'measured_m', got {names}")
     groups: dict[tuple, list[float]] = {}
-    for i, row in enumerate(rows):
-        line_no = i + offset
-        true = _parse_float(row[i_true], args.input, line_no, "true_m")
-        measured = _parse_float(row[i_meas], args.input, line_no, "measured_m")
-        key = (
-            row[i_cond].strip() if i_cond is not None and i_cond < len(row) else None,
-            row[i_chan].strip() if i_chan is not None and i_chan < len(row) else None,
-        )
-        groups.setdefault(key, []).append(measured - true)
+    for line_no, row in rows:
+        true = _cell_number(args.input, line_no, row, "true_m")
+        measured = _cell_number(args.input, line_no, row, "measured_m")
+        groups.setdefault((row.get("condition"), row.get("channel")), []).append(measured - true)
 
     payload = {"input": args.input, "groups": []}
-    for (condition, channel), errors in sorted(
-        groups.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-    ):
+    by_label = sorted(groups.items(), key=lambda kv: tuple(map(str, kv[0])))
+    for (condition, channel), errors in by_label:
         agg = aggregate(errors)
-        entry = {
-            "count": agg.count,
-            "mean_m": agg.mean,
-            "std_m": agg.std,
-            "iqr_m": agg.iqr,
-            "median_m": agg.median,
-        }
-        if condition is not None:
-            entry["condition"] = condition
-        if channel is not None:
-            entry["channel"] = channel
-        payload["groups"].append(entry)
+        labels = {"condition": condition, "channel": channel}
+        payload["groups"].append({
+            "count": agg.count, "mean_m": agg.mean, "std_m": agg.std, "iqr_m": agg.iqr,
+            "median_m": agg.median, **{key: v for key, v in labels.items() if v is not None},
+        })
     _emit(payload, args.out)
     return 0
 

@@ -8,6 +8,7 @@ structured text files with the same fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ParameterError
@@ -27,10 +28,10 @@ class PowerProfile:
 
     def __post_init__(self):
         for field in ("p_tx", "p_rx", "p_idle", "p_sleep", "e_transition"):
-            if getattr(self, field) < 0.0:
-                raise ParameterError(f"{field} must be >= 0")
-        if not self.t_packet > 0.0:
-            raise ParameterError("t_packet must be > 0")
+            if not 0.0 <= getattr(self, field) < math.inf:  # False for NaN
+                raise ParameterError(f"{field} must be finite and >= 0, got {getattr(self, field)}")
+        if not 0.0 < self.t_packet < math.inf:
+            raise ParameterError(f"t_packet must be finite and > 0, got {self.t_packet}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -60,7 +61,7 @@ def profile_from_dict(spec: dict) -> PowerProfile:
             t_packet=float(spec["t_packet"]),
             e_transition=float(spec.get("e_transition", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ParameterError(f"invalid power profile spec: {exc}") from exc
 
 
@@ -77,12 +78,12 @@ def average_power(profile: PowerProfile, update_period: float, sleep_between: bo
     """Mean power at a fixed ranging rate, milliwatts.
 
     Between exchanges the device rests in idle or deep sleep; the
-    update period (seconds) must exceed the 2-packet air time.
+    update period (seconds) must be finite and exceed the 2-packet air time.
     """
     exchange_s = 2.0 * profile.t_packet * 1e-6
-    if not update_period > exchange_s:
+    if not exchange_s < update_period < math.inf:
         raise ParameterError(
-            f"update period {update_period} s must exceed the {exchange_s} s exchange time"
+            f"update period {update_period} s must be finite and exceed the {exchange_s} s exchange"
         )
     p_rest_w = (profile.p_sleep if sleep_between else profile.p_idle) * 1e-3
     energy_j = energy_per_sstwr(profile) * 1e-6 + p_rest_w * (update_period - exchange_s)

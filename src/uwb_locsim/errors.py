@@ -14,7 +14,8 @@ class DataError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative fit ran out of function evaluations.
+    """An iterative fit stopped without meeting its convergence test (for the
+    profile-likelihood fits, a gradient still above tolerance).
 
     Carries the best result found so far in ``best`` so callers can
     inspect or rank it anyway.

@@ -190,7 +190,10 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     data = np.sort(np.asarray(data, dtype=float).ravel())
     if data.size < 2:
         raise DataError("need at least two data points to fit")
-    if data[0] == data[-1]:
+    span = float(data[-1]) - float(data[0])  # NaN sorts last; an overflowing span is inf
+    if not math.isfinite(span):
+        raise DataError(f"samples must be finite with a finite span, got {data[0]} to {data[-1]}")
+    if span == 0.0:
         raise DataError("degenerate data: all values are equal, no scale can be fitted")
 
     if family == "gaussian":
@@ -228,22 +231,20 @@ def _rank_order(a: FitResult, b: FitResult) -> int:
 
 
 def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
-    """Fit every family and rank by SSE against one shared empirical PDF.
+    """Fit every family and rank by SSE against one shared empirical PDF
+    (each fit_mle scores against the histogram of the same data and bins).
 
-    Families whose fit fails are ranked last with the failure recorded
-    on the result instead of aborting the ranking.
+    Non-finite samples raise DataError before any fit. Families whose fit
+    fails are ranked last with the failure recorded on the result instead
+    of aborting the ranking.
     """
     families = list(families)
     if not families:
         raise ParameterError("at least one family is required")
-    data = np.asarray(data, dtype=float).ravel()
-    epdf = empirical_pdf(data, bins)
-
     results = []
     for family in families:
         try:
-            fit = fit_mle(family, data, bins=bins)
+            results.append(fit_mle(family, data, bins=bins))
         except ConvergenceError as exc:
-            fit = replace(exc.best, error=str(exc))
-        results.append(replace(fit, sse=sse_against(epdf, fit.params)))
+            results.append(replace(exc.best, error=str(exc)))
     return sorted(results, key=functools.cmp_to_key(_rank_order))

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -92,6 +94,8 @@ class RandomStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` draws as an array, identical to ``n`` uniform() calls."""
+        if n < 0:
+            raise ParameterError(f"cannot draw a negative number of uniforms, got {n}")
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
         z = mix64_array(np.uint64(self._state) + steps)
         self._state = (self._state + n * _GOLDEN) & _MASK

@@ -24,11 +24,11 @@ a batch of one, so the two can never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError, SingularGeometryError
+from .errors import ParameterError, SingularGeometryError
 from .geometry import Anchor, Point3
 
 _ANCHOR_COINCIDENCE = 1e-9  # meters; closer than this counts as "on an anchor"
@@ -65,35 +65,6 @@ class SolverConfig:
             raise ParameterError("x_r_mode must be 'median' or 'mean'")
         if self.weights is not None and not all(np.isfinite(w) and w > 0.0 for w in self.weights):
             raise ParameterError(f"anchor weights must all be finite and > 0, got {self.weights}")
-
-
-def solver_config_from_dict(spec: dict, context: str = "solver") -> SolverConfig:
-    """SolverConfig from its JSON form; missing or null fields take defaults.
-
-    Numeric strings are coerced; a value that cannot be read raises
-    DataError naming the field as ``<context>.<key>``.
-    """
-    if not isinstance(spec, dict):
-        raise DataError(f"{context} must be a JSON object")
-
-    def point(value) -> Point3:
-        return Point3(float(value["x"]), float(value["y"]), float(value["z"]))
-
-    parsers = {"delta": float, "k_max": int, "c": float, "x_r": point, "x_r_mode": str,
-               "weights": lambda ws: tuple(float(w) for w in ws), "x0": point}
-    fields = {}
-    for key, parse in parsers.items():
-        if spec.get(key) is not None:
-            try:
-                fields[key] = parse(spec[key])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"{context}.{key}: invalid value {spec[key]!r}") from exc
-    return SolverConfig(**fields)
-
-
-def solver_config_to_dict(config: SolverConfig) -> dict:
-    """JSON form of a SolverConfig; unset optional fields are omitted."""
-    return {key: value for key, value in asdict(config).items() if value is not None}
 
 
 @dataclass(frozen=True)

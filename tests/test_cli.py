@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -469,3 +471,259 @@ def test_simulate_rejects_an_oversized_tag_grid(step):
     code, err = _simulate_config(config)
     assert code == 2, err
     assert "tag points" in err
+
+
+# ------------------------------------------------- the input contract sweep
+
+def _strict_json(out):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(out, parse_constant=refuse)
+
+
+def _main_quiet(argv):
+    """Exit code, stdout and stderr of ``main`` without pytest's capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exits_cleanly(argv, expected, case):
+    code, out, err = _main_quiet(argv)
+    assert code == expected, (case, err)
+    assert "Traceback" not in err, case
+    if code == 0:
+        _strict_json(out)
+    return err
+
+
+_BAD_CELLS = ["nan", "NaN", "inf", "-inf", "Infinity", "abc", ""]
+
+
+def _csv_case(tmp_path, header, rows, bad_row, bad_col, bad, blanks):
+    """Write a CSV with ``bad`` in one cell (``None`` drops that cell and every
+    later one); return its path and the bad row's physical line number."""
+    rows = [list(row) for row in rows]
+    if bad is None:
+        del rows[bad_row][bad_col:]
+    else:
+        rows[bad_row][bad_col] = bad
+    lines = ([",".join(header)] if header else []) + [",".join(row) for row in rows]
+    if blanks:  # a blank line before and after the first data row
+        first = 1 if header else 0
+        lines[first:first + 1] = ["", lines[first], "  "]
+    bad_line = lines.index(",".join(rows[bad_row])) + 1
+    path = tmp_path / "case.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), bad_line
+
+
+_RANGE_ROWS = [("5.0", "5.10", "6.5", "los"), ("5.0", "5.66", "6.5", "concrete"),
+               ("3.0", "3.05", "3.5", "los"), ("3.0", "3.02", "3.5", "los")]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("blanks", [False, True])
+def test_range_stats_rejects_every_bad_cell(tmp_path, width, header, blanks):
+    names = ("true_m", "measured_m", "channel", "condition")[:width]
+    rows = [row[:width] for row in _RANGE_ROWS]
+    flags = [] if header else ["--no-header"]
+    for col in (0, 1):
+        for bad in _BAD_CELLS + [None]:
+            if bad is None and col == 0:
+                continue  # a row without its first cell is a blank line
+            path, line = _csv_case(tmp_path, names if header else None, rows, 2, col, bad, blanks)
+            case = (width, header, blanks, col, bad)
+            err = _assert_exits_cleanly(["range-stats", "--input", path, *flags], 2, case)
+            assert f"{path}:{line}: column {names[col]!r}" in err, (case, err)
+    path, _ = _csv_case(tmp_path, names if header else None, rows, 2, 0, "3.0", blanks)
+    _assert_exits_cleanly(["range-stats", "--input", path, *flags], 0, (width, header, blanks))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("blanks", [False, True])
+def test_fit_rejects_every_bad_cell(tmp_path, width, header, blanks):
+    names = ("error_m", "b", "c", "d")[:width]
+    values = ["0.12", "-0.03", "0.07", "0.21", "0.05", "-0.11"]
+    rows = [(v,) + ("1.0",) * (width - 1) for v in values]
+    flags = ["--families", "gaussian"] + ([] if header else ["--no-header"])
+    column = names[0] if header else "column 1"
+    for bad in _BAD_CELLS if width > 1 else _BAD_CELLS[:-1]:  # an empty one-cell row is blank
+        path, line = _csv_case(tmp_path, names if header else None, rows, 3, 0, bad, blanks)
+        case = (width, header, blanks, bad)
+        err = _assert_exits_cleanly(["fit", "--input", path, *flags], 2, case)
+        assert f"{path}:{line}: column {column!r}" in err, (case, err)
+    path, _ = _csv_case(tmp_path, names if header else None, rows, 3, 0, "0.3", blanks)
+    _assert_exits_cleanly(["fit", "--input", path, *flags], 0, (width, header, blanks))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_results_that_overflow_are_a_data_error(tmp_path):
+    # Finite inputs whose errors or energies overflow would print Infinity
+    ranges = tmp_path / "ranges.csv"
+    ranges.write_text("true_m,measured_m\n-1e308,1e308\n0.0,1.0\n")
+    _assert_exits_cleanly(["range-stats", "--input", str(ranges)], 2, "range-stats")
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"name": "x", "p_tx": 1e308, "p_rx": 1e308, "p_idle": 1.0,
+                                   "p_sleep": 0.0, "t_packet": 1.0}))
+    _assert_exits_cleanly(["energy", "--profile", str(profile)], 2, "energy")
+
+
+def test_fit_rejects_a_span_beyond_the_float_range(tmp_path):
+    path = tmp_path / "errors.csv"
+    path.write_text("error_m\n1e308\n-1e308\n0.3\n")
+    err = _assert_exits_cleanly(["fit", "--input", str(path)], 2, "span")
+    assert "finite" in err
+
+
+_BAD_JSON_VALUES = [math.nan, math.inf, -math.inf, "inf", "abc", _DROP]
+
+
+def _leaves(node):
+    """The paths of ``node``'s numbers and strings."""
+    return [path for path in _paths(node)
+            if not isinstance(functools.reduce(operator.getitem, path, node), (dict, list))]
+
+
+def _json_path(leaf):
+    """``("config", "weights", 2)`` as ``config.weights[2]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf).lstrip(".")
+
+
+_SOLVE_BASE = {
+    "anchors": [{"id": "a1", "x": 0.0, "y": 0.0, "z": 3.0}, {"id": "a2", "x": 9.0, "y": 0.0, "z": 2.7},
+                {"id": "a3", "x": 9.0, "y": 20.0, "z": 3.0}, {"id": "a4", "x": 0.0, "y": 20.0, "z": 2.7}],
+    "distances": [10.2, 11.5, 12.3, 10.9],
+    "config": {"delta": 1e-6, "k_max": 20, "c": 0.05, "x_r_mode": "mean",
+               "weights": [0.1, 0.2, 0.3, 0.4], "x_r": {"x": 4.0, "y": 9.0, "z": 1.0},
+               "x0": {"x": 1.0, "y": 2.0, "z": 1.5}},
+}
+
+
+def test_solve_rejects_every_bad_leaf(tmp_path):
+    # Any value is a valid anchor id, and a dropped id or top-level
+    # config field takes its default; every other case is a data error.
+    path = tmp_path / "problem.json"
+    for leaf in _leaves(_SOLVE_BASE):
+        for value in _BAD_JSON_VALUES:
+            payload = copy.deepcopy(_SOLVE_BASE)
+            _mutate(payload, leaf, value)
+            path.write_text(json.dumps(payload))
+            valid = leaf[-1] == "id" or (value is _DROP and len(leaf) == 2 and leaf[0] == "config")
+            err = _assert_exits_cleanly(["solve", "--input", str(path)], 0 if valid else 2, (leaf, value))
+            if not valid and value is not _DROP:
+                name = "x_r_mode" if leaf[-1] == "x_r_mode" else _json_path(leaf)
+                assert name in err, (leaf, value, err)
+
+
+def test_energy_profile_rejects_every_bad_field(tmp_path):
+    good = {"name": "custom", "p_tx": 10.0, "p_rx": 20.0, "p_idle": 1.0, "p_sleep": 0.001,
+            "t_packet": 100.0, "e_transition": 0.5}
+    path = tmp_path / "profile.json"
+    for field in good:
+        for value in _BAD_JSON_VALUES:
+            spec = dict(good)
+            _mutate(spec, (field,), value)
+            path.write_text(json.dumps(spec))
+            valid = field == "name" and value is not _DROP or field == "e_transition" and value is _DROP
+            argv = ["energy", "--profile", str(path), "--period", "0.5"]
+            _assert_exits_cleanly(argv, 0 if valid else 2, (field, value))
+
+
+def test_energy_rejects_a_non_finite_period():
+    for period in ("nan", "inf", "-inf", "1e999"):
+        argv = ["energy", "--profile", "dw1000", f"--period={period}"]
+        assert "finite" in _assert_exits_cleanly(argv, 2, period)
+    _assert_exits_cleanly(["energy", "--profile", "dw1000", "--period", "abc"], 1, "usage")
+
+
+def test_json_nested_beyond_the_recursion_limit_is_a_data_error(tmp_path):
+    nested = "[" * 5000 + "]" * 5000
+    path = tmp_path / "problem.json"
+    path.write_text(nested)
+    assert "invalid JSON" in _assert_exits_cleanly(["solve", "--input", str(path)], 2, "file")
+    model = '{"family": ' + nested + "}"
+    assert "invalid JSON" in _assert_exits_cleanly(["sample", "--model", model], 2, "inline")
+
+
+def test_sample_rejects_a_negative_count():
+    model = '{"family": "gaussian", "params": {"mu": 0.0, "sigma": 0.071}}'
+    _assert_exits_cleanly(["sample", "--model", model, "-n", "-1"], 2, "-1")
+    code, out, _ = _main_quiet(["sample", "--model", model, "-n", "0"])
+    assert code == 0 and out == "error_m\n"
+
+
+def test_simulate_accepts_a_seed_beyond_the_float_range():
+    config = _fuzz_base()
+    config["seed"] = 10**400
+    code, err = _simulate_config(config)
+    assert code == 0, err
+
+
+# ------------------------------------------- stdout pinned on good inputs
+
+_GOLDEN_INPUTS = {
+    "errors.csv": "error_m\n0.12\n-0.03\n0.07\n\n0.21\n0.05\n-0.11\n0.02\n0.09\n0.15\n-0.01\n",
+    "ranges.csv": "true_m,measured_m,channel,condition\n5.0,5.10,6.5,los\n5.0,5.20,6.5,los\n"
+                  "5.0,5.66,6.5,concrete\n\n3.0,3.05,3.5,los\n3.0,3.61,3.5,concrete\n3.0,3.02,3.5,los\n",
+    "ranges_nh.csv": "5.0,5.10,6.5\n5.0,5.21\n3.0,3.05,3.5\n3.0,3.02,3.5\n",
+    "problem.json": json.dumps({
+        "anchors": [{"x": 0, "y": 0, "z": 3.0}, {"id": "b", "x": 9, "y": 0, "z": 2.7},
+                    {"x": "9", "y": 20, "z": 3.0}, {"x": 0, "y": 20, "z": 2.7}],
+        "distances": ["10.2", 11.5, 12.3, 10.9],
+        "config": {"delta": 1e-9, "k_max": 30, "c": "0.05", "x_r_mode": "mean",
+                   "x0": {"x": 1, "y": 2, "z": "1.5"}, "weights": [0.1, 0.2, "0.3", 0.4]},
+    }),
+    "profile.json": json.dumps({"name": "custom", "p_tx": 10.0, "p_rx": 20.0, "p_idle": 1.0,
+                                "p_sleep": 0.001, "t_packet": 100.0, "e_transition": 0.5}),
+}
+
+
+def _group(count, mean, iqr, std, **labels):
+    return {"count": count, "iqr_m": iqr, "mean_m": mean, "median_m": mean, "std_m": std, **labels}
+
+
+# Recorded from the command line before its input readers were unified.
+_GOLDEN = [
+    (["fit", "--input", "errors.csv", "--families", "gaussian", "--bins", "4"],
+     {"bins": 4, "input": "errors.csv", "n_samples": 10, "ranking": [{
+         "converged": True, "evaluations": 0, "family": "gaussian", "nll": -10.037914148639633,
+         "params": {"mu": 0.055999999999999994, "sigma": 0.08867919710958146},
+         "sse": 1.1395328565034184}]}),
+    (["range-stats", "--input", "ranges.csv"],
+     {"input": "ranges.csv", "groups": [
+         _group(1, 0.6099999999999999, 0.0, 0.0, channel="3.5", condition="concrete"),
+         _group(1, 0.6600000000000001, 0.0, 0.0, channel="6.5", condition="concrete"),
+         _group(2, 0.03499999999999992, 0.014999999999999902, 0.014999999999999902,
+                channel="3.5", condition="los"),
+         _group(2, 0.1499999999999999, 0.050000000000000266, 0.050000000000000266,
+                channel="6.5", condition="los")]}),
+    (["range-stats", "--input", "ranges_nh.csv", "--no-header"],
+     {"input": "ranges_nh.csv", "groups": [
+         _group(2, 0.03499999999999992, 0.014999999999999902, 0.014999999999999902, channel="3.5"),
+         _group(1, 0.09999999999999964, 0.0, 0.0, channel="6.5"),
+         _group(1, 0.20999999999999996, 0.0, 0.0)]}),
+    (["solve", "--input", "problem.json"],
+     {"converged": True, "final_step_norm_m": 1.758139864190412e-10, "iterations": 8,
+      "x": 2.852106007594179, "y": 9.575587422329304, "z": 0.9588005341003207}),
+    (["energy", "--profile", "profile.json", "--period", "0.5"],
+     {"average_power_mW": 1.0066000000000002, "energy_per_ranging_uJ": 3.5, "profile": "custom",
+      "rest_state": "idle", "t_packet_us": 100.0, "update_period_s": 0.5}),
+    (["energy", "--profile", "dw1000"],
+     {"energy_per_ranging_uJ": 180.8961, "profile": "dw1000", "t_packet_us": 287.0}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _GOLDEN, ids=[
+    "fit", "range-stats", "range-stats-no-header", "solve", "energy-file", "energy-builtin"])
+def test_stdout_on_good_input_is_pinned(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = _main_quiet(argv)
+    assert code == 0, err
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from uwb_locsim import BUILTIN_PROFILES, ParameterError, PowerProfile, average_power, energy_per_sstwr
@@ -68,6 +70,17 @@ def test_profile_validation():
         PowerProfile("bad", -1.0, 1.0, 1.0, 0.0, 100.0)
     with pytest.raises(ParameterError):
         PowerProfile("bad", 1.0, 1.0, 1.0, 0.0, 0.0)
+    good = BUILTIN_PROFILES["3db"].to_dict()
+    for field in ("p_tx", "p_rx", "p_idle", "p_sleep", "t_packet", "e_transition"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=field):
+                PowerProfile(**{**good, field: value})
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf])
+def test_average_power_rejects_a_non_finite_period(period):
+    with pytest.raises(ParameterError, match="finite"):
+        average_power(BUILTIN_PROFILES["dw1000"], period)
 
 
 def test_profile_from_dict_round_trip():

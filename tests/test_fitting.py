@@ -239,3 +239,37 @@ def test_select_scores_against_shared_histogram():
     ranking = select_best_model(data, ["gaussian"], bins=50)
     epdf = empirical_pdf(data, 50)
     assert ranking[0].sse == pytest.approx(sse_against(epdf, ranking[0].params), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "lognormal", "burr12"])
+@pytest.mark.parametrize("data", [
+    [math.nan, 1.0, 2.0, 3.0],
+    [1.0, math.inf, 2.0, 3.0],
+    [-math.inf, 1.0, 2.0, 3.0],
+    [1e308, -1e308, 0.3],  # finite samples whose span overflows
+])
+def test_fits_reject_non_finite_samples_and_overflowing_spans(family, data):
+    with pytest.raises(DataError, match="finite"):
+        fit_mle(family, data)
+    with pytest.raises(DataError, match="finite"):
+        select_best_model(data, [family])
+
+
+def test_select_scores_each_fit_once(monkeypatch):
+    # fit_mle scores against the histogram of the same samples and bins,
+    # so the ranking keeps that score: one histogram per family, and the
+    # same SSE bit for bit as a histogram of the unsorted samples.
+    data = CONCRETE.sample(RandomStream(29), 2000)
+    calls = []
+    histogram = fitting.empirical_pdf
+
+    def counted(*args):
+        calls.append(args)
+        return histogram(*args)
+
+    monkeypatch.setattr(fitting, "empirical_pdf", counted)
+    ranking = select_best_model(data, ["gaussian", "burr12", "lognormal"], bins=60)
+    assert len(calls) == 3
+    epdf = histogram(data, 60)
+    for fit in ranking:
+        assert fit.sse == sse_against(epdf, fit.params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uwb_locsim import Gaussian, randomness
+from uwb_locsim import Gaussian, ParameterError, randomness
 from uwb_locsim.randomness import (
     RandomStream,
     cell_seed,
@@ -32,6 +32,16 @@ def test_uniforms_continue_the_stream():
     second = a.uniforms(10)
     b = RandomStream(7)
     assert np.array_equal(np.concatenate([first, second]), b.uniforms(20))
+
+
+def test_uniforms_rejects_a_negative_count():
+    # A negative count used to move the state back and repeat earlier draws
+    stream = RandomStream(7)
+    first = stream.uniforms(3)
+    assert stream.uniforms(0).size == 0
+    with pytest.raises(ParameterError):
+        stream.uniforms(-3)
+    assert not np.array_equal(stream.uniforms(3), first)
 
 
 def test_same_seed_reproduces_and_seeds_differ():
