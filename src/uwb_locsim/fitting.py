@@ -14,14 +14,15 @@ closed-form MLE given the others profiled out:
   (t, log sigma, log c). By the envelope theorem the profile's gradient
   is the full NLL's gradient at that d.
 
-Each profile gets one BFGS run with its analytic gradient from a
-deterministic start (mu0 = min(x) - 5% of the range; Burr XII starts
-from the log-normal fit), so a fit is a pure function of its data. BFGS
-often ends on a line-search precision limit at the optimum, so a fit
-counts as converged when max|gradient of the profile NLL| <= 1e-6 n,
-not by the optimizer's flag. On some samples the Burr XII likelihood
-keeps rising as c grows without bound; that fit raises ConvergenceError
-naming the final c and gradient.
+Each profile gets one run of ``minimize``, an in-house BFGS with a
+strong-Wolfe line search (J. Nocedal and S. J. Wright, "Numerical
+Optimization", 2006, Algorithms 3.5 and 3.6), from a deterministic start
+(mu0 = min(x) - 5% of the range; Burr XII starts from the log-normal
+fit), so a fit is a pure function of its data. BFGS stops at
+max|gradient| <= 1e-5, or where rounding noise in the NLL fails its line
+search; the fit counts as converged when max|gradient| <= 1e-6 n. On
+some samples the Burr XII likelihood keeps rising as c grows without
+bound; that fit raises ConvergenceError naming the final c and gradient.
 
 Model selection scores each fitted density against the empirical PDF
 with a sum of squared errors at the histogram bin centers and ranks
@@ -34,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,6 +43,8 @@ from .distributions import BurrXII, ErrorDistribution, Gaussian, LogNormal
 from .errors import ConvergenceError, DataError, ParameterError
 
 _GRAD_TOL = 1e-6  # converged when max|gradient of the profile NLL| <= this * n
+_BFGS_GTOL = 1e-5  # BFGS stops at max|gradient| <= this
+_C1, _C2 = 1e-4, 0.9  # strong Wolfe sufficient-decrease and curvature constants
 _LOCATION_MARGIN = 1e-6  # meters kept between mu and min(data)
 _SSE_TIE = 1e-12
 
@@ -84,12 +88,68 @@ def empirical_pdf(data, bins: int) -> EmpiricalPdf:
     return EmpiricalPdf(bin_edges=edges, densities=densities)
 
 
-def minimize(func, theta0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call so that
-    ``import uwb_locsim`` and a simulation load numpy only."""
-    from scipy.optimize import minimize as scipy_minimize
+def minimize(func, theta0, args=(), gtol=_BFGS_GTOL):
+    """BFGS on ``func(theta, *args) -> (value, gradient)``: the last accepted
+    point as ``x``, ``fun``, ``jac`` and ``nfev`` (every evaluation). The
+    inverse Hessian h starts as I, scaled by s'y / y'y after the first step;
+    its update is skipped when s'y <= 0. The first trial step is
+    min(1, 1 / max|g|), later ones 1. Stops at max|g| <= gtol, when a line
+    search fails, or after 200 iterations per dimension."""
 
-    return scipy_minimize(func, theta0, **kwargs)
+    def trial(a):
+        nonlocal nfev
+        nfev += 1
+        f, g = func(x + a * p, *args)
+        return a, f, g, float(g @ p)
+
+    x, h, nfev = np.array(theta0, dtype=float), np.eye(len(theta0)), 1
+    f, g = func(x, *args)
+    alpha = min(1.0, 1.0 / max(float(np.abs(g).max()), 1e-300))
+    for k in range(200 * x.size):
+        if np.abs(g).max() <= gtol:
+            break
+        p = -(h @ g)
+        step = _wolfe_step(trial, f, float(g @ p), alpha)
+        if step is None:
+            break
+        s, y = step[0] * p, step[2] - g
+        x, f, g, alpha = x + s, step[1], step[2], 1.0
+        sy = float(s @ y)
+        if sy > 0.0:
+            h *= sy / float(y @ y) if k == 0 else 1.0
+            hy = h @ y
+            h += (np.outer(s, s) * (1.0 + float(y @ hy) / sy) - np.outer(s, hy) - np.outer(hy, s)) / sy
+    return SimpleNamespace(x=x, fun=f, jac=g, nfev=nfev)
+
+
+def _wolfe_step(trial, f0, d0, alpha):
+    """A ``trial(alpha) -> (alpha, f, g, slope)`` meeting the strong Wolfe
+    conditions from slope d0 < 0 at f0, or None: Algorithm 3.5 doubles alpha
+    until [lo, hi] brackets one, 3.6 shrinks [lo, hi]; lo is lower in f."""
+    lo, hi = (0.0, f0, None, d0), None
+    for _ in range(20):
+        a, f, _, d = cur = trial(alpha if hi is None else _cubic_min(lo, hi))
+        if f > f0 + _C1 * a * d0 or f >= lo[1]:
+            hi = cur
+        elif abs(d) <= -_C2 * d0:
+            return cur
+        else:  # cur is the new lo; the old lo becomes hi if the slope points back at it
+            hi = lo if d * ((a if hi is None else hi[0]) - lo[0]) >= 0.0 else hi
+            lo, alpha = cur, 2.0 * a
+    return None
+
+
+def _cubic_min(lo, hi):
+    """Minimizer of the cubic matching f and slope at both ends (eq. 3.59),
+    or the midpoint if undefined or within a tenth of the bracket of an end."""
+    (a0, f0, _, d0), (a1, f1, _, d1) = lo, hi
+    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    disc = e1 * e1 - d0 * d1  # NaN or inf after an infinite f
+    e2 = math.copysign(math.sqrt(disc), a1 - a0) if 0.0 <= disc < math.inf else math.nan
+    denom = d1 - d0 + 2.0 * e2
+    a = a1 - (a1 - a0) * (d1 + e2 - e1) / denom if denom else math.nan
+    margin = 0.1 * abs(a1 - a0)
+    return a if min(a0, a1) + margin <= a <= max(a0, a1) - margin else 0.5 * (a0 + a1)
 
 
 def _guarded(profile):
@@ -154,19 +214,18 @@ def _burr12_profile(theta, data, mu_bound):
 
 
 def _fit_shifted(family, data, mu_bound):
-    """One BFGS run on the log-normal profile and, for Burr XII, one more
-    from the log-normal fit; returns the fit, NLL, max|gradient| and
-    evaluation count."""
+    """One BFGS run on the log-normal profile and, for Burr XII, one more from
+    its fit; returns the fit, NLL, max|gradient| and evaluation count."""
     mu0 = float(data[0]) - 0.05 * float(data[-1] - data[0])  # data arrives sorted
     t0 = math.log(max(mu_bound - mu0, _LOCATION_MARGIN))
-    result = minimize(_lognormal_profile, [t0], args=(data, mu_bound), method="BFGS", jac=True)
+    result = minimize(_lognormal_profile, [t0], args=(data, mu_bound))
     y, _ = _log_shifted(result.x[0], data, mu_bound)
     mu = mu_bound - math.exp(result.x[0])
     dist = LogNormal(s=float(y.std()), mu=mu, sigma=math.exp(y.mean()))
     evals = result.nfev
     if family == "burr12":
         theta0 = [result.x[0], math.log(dist.sigma), math.log(1.5 / dist.s)]
-        result = minimize(_burr12_profile, theta0, args=(data, mu_bound), method="BFGS", jac=True)
+        result = minimize(_burr12_profile, theta0, args=(data, mu_bound))
         c, d, sigma, *_ = _burr12_terms(result.x, data, mu_bound)
         dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(result.x[0]), sigma=sigma)
         evals += result.nfev
@@ -195,9 +254,13 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
         raise DataError(f"samples must be finite with a finite span, got {data[0]} to {data[-1]}")
     if span == 0.0:
         raise DataError("degenerate data: all values are equal, no scale can be fitted")
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(data.std())
+    if not math.isfinite(std):
+        raise DataError(f"the sample spread overflows: {data[0]} to {data[-1]} has no finite std")
 
     if family == "gaussian":
-        dist = Gaussian(mu=float(data.mean()), sigma=float(data.std()))
+        dist = Gaussian(mu=float(data.mean()), sigma=std)
         nll, grad, evals = data.size * (math.log(dist.sigma) + _LOG_SQRT2PI + 0.5), 0.0, 0
     else:
         mu_bound = float(data[0]) - _LOCATION_MARGIN

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,9 +367,8 @@ _NO_SCIPY_SCRIPT = textwrap.dedent(
 
 
 def test_simulate_process_never_imports_scipy(tmp_path):
-    # A simulation needs numpy only; scipy is for fits and cdf methods.
-    # The benchmark's tracer wraps fitting.minimize by name, so the lazy
-    # import must keep that module attribute.
+    # A simulation needs numpy only. The benchmark's tracer wraps
+    # fitting.minimize by name, so it must stay a module attribute.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -380,6 +380,38 @@ def test_simulate_process_never_imports_scipy(tmp_path):
     assert outcome["scipy"] == []
     assert outcome["minimize"] is True
     assert (tmp_path / "out" / "points.csv").exists()
+
+
+_FIT_NO_SCIPY_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from uwb_locsim import BurrXII, RandomStream, cli
+
+    samples = BurrXII(9.64, 0.98, -0.46, 0.72).sample(RandomStream(3), 2000)
+    with open(sys.argv[1], "w") as handle:
+        handle.write("error_m\\n" + "".join(f"{x!r}\\n" for x in samples.tolist()))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["fit", "--input", sys.argv[1], "--families", "gaussian,burr12,lognormal"])
+    print(json.dumps({
+        "code": code,
+        "families": sorted(fit["family"] for fit in json.loads(stdout.getvalue())["ranking"]),
+        "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+    }))
+    """
+)
+
+
+def test_fit_process_never_imports_scipy(tmp_path):
+    # Fits run on the in-house BFGS and math.erfc: numpy is the only dependency.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FIT_NO_SCIPY_SCRIPT, str(tmp_path / "errors.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    outcome = json.loads(done.stdout)
+    assert outcome == {"code": 0, "families": ["burr12", "gaussian", "lognormal"], "scipy": []}
 
 
 def _fuzz_base():
@@ -578,6 +610,18 @@ def test_fit_rejects_a_span_beyond_the_float_range(tmp_path):
     path.write_text("error_m\n1e308\n-1e308\n0.3\n")
     err = _assert_exits_cleanly(["fit", "--input", str(path)], 2, "span")
     assert "finite" in err
+
+
+def test_fit_rejects_samples_whose_spread_overflows(tmp_path):
+    # A finite span whose standard deviation overflows: no numpy warning,
+    # and a message that names the spread, not the Gaussian's sigma.
+    path = tmp_path / "errors.csv"
+    path.write_text("error_m\n1e307\n-1e307\n0.3\n0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _assert_exits_cleanly(["fit", "--input", str(path)], 2, "spread")
+    assert "spread overflows" in err
+    assert "sigma" not in err
 
 
 _BAD_JSON_VALUES = [math.nan, math.inf, -math.inf, "inf", "abc", _DROP]

@@ -107,14 +107,52 @@ def test_human_burr_fit_reaches_heavy_tail_basin_from_one_start(monkeypatch):
     calls = []
 
     def counting(func, theta0, **kwargs):
-        calls.append(kwargs["method"])
+        calls.append(func)
         return minimize(func, theta0, **kwargs)
 
     minimize = fitting.minimize
     monkeypatch.setattr(fitting, "minimize", counting)
     fit = fit_mle("burr12", HUMAN.sample(RandomStream(7), 10_000))
     assert fit.params.d < 0.5
-    assert calls == ["BFGS", "BFGS"]  # the log-normal start, then Burr XII
+    # the log-normal start, then Burr XII
+    assert calls == [fitting._lognormal_profile, fitting._burr12_profile]
+
+
+def _rosenbrock(x):
+    value = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    grad[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return value, grad
+
+
+def test_minimize_reaches_gtol_on_rosenbrock():
+    result = fitting.minimize(_rosenbrock, [-1.2, 1.0, 1.0], gtol=1e-5)
+    assert np.abs(result.jac).max() <= 1e-5
+    np.testing.assert_allclose(result.x, [1.0, 1.0, 1.0], atol=1e-4)
+    assert result.fun < 1e-9
+    value, grad = _rosenbrock(result.x)  # fun and jac belong to the returned x
+    assert result.fun == value and np.array_equal(result.jac, grad)
+
+
+def test_minimize_backs_off_from_an_infinite_value():
+    # -a x - log(1 - x) + (y - 3)^2 has its minimum at x = 1 - 1/a, y = 3; like
+    # fitting._guarded it is infinite with a zero gradient beyond x = 1,
+    # where the first trial step lands.
+    trials = []
+
+    def bounded(theta, a):
+        trials.append(theta.copy())
+        x, y = theta
+        if x >= 1.0:
+            return math.inf, np.zeros(2)
+        return -a * x - math.log(1.0 - x) + (y - 3.0) ** 2, np.array([1.0 / (1.0 - x) - a, 2.0 * (y - 3.0)])
+
+    result = fitting.minimize(bounded, [0.0, 2.5], args=(5.0,))
+    assert any(theta[0] >= 1.0 for theta in trials)
+    assert np.abs(result.jac).max() <= 1e-5
+    np.testing.assert_allclose(result.x, [0.8, 3.0], atol=1e-5)
+    assert result.nfev == len(trials)
 
 
 def _bench_smoke_concrete_set():
