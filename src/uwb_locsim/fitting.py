@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,13 +87,13 @@ def empirical_pdf(data, bins: int) -> EmpiricalPdf:
     return EmpiricalPdf(bin_edges=edges, densities=densities)
 
 
-def minimize(func, theta0, args=(), gtol=_BFGS_GTOL):
+def minimize(func, theta0, args=()):
     """BFGS on ``func(theta, *args) -> (value, gradient)``: the last accepted
-    point as ``x``, ``fun``, ``jac`` and ``nfev`` (every evaluation). The
+    point, its value and gradient, and the number of evaluations. The
     inverse Hessian h starts as I, scaled by s'y / y'y after the first step;
     its update is skipped when s'y <= 0. The first trial step is
-    min(1, 1 / max|g|), later ones 1. Stops at max|g| <= gtol, when a line
-    search fails, or after 200 iterations per dimension."""
+    min(1, 1 / max|g|), later ones 1. Stops at max|g| <= _BFGS_GTOL, when a
+    line search fails, or after 200 iterations per dimension."""
 
     def trial(a):
         nonlocal nfev
@@ -106,7 +105,7 @@ def minimize(func, theta0, args=(), gtol=_BFGS_GTOL):
     f, g = func(x, *args)
     alpha = min(1.0, 1.0 / max(float(np.abs(g).max()), 1e-300))
     for k in range(200 * x.size):
-        if np.abs(g).max() <= gtol:
+        if np.abs(g).max() <= _BFGS_GTOL:
             break
         p = -(h @ g)
         step = _wolfe_step(trial, f, float(g @ p), alpha)
@@ -119,7 +118,7 @@ def minimize(func, theta0, args=(), gtol=_BFGS_GTOL):
             h *= sy / float(y @ y) if k == 0 else 1.0
             hy = h @ y
             h += (np.outer(s, s) * (1.0 + float(y @ hy) / sy) - np.outer(s, hy) - np.outer(hy, s)) / sy
-    return SimpleNamespace(x=x, fun=f, jac=g, nfev=nfev)
+    return x, f, g, nfev
 
 
 def _wolfe_step(trial, f0, d0, alpha):
@@ -218,18 +217,16 @@ def _fit_shifted(family, data, mu_bound):
     its fit; returns the fit, NLL, max|gradient| and evaluation count."""
     mu0 = float(data[0]) - 0.05 * float(data[-1] - data[0])  # data arrives sorted
     t0 = math.log(max(mu_bound - mu0, _LOCATION_MARGIN))
-    result = minimize(_lognormal_profile, [t0], args=(data, mu_bound))
-    y, _ = _log_shifted(result.x[0], data, mu_bound)
-    mu = mu_bound - math.exp(result.x[0])
-    dist = LogNormal(s=float(y.std()), mu=mu, sigma=math.exp(y.mean()))
-    evals = result.nfev
+    x, nll, grad, evals = minimize(_lognormal_profile, [t0], args=(data, mu_bound))
+    y, _ = _log_shifted(x[0], data, mu_bound)
+    dist = LogNormal(s=float(y.std()), mu=mu_bound - math.exp(x[0]), sigma=math.exp(y.mean()))
     if family == "burr12":
-        theta0 = [result.x[0], math.log(dist.sigma), math.log(1.5 / dist.s)]
-        result = minimize(_burr12_profile, theta0, args=(data, mu_bound))
-        c, d, sigma, *_ = _burr12_terms(result.x, data, mu_bound)
-        dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(result.x[0]), sigma=sigma)
-        evals += result.nfev
-    return dist, float(result.fun), float(np.abs(result.jac).max()), evals
+        theta0 = [x[0], math.log(dist.sigma), math.log(1.5 / dist.s)]
+        x, nll, grad, nfev = minimize(_burr12_profile, theta0, args=(data, mu_bound))
+        c, d, sigma, *_ = _burr12_terms(x, data, mu_bound)
+        dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
+        evals += nfev
+    return dist, float(nll), float(np.abs(grad).max()), evals
 
 
 def sse_against(epdf: EmpiricalPdf, dist: ErrorDistribution) -> float:
@@ -249,15 +246,13 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     data = np.sort(np.asarray(data, dtype=float).ravel())
     if data.size < 2:
         raise DataError("need at least two data points to fit")
-    span = float(data[-1]) - float(data[0])  # NaN sorts last; an overflowing span is inf
-    if not math.isfinite(span):
-        raise DataError(f"samples must be finite with a finite span, got {data[0]} to {data[-1]}")
-    if span == 0.0:
-        raise DataError("degenerate data: all values are equal, no scale can be fitted")
     with np.errstate(over="ignore", invalid="ignore"):
-        std = float(data.std())
+        std = float(data.std())  # NaN, ±inf and overflow all leave it non-finite
     if not math.isfinite(std):
-        raise DataError(f"the sample spread overflows: {data[0]} to {data[-1]} has no finite std")
+        raise DataError("samples must be finite and their spread must not overflow, "
+                        f"got {data[0]} to {data[-1]}")
+    if data[-1] == data[0]:
+        raise DataError("degenerate data: all values are equal, no scale can be fitted")
 
     if family == "gaussian":
         dist = Gaussian(mu=float(data.mean()), sigma=std)

@@ -620,7 +620,7 @@ def test_fit_rejects_samples_whose_spread_overflows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         err = _assert_exits_cleanly(["fit", "--input", str(path)], 2, "spread")
-    assert "spread overflows" in err
+    assert "spread must not overflow" in err
     assert "sigma" not in err
 
 

@@ -127,12 +127,12 @@ def _rosenbrock(x):
 
 
 def test_minimize_reaches_gtol_on_rosenbrock():
-    result = fitting.minimize(_rosenbrock, [-1.2, 1.0, 1.0], gtol=1e-5)
-    assert np.abs(result.jac).max() <= 1e-5
-    np.testing.assert_allclose(result.x, [1.0, 1.0, 1.0], atol=1e-4)
-    assert result.fun < 1e-9
-    value, grad = _rosenbrock(result.x)  # fun and jac belong to the returned x
-    assert result.fun == value and np.array_equal(result.jac, grad)
+    x, value, grad, _ = fitting.minimize(_rosenbrock, [-1.2, 1.0, 1.0])
+    assert np.abs(grad).max() <= 1e-5
+    np.testing.assert_allclose(x, [1.0, 1.0, 1.0], atol=1e-4)
+    assert value < 1e-9
+    expected_value, expected_grad = _rosenbrock(x)  # value and gradient belong to x
+    assert value == expected_value and np.array_equal(grad, expected_grad)
 
 
 def test_minimize_backs_off_from_an_infinite_value():
@@ -148,11 +148,11 @@ def test_minimize_backs_off_from_an_infinite_value():
             return math.inf, np.zeros(2)
         return -a * x - math.log(1.0 - x) + (y - 3.0) ** 2, np.array([1.0 / (1.0 - x) - a, 2.0 * (y - 3.0)])
 
-    result = fitting.minimize(bounded, [0.0, 2.5], args=(5.0,))
+    x, _, grad, nfev = fitting.minimize(bounded, [0.0, 2.5], args=(5.0,))
     assert any(theta[0] >= 1.0 for theta in trials)
-    assert np.abs(result.jac).max() <= 1e-5
-    np.testing.assert_allclose(result.x, [0.8, 3.0], atol=1e-5)
-    assert result.nfev == len(trials)
+    assert np.abs(grad).max() <= 1e-5
+    np.testing.assert_allclose(x, [0.8, 3.0], atol=1e-5)
+    assert nfev == len(trials)
 
 
 def _bench_smoke_concrete_set():
