@@ -19,13 +19,14 @@ import time
 import numpy as np
 
 from . import distributions
-from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr, profile_from_dict
+from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
 from .fitting import select_best_model
 from .outputs import write_outputs
 from .randomness import RandomStream
 from .scenarios import (
-    PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, solve_input_from_dict,
+    PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, read_model, read_profile,
+    solve_input_from_dict,
 )
 from .simulator import aggregate, run_scenario
 from .solver import solve
@@ -85,7 +86,7 @@ def _cmd_energy(args) -> int:
     if args.profile in BUILTIN_PROFILES:
         profile = BUILTIN_PROFILES[args.profile]
     elif os.path.exists(args.profile):
-        profile = profile_from_dict(read_json(args.profile))
+        profile = read_profile(read_json(args.profile))
     else:
         raise DataError(
             f"unknown profile {args.profile!r}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
@@ -136,7 +137,7 @@ def _cmd_fit(args) -> int:
 def _cmd_sample(args) -> int:
     inline = args.model.lstrip().startswith("{")
     spec = parse_json(args.model, "--model") if inline else read_json(args.model)
-    dist = distributions.from_dict(spec)
+    dist = read_model(spec, "model")
     draws = dist.sample(RandomStream(args.seed), args.count)
     lines = ["error_m"] + [str(float(v)) for v in np.atleast_1d(draws)]
     _write_text("\n".join(lines) + "\n", args.out)
@@ -179,7 +180,7 @@ def _cmd_simulate(args) -> int:
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
     with timed("run_scenario"):
-        stats = run_scenario(scenario, threads=args.threads)
+        stats = run_scenario(scenario)
     report = write_outputs(stats, scenario, args.out, timed)
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote points.csv, ecdf.csv, report.json to {args.out}", file=sys.stderr)
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ParameterError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a size such as runs or -n beyond what numpy can allocate
+        print("error: the input asks for more memory than is available", file=sys.stderr)
         return 2
     except (ConvergenceError, SingularGeometryError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ and auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -275,41 +275,11 @@ class LogNormal(_InverseTransform):
 
 ErrorDistribution = Gaussian | BurrXII | LogNormal
 
-FAMILIES = ("gaussian", "burr12", "lognormal")
-
-_PARAM_NAMES = {
-    "gaussian": ("mu", "sigma"),
-    "burr12": ("c", "d", "mu", "sigma"),
-    "lognormal": ("s", "mu", "sigma"),
-}
-_CLASSES = {"gaussian": Gaussian, "burr12": BurrXII, "lognormal": LogNormal}
+# Family name -> class; a family's parameters are its dataclass fields, in order.
+FAMILIES = {cls.family: cls for cls in (Gaussian, BurrXII, LogNormal)}
 
 
 def to_dict(dist: ErrorDistribution) -> dict:
-    """Serialize to {"family": ..., "params": {...}} with exact field names."""
-    params = {name: getattr(dist, name) for name in _PARAM_NAMES[dist.family]}
-    return {"family": dist.family, "params": params}
-
-
-def from_dict(spec: dict) -> ErrorDistribution:
-    """Build a distribution from its serialized form; validates names strictly."""
-    try:
-        family, params = spec["family"], spec["params"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"distribution spec needs 'family' and 'params': {spec!r}") from exc
-    if not isinstance(family, str) or family not in _CLASSES:
-        raise ParameterError(f"unknown distribution family {family!r}; expected one of {FAMILIES}")
-    if not isinstance(params, dict):
-        raise ParameterError(f"distribution 'params' must be a JSON object, got {params!r}")
-    expected = set(_PARAM_NAMES[family])
-    if set(params) != expected:
-        raise ParameterError(
-            f"{family} parameters must be exactly {sorted(expected)}, got {sorted(params)}"
-        )
-    values = {}
-    for name, value in params.items():
-        try:
-            values[name] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{family} params.{name} is not a number: {value!r}") from exc
-    return _CLASSES[family](**values)
+    """Serialize to {"family": ..., "params": {...}} with exact field names;
+    ``scenarios.read_model`` reads it back."""
+    return {"family": dist.family, "params": asdict(dist)}

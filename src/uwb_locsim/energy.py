@@ -2,8 +2,8 @@
 
 A profile lumps state-transition overhead into a single microjoule
 constant per SS-TWR instead of modeling current ramps. Profiles are
-data, not code: the built-ins can be replaced by profiles loaded from
-structured text files with the same fields.
+data, not code: the built-ins can be replaced by JSON profiles with the
+same fields, read by ``scenarios.read_profile``.
 """
 
 from __future__ import annotations
@@ -47,22 +47,6 @@ BUILTIN_PROFILES = {
     "dwm1001": PowerProfile("dwm1001", p_tx=297.7, p_rx=507.21, p_idle=47.9,
                             p_sleep=3.9, t_packet=287.0),
 }
-
-
-def profile_from_dict(spec: dict) -> PowerProfile:
-    """Build a profile from a mapping mirroring the PowerProfile fields."""
-    try:
-        return PowerProfile(
-            name=str(spec["name"]),
-            p_tx=float(spec["p_tx"]),
-            p_rx=float(spec["p_rx"]),
-            p_idle=float(spec["p_idle"]),
-            p_sleep=float(spec["p_sleep"]),
-            t_packet=float(spec["t_packet"]),
-            e_transition=float(spec.get("e_transition", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise ParameterError(f"invalid power profile spec: {exc}") from exc
 
 
 def energy_per_sstwr(profile: PowerProfile) -> float:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .distributions import BurrXII, ErrorDistribution, Gaussian, LogNormal
+from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian, LogNormal
 from .errors import ConvergenceError, DataError, ParameterError
 
 _GRAD_TOL = 1e-6  # converged when max|gradient of the profile NLL| <= this * n
@@ -47,7 +47,6 @@ _C1, _C2 = 1e-4, 0.9  # strong Wolfe sufficient-decrease and curvature constants
 _LOCATION_MARGIN = 1e-6  # meters kept between mu and min(data)
 _SSE_TIE = 1e-12
 
-_N_PARAMS = {"gaussian": 2, "lognormal": 3, "burr12": 4}
 _LOG_SQRT2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -241,8 +240,8 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     Raises ConvergenceError (carrying the best-so-far FitResult) when
     the profile NLL's gradient is not within tolerance of zero.
     """
-    if family not in _N_PARAMS:
-        raise ParameterError(f"unknown family {family!r}; expected one of {sorted(_N_PARAMS)}")
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     data = np.sort(np.asarray(data, dtype=float).ravel())
     if data.size < 2:
         raise DataError("need at least two data points to fit")
@@ -284,7 +283,7 @@ def _rank_order(a: FitResult, b: FitResult) -> int:
     if (a.error is None) != (b.error is None):
         return -1 if a.error is None else 1
     if abs(a.sse - b.sse) <= _SSE_TIE:
-        return _N_PARAMS[a.family] - _N_PARAMS[b.family]
+        return len(fields(a.params)) - len(fields(b.params))
     return -1 if a.sse < b.sse else 1
 
 

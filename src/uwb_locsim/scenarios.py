@@ -6,6 +6,8 @@ rejecting non-finite floats; a bad value raises DataError naming its
 JSON path, such as ``anchors[2].z``. ``read_point`` and ``read_anchors``
 serve scenario anchors, the solver's ``x_r`` and ``x0`` and ``solve``'s
 anchors; the SolverConfig and Scenario codecs are built on them.
+``read_model`` reads error models (``models.los.params.sigma``) and
+``read_profile`` radio power profiles (``profile.p_tx``) the same way.
 
 A scenario file::
 
@@ -40,10 +42,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 from . import distributions
-from .distributions import BurrXII, Gaussian
+from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian
+from .energy import PowerProfile
 from .errors import DataError
 from .geometry import Anchor, Point3, Wall
 from .simulator import DiversityConfig, Scenario
@@ -158,6 +161,27 @@ def read_anchors(specs, ids_required: bool = True) -> list[Anchor]:
     return anchors
 
 
+def read_model(spec, name: str) -> ErrorDistribution:
+    """An error model from a JSON ``{"family", "params"}`` object named ``name``;
+    the params must be exactly the family's fields."""
+    family = _need(spec, "family", name)
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise DataError(f"{name}.family must be one of {list(FAMILIES)}, got {family!r}")
+    params = _of_type(_need(spec, "params", name), dict, f"{name}.params")
+    keys = [f.name for f in fields(FAMILIES[family])]
+    if set(params) != set(keys):
+        raise DataError(f"{name}.params of {family} must be exactly {keys}, got {sorted(params)}")
+    return FAMILIES[family](**{key: _field(params, key, f"{name}.params") for key in keys})
+
+
+def read_profile(spec) -> PowerProfile:
+    """A PowerProfile from a JSON object of its fields; ``e_transition`` is optional."""
+    _of_type(spec, dict, "profile")
+    values = {f.name: _field(spec, f.name, "profile") for f in fields(PowerProfile)[1:]  # after name
+              if f.name in spec or f.default is MISSING}
+    return PowerProfile(name=str(_need(spec, "name", "profile")), **values)
+
+
 def solver_config_from_dict(spec, context: str = "solver") -> SolverConfig:
     """SolverConfig from its JSON form; missing or null fields take defaults.
 
@@ -198,7 +222,7 @@ def scenario_from_dict(config: dict) -> Scenario:
         walls.append(Wall(a=(ax, ay), b=(bx, by), material=str(_need(spec, "material", context))))
 
     models = {
-        condition: distributions.from_dict(spec)
+        condition: read_model(spec, f"models.{condition}")
         for condition, spec in _of_type(_need(config, "models", "scenario"), dict, "models").items()
     }
 

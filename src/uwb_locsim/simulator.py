@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ErrorDistribution
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, SingularGeometryError
 from .geometry import (
     CONDITION_LOS,
     SEVERITY_TO_CONDITION,
@@ -183,19 +183,19 @@ def _classify_grid(grid: np.ndarray, anchors, walls) -> np.ndarray:
     return severity
 
 
-def run_scenario(scenario: Scenario, threads: int = 1) -> RunStatistics:
+def run_scenario(scenario: Scenario) -> RunStatistics:
     """Execute the full study: classify; draw, select and solve chunk by
     chunk; aggregate.
 
-    ``threads`` is accepted for compatibility and ignored: the study
-    runs serially in fixed-size chunks, which measured faster than a
-    thread pool, so results never depend on it.
+    Raises SingularGeometryError if every solve fails, as it does when a
+    tag or anchor is so far off that its distances overflow.
     """
     grid = build_grid(scenario.area, scenario.grid_step, scenario.tag_height)
     anchors = list(scenario.anchors)
     positions = anchor_positions(anchors)
     severity = _classify_grid(grid, anchors, scenario.walls)
-    true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
+    with np.errstate(over="ignore"):  # an overflow to inf fails that point's solves
+        true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
     x_r, x0 = start_points(scenario.solver, anchors)
     models = {
         level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
@@ -227,6 +227,8 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> RunStatistics:
         result = solve_batch(scenario.solver, positions, measured, x_r, starts)
         estimates[lo:hi] = result.positions
         failed[lo:hi] = result.failed
+    if failed.all():
+        raise SingularGeometryError(f"all {n_cells} solves failed")
 
     estimates = estimates.reshape(n_runs, n_points, 3)
     failed = failed.reshape(n_runs, n_points)

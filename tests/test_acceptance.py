@@ -77,7 +77,7 @@ def test_criterion_1_energy_reproduction():
 
 def test_criterion_2_concrete_deployment_median():
     t0 = time.perf_counter()
-    stats = run_scenario(preset_scenario("paper-concrete"), threads=1)
+    stats = run_scenario(preset_scenario("paper-concrete"))
     elapsed = time.perf_counter() - t0
     median = stats.aggregate_2d.median
     ok = 0.18 <= median <= 0.32 and elapsed < 60.0

@@ -481,11 +481,12 @@ def test_fuzzed_simulate_config_exits_cleanly(mutations):
 def test_every_non_finite_config_number_exits_cleanly():
     # The random search above reaches a given field only now and then;
     # this sweep puts each non-finite value into every key and item once.
-    # Every one is a config error naming its field, except an anchor id,
-    # which is any string.
+    # Every one is a config error naming its JSON path (an enum string
+    # names its key), except an anchor id, which is any string.
     for path in _FUZZ_PATHS:
         if path[-1] == "id":
             continue
+        name = path[-1] if path[-1] in ("material", "x_r_mode", "strategy") else _json_path(path)
         for value in (math.nan, math.inf, -math.inf, "inf"):
             config = _fuzz_base()
             _mutate(config, path, value)
@@ -493,6 +494,7 @@ def test_every_non_finite_config_number_exits_cleanly():
             assert code == 2, (path, value, err)
             assert "Traceback" not in err, (path, value)
             assert "empty error list" not in err, (path, value)
+            assert name in err, (path, value, err)
 
 
 @pytest.mark.parametrize("step", [1e-300, 1e-4])
@@ -675,7 +677,10 @@ def test_energy_profile_rejects_every_bad_field(tmp_path):
             path.write_text(json.dumps(spec))
             valid = field == "name" and value is not _DROP or field == "e_transition" and value is _DROP
             argv = ["energy", "--profile", str(path), "--period", "0.5"]
-            _assert_exits_cleanly(argv, 0 if valid else 2, (field, value))
+            err = _assert_exits_cleanly(argv, 0 if valid else 2, (field, value))
+            if not valid:
+                name = f"missing {field!r} in profile" if value is _DROP else f"profile.{field}"
+                assert name in err, (field, value, err)
 
 
 def test_energy_rejects_a_non_finite_period():
@@ -699,6 +704,34 @@ def test_sample_rejects_a_negative_count():
     _assert_exits_cleanly(["sample", "--model", model, "-n", "-1"], 2, "-1")
     code, out, _ = _main_quiet(["sample", "--model", model, "-n", "0"])
     assert code == 0 and out == "error_m\n"
+
+
+def test_inputs_beyond_the_memory_limit_are_a_data_error(tmp_path):
+    # Each asks for at least 1 PiB in one array, so the allocation fails at once.
+    for path, size in ((("runs",), 10**12), (("diversity", "channels"), 10**15)):
+        config = _fuzz_base()
+        _mutate(config, path, size)
+        code, err = _simulate_config(config)
+        assert code == 2, err
+        assert "more memory than is available" in err
+    path = tmp_path / "errors.csv"
+    path.write_text("0.1\n0.2\n0.4\n")
+    model = '{"family": "gaussian", "params": {"mu": 0.0, "sigma": 0.071}}'
+    for argv in (["fit", "--input", str(path), "--no-header", "--bins", str(10**15)],
+                 ["sample", "--model", model, "-n", str(10**15)]):
+        assert "more memory" in _assert_exits_cleanly(argv, 2, argv[0])
+
+
+@pytest.mark.parametrize("path", [("tag_height",), ("anchors", 0, "x")])
+def test_a_study_whose_every_solve_fails_is_a_numerical_failure(path):
+    # 1e200 m away, every distance overflows to inf and no point can be solved
+    config = _fuzz_base()
+    _mutate(config, path, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _simulate_config(config)
+    assert code == 3, err
+    assert "all 210 solves failed" in err
 
 
 def test_simulate_accepts_a_seed_beyond_the_float_range():

@@ -7,9 +7,10 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from uwb_locsim import BurrXII, Gaussian, LogNormal, ParameterError, RandomStream
+from uwb_locsim import BurrXII, DataError, Gaussian, LogNormal, ParameterError, RandomStream
 from uwb_locsim import distributions
 from uwb_locsim.randomness import cell_uniform_array
+from uwb_locsim.scenarios import read_model
 
 from conftest import MODEL_SETS
 
@@ -194,22 +195,22 @@ def test_quantile_domain_errors(u):
 def test_serialization_round_trip(label, family, model):
     spec = distributions.to_dict(model)
     assert spec["family"] == family
-    assert distributions.from_dict(spec) == model
+    assert read_model(spec, "model") == model
 
 
 def test_from_dict_rejects_bad_specs():
-    with pytest.raises(ParameterError):
-        distributions.from_dict({"family": "cauchy", "params": {}})
-    with pytest.raises(ParameterError):
-        distributions.from_dict({"family": "gaussian", "params": {"mu": 0.0, "sd": 1.0}})
-    with pytest.raises(ParameterError):
-        distributions.from_dict({"params": {"mu": 0.0, "sigma": 1.0}})
-    with pytest.raises(ParameterError, match="params.mu"):
-        distributions.from_dict({"family": "gaussian", "params": {"mu": "abc", "sigma": 1.0}})
-    with pytest.raises(ParameterError, match="params"):
-        distributions.from_dict({"family": "gaussian", "params": "ab"})
-    with pytest.raises(ParameterError, match="family"):
-        distributions.from_dict({"family": [], "params": {}})
+    with pytest.raises(DataError):
+        read_model({"family": "cauchy", "params": {}}, "model")
+    with pytest.raises(DataError):
+        read_model({"family": "gaussian", "params": {"mu": 0.0, "sd": 1.0}}, "model")
+    with pytest.raises(DataError):
+        read_model({"params": {"mu": 0.0, "sigma": 1.0}}, "model")
+    with pytest.raises(DataError, match="params.mu"):
+        read_model({"family": "gaussian", "params": {"mu": "abc", "sigma": 1.0}}, "model")
+    with pytest.raises(DataError, match="params"):
+        read_model({"family": "gaussian", "params": "ab"}, "model")
+    with pytest.raises(DataError, match="family"):
+        read_model({"family": [], "params": {}}, "model")
 
 
 _UNIT = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)

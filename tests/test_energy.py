@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from uwb_locsim import BUILTIN_PROFILES, ParameterError, PowerProfile, average_power, energy_per_sstwr
-from uwb_locsim.energy import profile_from_dict
+from uwb_locsim import BUILTIN_PROFILES, DataError, ParameterError, PowerProfile, average_power, energy_per_sstwr
+from uwb_locsim.scenarios import read_profile
 
 
 def test_dw1000_energy_per_ranging():
@@ -85,6 +85,6 @@ def test_average_power_rejects_a_non_finite_period(period):
 
 def test_profile_from_dict_round_trip():
     spec = BUILTIN_PROFILES["3db"].to_dict()
-    assert profile_from_dict(spec) == BUILTIN_PROFILES["3db"]
-    with pytest.raises(ParameterError):
-        profile_from_dict({"name": "x", "p_tx": 1.0})
+    assert read_profile(spec) == BUILTIN_PROFILES["3db"]
+    with pytest.raises(DataError):
+        read_profile({"name": "x", "p_tx": 1.0})

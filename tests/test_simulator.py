@@ -178,14 +178,6 @@ def test_condition_isolation():
     assert not np.array_equal(a.err2d[:, mixed], b.err2d[:, mixed])
 
 
-def test_thread_count_does_not_change_results():
-    scenario = _mini_scenario(runs=3)
-    a = run_scenario(scenario, threads=1)
-    b = run_scenario(scenario, threads=8)
-    assert np.array_equal(a.estimates, b.estimates)
-    assert np.array_equal(a.err3d, b.err3d)
-
-
 def test_rerun_is_bit_identical():
     scenario = _mini_scenario()
     a = run_scenario(scenario)
