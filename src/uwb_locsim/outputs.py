@@ -2,16 +2,17 @@
 
 Three artifacts per study: a per-point CSV (one row per run and grid
 point), an ECDF CSV of the 2D errors for plotting, and an aggregate
-JSON report. All floats are written in shortest round-trip form
-(``repr``) and no timestamps are recorded, so identical runs produce
-byte-identical files.
+JSON report. CSV floats are written at 1 µm (``"%.6f"``, NaN as
+``nan``) and never as ``-0.000000``; the ECDF CSV is the 2D-error
+quantile function at the 1,001 levels p = k/1000, whatever the number
+of runs. The report keeps full precision, and no timestamps are
+recorded, so identical runs produce byte-identical files.
 
 The CSV writers work in fixed blocks of ``_BLOCK`` rows: one
-``tolist()`` per float column slice, ``map(repr, ...)``, rows joined
-with ``zip`` and one ``write`` per block. The ``px,py,pz`` text is
-formatted once per grid point. Apart from that text the writers'
-memory is bounded by the block, not by the number of runs, and the
-bytes equal those of a row-by-row ``str(float(x))``.
+``tolist()`` per float column slice, ``map("%.6f".__mod__, ...)``, rows
+joined with ``zip`` and one ``write`` per block. The ``px,py,pz`` text
+is formatted once per grid point. Apart from that text the writers'
+memory is bounded by the block, not by the number of runs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ _POINTS_HEADER = "run,px,py,pz,ex,ey,ez,err2d_m,err3d_m,conditions"
 _BLOCK = 128  # CSV rows formatted and written per call; larger blocks raised peak RSS
 
 
+def _micrometres(values: np.ndarray):
+    """``"%.6f"`` text of a float block; a value that rounds to zero loses its sign."""
+    # 5e-7 is the largest magnitude "%.6f" writes as zero: its double lies just below 5e-7
+    return map("%.6f".__mod__, np.where(np.abs(values) <= 5e-7, 0.0, values).tolist())
+
+
 def _row_blocks(n_rows: int, columns):
     """Comma-joined text rows, in lists of at most ``_BLOCK``.
 
@@ -43,7 +50,7 @@ def _row_blocks(n_rows: int, columns):
     for lo in range(0, n_rows, _BLOCK):
         hi = min(lo + _BLOCK, n_rows)
         cells = [
-            map(repr, col[lo:hi].tolist()) if isinstance(col, np.ndarray) else islice(col, hi - lo)
+            _micrometres(col[lo:hi]) if isinstance(col, np.ndarray) else islice(col, hi - lo)
             for col in columns
         ]
         yield list(map(",".join, zip(*cells)))

@@ -8,6 +8,9 @@ serve scenario anchors, the solver's ``x_r`` and ``x0`` and ``solve``'s
 anchors; the SolverConfig and Scenario codecs are built on them.
 ``read_model`` reads error models (``models.los.params.sigma``) and
 ``read_profile`` radio power profiles (``profile.p_tx``) the same way.
+A value that a constructor rejects as out of range raises its
+ParameterError prefixed with the path of the object it was read from,
+such as ``solver: k_max must be >= 1``.
 
 A scenario file::
 
@@ -47,7 +50,7 @@ from dataclasses import MISSING, asdict, fields
 from . import distributions
 from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian
 from .energy import PowerProfile
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .geometry import Anchor, Point3, Wall
 from .simulator import DiversityConfig, Scenario
 from .solver import SolverConfig
@@ -139,6 +142,15 @@ def _field(mapping, key: str, context: str, kind=float):
     return number(_need(mapping, key, context), f"{context}.{key}", kind)
 
 
+def _build(cls, path: str, /, **values):
+    """``cls(**values)``; its ParameterError is re-raised prefixed with the
+    JSON ``path`` of the object the values were read from."""
+    try:
+        return cls(**values)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
+
+
 def read_numbers(values, name: str) -> list[float]:
     """The numbers of a JSON array named ``name``."""
     return [number(v, f"{name}[{i}]") for i, v in enumerate(_of_type(values, (list, tuple), name))]
@@ -171,7 +183,8 @@ def read_model(spec, name: str) -> ErrorDistribution:
     keys = [f.name for f in fields(FAMILIES[family])]
     if set(params) != set(keys):
         raise DataError(f"{name}.params of {family} must be exactly {keys}, got {sorted(params)}")
-    return FAMILIES[family](**{key: _field(params, key, f"{name}.params") for key in keys})
+    return _build(FAMILIES[family], f"{name}.params",
+                  **{key: _field(params, key, f"{name}.params") for key in keys})
 
 
 def read_profile(spec) -> PowerProfile:
@@ -179,7 +192,7 @@ def read_profile(spec) -> PowerProfile:
     _of_type(spec, dict, "profile")
     values = {f.name: _field(spec, f.name, "profile") for f in fields(PowerProfile)[1:]  # after name
               if f.name in spec or f.default is MISSING}
-    return PowerProfile(name=str(_need(spec, "name", "profile")), **values)
+    return _build(PowerProfile, "profile", name=str(_need(spec, "name", "profile")), **values)
 
 
 def solver_config_from_dict(spec, context: str = "solver") -> SolverConfig:
@@ -192,8 +205,8 @@ def solver_config_from_dict(spec, context: str = "solver") -> SolverConfig:
                "c": number, "x_r": read_point, "x_r_mode": lambda value, name: str(value),
                "weights": lambda values, name: tuple(read_numbers(values, name)), "x0": read_point}
     _of_type(spec, dict, context)
-    return SolverConfig(**{key: read(spec[key], f"{context}.{key}")
-                           for key, read in readers.items() if spec.get(key) is not None})
+    return _build(SolverConfig, context, **{key: read(spec[key], f"{context}.{key}")
+                                            for key, read in readers.items() if spec.get(key) is not None})
 
 
 def solve_input_from_dict(payload) -> tuple[list[Anchor], list[float], SolverConfig]:
@@ -219,7 +232,8 @@ def scenario_from_dict(config: dict) -> Scenario:
     for i, spec in enumerate(_of_type(config.get("walls", []), list, "walls")):
         context = f"walls[{i}]"
         ax, ay, bx, by = (_field(spec, k, context) for k in ("ax", "ay", "bx", "by"))
-        walls.append(Wall(a=(ax, ay), b=(bx, by), material=str(_need(spec, "material", context))))
+        material = str(_need(spec, "material", context))
+        walls.append(_build(Wall, context, a=(ax, ay), b=(bx, by), material=material))
 
     models = {
         condition: read_model(spec, f"models.{condition}")
@@ -228,8 +242,9 @@ def scenario_from_dict(config: dict) -> Scenario:
 
     diversity = config.get("diversity") or None
     if diversity is not None:
-        diversity = DiversityConfig(channels=_field(diversity, "channels", "diversity", int),
-                                    strategy=str(_need(diversity, "strategy", "diversity")))
+        diversity = _build(DiversityConfig, "diversity",
+                           channels=_field(diversity, "channels", "diversity", int),
+                           strategy=str(_need(diversity, "strategy", "diversity")))
 
     return Scenario(
         area=area,

@@ -497,6 +497,40 @@ def test_every_non_finite_config_number_exits_cleanly():
             assert name in err, (path, value, err)
 
 
+def _checked_by(path):
+    """The JSON path of the object whose constructor range-checks the value
+    at ``path`` (a model's params, a wall, the solver, the diversity block)."""
+    for k in range(len(path) - 1, 0, -1):
+        owner = path[:k]
+        if owner[-1] in ("params", "solver", "diversity") or owner == ("walls", path[1]):
+            return _json_path(owner)
+    return None
+
+
+def test_every_out_of_range_config_value_names_its_path():
+    # Finite values that a constructor may reject: 0 and -1 in every number,
+    # an unknown word in every enum. A rejection names the object the value
+    # was read from ("solver: k_max must be >= 1"); the scenario's own
+    # checks name their top-level key ("runs must be >= 1").
+    rejected = set()
+    for path in _leaves(_fuzz_base()):
+        if path[-1] == "id":
+            continue
+        words = path[-1] in ("family", "material", "x_r_mode", "strategy")
+        for value in ("unknown",) if words else (0, -1):
+            config = _fuzz_base()
+            _mutate(config, path, value)
+            code, err = _simulate_config(config)
+            if code == 0:
+                continue
+            owner = _checked_by(path)
+            assert code == 2, (path, value, err)
+            assert err.startswith(f"error: {owner}: ") if owner else path[0] in err, (path, value, err)
+            rejected.add(_json_path(path))
+    assert {"models.los.params.sigma", "walls[0].material", "solver.k_max", "solver.weights[0]",
+            "diversity.channels", "runs"} <= rejected
+
+
 @pytest.mark.parametrize("step", [1e-300, 1e-4])
 def test_simulate_rejects_an_oversized_tag_grid(step):
     # 1e-4 m on the 9 x 20 m floor would be 1.8e10 tag points
@@ -681,6 +715,18 @@ def test_energy_profile_rejects_every_bad_field(tmp_path):
             if not valid:
                 name = f"missing {field!r} in profile" if value is _DROP else f"profile.{field}"
                 assert name in err, (field, value, err)
+
+
+def test_energy_profile_out_of_range_values_name_the_profile(tmp_path):
+    good = {"name": "custom", "p_tx": 10.0, "p_rx": 20.0, "p_idle": 1.0, "p_sleep": 0.001,
+            "t_packet": 100.0, "e_transition": 0.5}
+    path = tmp_path / "profile.json"
+    for field in ("p_tx", "p_rx", "p_idle", "p_sleep", "t_packet", "e_transition"):
+        path.write_text(json.dumps({**good, field: -1.0}))
+        err = _assert_exits_cleanly(["energy", "--profile", str(path)], 2, field)
+        assert err.startswith(f"error: profile: {field} must be"), (field, err)
+    path.write_text(json.dumps({**good, "t_packet": 0}))
+    assert "profile: t_packet" in _assert_exits_cleanly(["energy", "--profile", str(path)], 2, 0)
 
 
 def test_energy_rejects_a_non_finite_period():

@@ -1,6 +1,8 @@
-"""Golden-format checks: the block-wise CSV writers give the bytes of the
-row-by-row writers they replaced, for any block size."""
+"""Golden-format checks: the block-wise CSV writers give the bytes of
+row-by-row reference writers of the 1 µm ("%.6f") format, for any block
+size, and ecdf.csv is the 1,001-level quantile function of the 2D errors."""
 
+import json
 import math
 import os
 import tempfile
@@ -12,14 +14,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uwb_locsim import outputs
-from uwb_locsim.scenarios import preset_scenario
+from uwb_locsim.cli import main
+from uwb_locsim.scenarios import preset_scenario, scenario_to_dict
 from uwb_locsim.simulator import AggregateStats, RunStatistics, run_scenario
 
 
 # ------------------------------------------------ reference (row by row)
 
 def _fmt(value) -> str:
-    return str(float(value))
+    text = "%.6f" % float(value)
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _reference_points_csv(stats) -> str:
@@ -45,7 +49,10 @@ def _reference_ecdf_csv(stats) -> str:
 
 # --------------------------------------------------------------- inputs
 
-_SPECIAL = [math.nan, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e16, 1e16 + 2.0]
+_SPECIAL = [
+    math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e16, 1e16 + 2.0,
+    5e-7, -5e-7, -math.nextafter(5e-7, 1.0), 1.0000005, -1.0000005, 1e308,
+]
 _FLOATS = st.one_of(
     st.sampled_from(_SPECIAL),
     st.floats(allow_nan=True, allow_infinity=False, width=64),
@@ -113,3 +120,47 @@ def test_study_files_match_row_by_row_reference(block):
     assert points == _reference_points_csv(stats)
     assert ecdf == _reference_ecdf_csv(stats)
     assert points.count("\n") == 1 + stats.err2d.size
+
+
+def test_special_values_have_fixed_text():
+    # One failed row (all NaN) and one row of values at the rounding edges:
+    # whatever rounds to zero is written 0.000000, never -0.000000.
+    stats = RunStatistics(
+        grid=np.array([[0.0, -0.0, 1.2], [-5e-324, 5e-7, -5e-7]]),
+        conditions=["los|los|los", "los|drywall|los"],
+        estimates=np.array([[[math.nan] * 3, [-1e-9, -math.nextafter(5e-7, 1.0), 1e16 + 2.0]]]),
+        err2d=np.array([[math.nan, 2.5e-6]]),
+        err3d=np.array([[math.nan, 1.0000005]]),
+        failed=np.array([[True, False]]),
+        aggregate_2d=_ecdf(np.array([-0.0, 0.25])),
+    )
+    points, ecdf = _written(stats, outputs._BLOCK)
+    assert points.splitlines()[1:] == [
+        "0,0.000000,0.000000,1.200000,nan,nan,nan,nan,nan,los|los|los",
+        "0,0.000000,0.000000,0.000000,0.000000,-0.000001,10000000000000002.000000,"
+        "0.000003,1.000001,los|drywall|los",  # the doubles lie just above the half
+    ]
+    assert ecdf == "err2d_m,cum_prob\n0.000000,0.500000\n0.250000,1.000000\n"
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_ecdf_csv_is_the_quantile_function_at_1001_levels(tmp_path, runs):
+    config = scenario_to_dict(replace(preset_scenario("paper-drywall"), grid_step=1.0, runs=runs))
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / outputs.ECDF_CSV).read_text().splitlines()
+    report = json.loads((tmp_path / "out" / outputs.REPORT_JSON).read_text())["error_2d_m"]
+    points = np.genfromtxt(tmp_path / "out" / outputs.POINTS_CSV, delimiter=",", names=True,
+                           usecols=("err2d_m",))["err2d_m"]
+
+    assert len(lines) == 1002
+    assert lines[0] == "err2d_m,cum_prob"
+    values, probs = zip(*(line.split(",") for line in lines[1:]))
+    assert list(probs) == ["%.6f" % (k / 1000) for k in range(1001)]
+    errors = [float(v) for v in values]
+    assert errors == sorted(errors)
+    assert (errors[0], errors[-1]) == (np.nanmin(points), np.nanmax(points))
+    assert [values[250], values[500], values[750]] == [
+        "%.6f" % report[key] for key in ("q1", "median", "q3")
+    ]

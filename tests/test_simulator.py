@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -85,12 +86,29 @@ def test_aggregate_gaussian_moments():
     assert abs(agg.std - 0.071) < 1e-3
 
 
-def test_aggregate_ecdf_properties():
-    errors = [0.3, 0.1, 0.3, 0.7, 0.1]
+def _linear_quantile(ordered, p):
+    """Quantile of sorted data by linear interpolation between order statistics."""
+    h = (len(ordered) - 1) * p
+    lo = math.floor(h)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
+
+
+@pytest.mark.parametrize("errors", [[0.3, 0.1, 0.3, 0.7, 0.1], [5.0], [2.0, 1.0], list(np.linspace(3, 0, 14))])
+def test_aggregate_ecdf_properties(errors):
+    # ecdf_values is the quantile function at p = k/1000, k = 0..1000,
+    # interpolated as the report's quartiles are.
     agg = aggregate(errors)
-    np.testing.assert_allclose(agg.ecdf_values, [0.1, 0.3, 0.7])
-    np.testing.assert_allclose(agg.ecdf_probs, [0.4, 0.8, 1.0])
-    assert np.all(np.diff(agg.ecdf_probs) > 0)
+    ordered = sorted(errors)
+    assert np.array_equal(agg.ecdf_probs, np.arange(1001) / 1000)
+    assert len(agg.ecdf_values) == 1001
+    assert np.all(np.diff(agg.ecdf_values) >= 0)
+    assert (agg.ecdf_values[0], agg.ecdf_values[-1]) == (min(errors), max(errors))
+    np.testing.assert_allclose(
+        agg.ecdf_values, [_linear_quantile(ordered, k / 1000) for k in range(1001)], rtol=0, atol=1e-12
+    )
+    assert [agg.ecdf_values[250], agg.ecdf_values[500], agg.ecdf_values[750]] == [agg.q1, agg.median, agg.q3]
+    assert [agg.q1, agg.median, agg.q3] == np.percentile(errors, [25, 50, 75]).tolist()
 
 
 def test_aggregate_empty():
