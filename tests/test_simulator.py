@@ -94,21 +94,21 @@ def _linear_quantile(ordered, p):
     return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
 
 
-@pytest.mark.parametrize("errors", [[0.3, 0.1, 0.3, 0.7, 0.1], [5.0], [2.0, 1.0], list(np.linspace(3, 0, 14))])
-def test_aggregate_ecdf_properties(errors):
+def test_aggregate_ecdf_properties():
     # ecdf_values is the quantile function at p = k/1000, k = 0..1000,
     # interpolated as the report's quartiles are.
-    agg = aggregate(errors)
-    ordered = sorted(errors)
-    assert np.array_equal(agg.ecdf_probs, np.arange(1001) / 1000)
-    assert len(agg.ecdf_values) == 1001
-    assert np.all(np.diff(agg.ecdf_values) >= 0)
-    assert (agg.ecdf_values[0], agg.ecdf_values[-1]) == (min(errors), max(errors))
-    np.testing.assert_allclose(
-        agg.ecdf_values, [_linear_quantile(ordered, k / 1000) for k in range(1001)], rtol=0, atol=1e-12
-    )
-    assert [agg.ecdf_values[250], agg.ecdf_values[500], agg.ecdf_values[750]] == [agg.q1, agg.median, agg.q3]
-    assert [agg.q1, agg.median, agg.q3] == np.percentile(errors, [25, 50, 75]).tolist()
+    for errors in ([0.3, 0.1, 0.3, 0.7, 0.1], [5.0], [2.0, 1.0], list(np.linspace(3, 0, 14))):
+        agg = aggregate(errors)
+        ordered = sorted(errors)
+        assert np.array_equal(agg.ecdf_probs, np.arange(1001) / 1000)
+        assert len(agg.ecdf_values) == 1001
+        assert np.all(np.diff(agg.ecdf_values) >= 0)
+        assert (agg.ecdf_values[0], agg.ecdf_values[-1]) == (min(errors), max(errors))
+        expected = [_linear_quantile(ordered, k / 1000) for k in range(1001)]
+        np.testing.assert_allclose(agg.ecdf_values, expected, rtol=0, atol=1e-12)
+        quartiles = [agg.ecdf_values[250], agg.ecdf_values[500], agg.ecdf_values[750]]
+        assert quartiles == [agg.q1, agg.median, agg.q3]
+        assert quartiles == np.percentile(errors, [25, 50, 75]).tolist()
 
 
 def test_aggregate_empty():
