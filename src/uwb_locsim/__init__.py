@@ -13,14 +13,12 @@ from .geometry import Anchor, Point3, Wall, classify_link, segment_crosses_wall,
 from .randomness import RandomStream
 from .ranging import (
     CalibrationCoefficients,
-    RangingRecord,
     TwrTiming,
     calibrate_apply,
     calibrate_fit,
     diversity_select,
     drift_error,
     propagation_time,
-    simulate_range,
 )
 from .scenarios import PRESETS, load_scenario, preset_scenario, scenario_from_dict
 from .simulator import (
@@ -54,7 +52,6 @@ __all__ = [
     "Point3",
     "PowerProfile",
     "RandomStream",
-    "RangingRecord",
     "RunStatistics",
     "Scenario",
     "SingularGeometryError",
@@ -81,7 +78,6 @@ __all__ = [
     "scenario_from_dict",
     "segment_crosses_wall",
     "select_best_model",
-    "simulate_range",
     "solve",
     "true_distance",
 ]

@@ -20,27 +20,13 @@ from .errors import ParameterError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
-
 _U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX_1 = np.uint64(_MIX_1)
-_U_MIX_2 = np.uint64(_MIX_2)
-
-
-def mix64(value: int) -> int:
-    """splitmix64 finalizer: a bijective avalanche mix of a 64-bit value."""
-    z = value & _MASK
-    z ^= z >> 30
-    z = (z * _MIX_1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX_2) & _MASK
-    z ^= z >> 31
-    return z
+_U_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array."""
+    """splitmix64 finalizer over a uint64 array: a bijective avalanche mix."""
     z = values.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= _U_MIX_1
@@ -50,30 +36,18 @@ def mix64_array(values: np.ndarray) -> np.ndarray:
     return z
 
 
-def combine(seed: int, key: int) -> int:
-    """Derive a child seed from a parent seed and one index key.
-
-    For a fixed parent the map key -> child is injective, so sibling
-    streams never collide.
-    """
-    return mix64((seed & _MASK) ^ ((mix64(key) + _GOLDEN) & _MASK))
-
-
 def combine_array(seed: np.ndarray | int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`combine`; broadcasts seed against keys."""
+    """Child seeds of parent seeds and index keys, broadcast together. For a
+    fixed parent the map key -> child is injective: siblings never collide."""
     seed_arr = np.asarray(seed, dtype=np.uint64)
     mixed = mix64_array(np.asarray(keys, dtype=np.uint64)) + _U_GOLDEN
     return mix64_array(seed_arr ^ mixed)
 
 
 # Top 53 bits k, offset to the cell center: (k + 0.5) * 2**-53. For the
-# last cell, k = 2**53 - 1, that rounds to exactly 1.0, so every path
+# last cell, k = 2**53 - 1, that rounds to exactly 1.0, so the map
 # clamps to the largest double below 1; no other value changes.
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-
-def _to_unit_interval(z: int) -> float:
-    return min(((z >> 11) + 0.5) * 2.0**-53, _BELOW_ONE)
 
 
 def _to_unit_interval_array(z: np.ndarray) -> np.ndarray:
@@ -89,8 +63,7 @@ class RandomStream:
 
     def uniform(self) -> float:
         """Next uniform draw in the open interval (0, 1)."""
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _to_unit_interval(mix64(self._state))
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` draws as an array, identical to ``n`` uniform() calls."""
@@ -101,25 +74,14 @@ class RandomStream:
         self._state = (self._state + n * _GOLDEN) & _MASK
         return _to_unit_interval_array(z)
 
-    def spawn(self, key: int) -> "RandomStream":
-        """Child stream for an index key; independent of draw order."""
-        return RandomStream(combine(self._state, key))
-
-
-def cell_seed(master_seed: int, *indices: int) -> int:
-    """Seed for one simulation cell, mixing indices in order."""
-    seed = master_seed & _MASK
-    for idx in indices:
-        seed = combine(seed, idx)
-    return seed
-
 
 def cell_uniform_array(master_seed: int, *index_arrays: np.ndarray) -> np.ndarray:
     """First uniform of every cell stream, vectorized over index arrays.
 
-    Broadcasts the index arrays together; equals building each cell's
-    :class:`RandomStream` via :func:`cell_seed` and taking its first
-    uniform() draw.
+    Broadcasts the index arrays together. A cell's seed is the master
+    seed passed through :func:`combine_array` once per index, in order;
+    the result is the first uniform() draw of a :class:`RandomStream`
+    built from that seed.
     """
     seeds = np.asarray(np.uint64(master_seed & _MASK))
     for keys in index_arrays:

@@ -1,5 +1,5 @@
-"""Single-sided two-way ranging: timing math, simulated measurements,
-linear calibration, and channel-diversity selection.
+"""Single-sided two-way ranging: timing math, linear calibration, and
+channel-diversity selection.
 
 Clock-drift error is a separate additive term and is never folded into
 the sampled error models, which already include every real-world error
@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ErrorDistribution
 from .errors import DataError, ParameterError
-from .randomness import RandomStream
-
-CHANNELS_GHZ = (6.5, 7.0, 7.5)
 
 DIVERSITY_STRATEGIES = ("min", "mean", "median")
 
@@ -37,25 +33,6 @@ class TwrTiming:
             raise ParameterError("need t_round >= t_proc >= 0")
         if abs(self.e1) > 1e-3 or abs(self.e2) > 1e-3:
             raise ParameterError("clock drift magnitude must be <= 1e-3")
-
-
-@dataclass(frozen=True)
-class RangingRecord:
-    """One anchor-tag distance measurement with its ground truth."""
-
-    true_distance: float  # meters
-    measured_distance: float  # meters
-    channel: float  # carrier, GHz
-    condition: str  # link condition token, see geometry.CONDITIONS
-
-    def __post_init__(self):
-        if not self.true_distance > 0.0:
-            raise ParameterError("true_distance must be > 0")
-
-    @property
-    def error(self) -> float:
-        """Measured minus true distance, meters."""
-        return self.measured_distance - self.true_distance
 
 
 @dataclass(frozen=True)
@@ -83,25 +60,6 @@ def drift_error(t: TwrTiming, t_p: float) -> float:
     if t_p < 0.0:
         raise ParameterError("propagation time must be >= 0")
     return t.e1 * t_p + 0.5 * t.t_proc * (t.e1 - t.e2)
-
-
-def simulate_range(
-    true_distance: float,
-    condition: str,
-    model_table: dict[str, ErrorDistribution],
-    stream: RandomStream,
-    channel: float = CHANNELS_GHZ[0],
-) -> RangingRecord:
-    """Simulated measurement: true distance plus one error-model draw."""
-    if condition not in model_table:
-        raise DataError(f"no error model for condition {condition!r}")
-    err = model_table[condition].sample(stream)
-    return RangingRecord(
-        true_distance=true_distance,
-        measured_distance=true_distance + err,
-        channel=channel,
-        condition=condition,
-    )
 
 
 def calibrate_fit(pairs: list[tuple[float, float]]) -> CalibrationCoefficients:

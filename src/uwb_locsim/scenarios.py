@@ -195,8 +195,9 @@ def read_profile(spec) -> PowerProfile:
     return _build(PowerProfile, "profile", name=str(_need(spec, "name", "profile")), **values)
 
 
-def solver_config_from_dict(spec, context: str = "solver") -> SolverConfig:
-    """SolverConfig from its JSON form; missing or null fields take defaults.
+def solver_config_from_dict(spec, n_anchors: int, context: str = "solver") -> SolverConfig:
+    """SolverConfig from its JSON form for ``n_anchors`` anchors; missing or
+    null fields take defaults.
 
     Numeric strings are coerced; a value that cannot be read raises
     DataError naming the field as ``<context>.<key>``.
@@ -205,16 +206,21 @@ def solver_config_from_dict(spec, context: str = "solver") -> SolverConfig:
                "c": number, "x_r": read_point, "x_r_mode": lambda value, name: str(value),
                "weights": lambda values, name: tuple(read_numbers(values, name)), "x0": read_point}
     _of_type(spec, dict, context)
-    return _build(SolverConfig, context, **{key: read(spec[key], f"{context}.{key}")
-                                            for key, read in readers.items() if spec.get(key) is not None})
+    config = _build(SolverConfig, context, **{key: read(spec[key], f"{context}.{key}")
+                                              for key, read in readers.items() if spec.get(key) is not None})
+    if config.weights is not None and len(config.weights) != n_anchors:
+        raise ParameterError(f"{context}.weights: one weight per anchor required, "
+                             f"got {len(config.weights)} for {n_anchors} anchors")
+    return config
 
 
 def solve_input_from_dict(payload) -> tuple[list[Anchor], list[float], SolverConfig]:
     """Anchors (ids default to the index), distances and config of a ``solve`` input."""
+    anchors = read_anchors(_need(payload, "anchors", "solve input"), ids_required=False)
     return (
-        read_anchors(_need(payload, "anchors", "solve input"), ids_required=False),
+        anchors,
         read_numbers(_need(payload, "distances", "solve input"), "distances"),
-        solver_config_from_dict(payload.get("config", {}), "config"),
+        solver_config_from_dict(payload.get("config", {}), len(anchors), "config"),
     )
 
 
@@ -246,16 +252,17 @@ def scenario_from_dict(config: dict) -> Scenario:
                            channels=_field(diversity, "channels", "diversity", int),
                            strategy=str(_need(diversity, "strategy", "diversity")))
 
+    anchors = tuple(read_anchors(_need(config, "anchors", "scenario")))
     return Scenario(
         area=area,
-        anchors=tuple(read_anchors(_need(config, "anchors", "scenario"))),
+        anchors=anchors,
         walls=tuple(walls),
         grid_step=_field(config, "grid_step", "scenario"),
         tag_height=_field(config, "tag_height", "scenario"),
         runs=_field(config, "runs", "scenario", int),
         seed=_field(config, "seed", "scenario", int),
         model_table=models,
-        solver=solver_config_from_dict(config.get("solver", {})),
+        solver=solver_config_from_dict(config.get("solver", {}), len(anchors)),
         diversity=diversity,
     )
 

@@ -296,6 +296,21 @@ def test_simulate_reads_string_weights(tmp_path, capsys):
     assert report["scenario"]["solver"]["weights"] == [0.071, 0.071, 0.092, 0.092]
 
 
+def test_weights_of_the_wrong_length_name_their_path(tmp_path, capsys):
+    # Checked where the anchors are read, not when the study or solve starts
+    scenario = scenario_to_dict(preset_scenario("paper-concrete"))
+    scenario["solver"]["weights"] = [1, 1, 1]
+    problem = {"anchors": scenario["anchors"], "distances": [10.0, 11.0, 12.0, 10.5],
+               "config": {"weights": [1, 1, 1]}}
+    for command, flag, payload, owner in [("simulate", "--config", scenario, "solver"),
+                                          ("solve", "--input", problem, "config")]:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = _run(capsys, command, flag, str(path), "--out", str(tmp_path / command))
+        assert (code, err) == (2, f"error: {owner}.weights: one weight per anchor required, "
+                                  "got 3 for 4 anchors\n")
+
+
 def test_sample_malformed_inline_model(capsys):
     code, _, err = _run(capsys, "sample", "--model", "{bad")
     assert code == 2

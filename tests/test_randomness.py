@@ -2,14 +2,30 @@ import numpy as np
 import pytest
 
 from uwb_locsim import Gaussian, ParameterError, randomness
-from uwb_locsim.randomness import (
-    RandomStream,
-    cell_seed,
-    cell_uniform_array,
-    combine,
-    mix64,
-    mix64_array,
-)
+from uwb_locsim.randomness import RandomStream, cell_uniform_array, combine_array, mix64_array
+
+# splitmix64 in Python ints: the oracle the vectorized path must match bit for bit.
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(value: int) -> int:
+    z = value & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def combine(seed: int, key: int) -> int:
+    return mix64(seed ^ ((mix64(key) + _GOLDEN) & _MASK))
+
+
+def oracle_uniforms(seed: int, *indices: int, n: int = 1) -> list[float]:
+    """The first ``n`` draws of the stream seeded by ``seed`` combined with ``indices``."""
+    for idx in indices:
+        seed = combine(seed, idx)
+    words = (mix64(seed + k * _GOLDEN) for k in range(1, n + 1))
+    return [min(((z >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53) for z in words]
 
 
 def test_uniform_is_strictly_inside_unit_interval():
@@ -22,8 +38,18 @@ def test_uniform_is_strictly_inside_unit_interval():
 def test_vectorized_draws_match_scalar_draws():
     scalar = RandomStream(987654321)
     vector = RandomStream(987654321)
-    one_at_a_time = np.array([scalar.uniform() for _ in range(257)])
-    assert np.array_equal(vector.uniforms(257), one_at_a_time)
+    one_at_a_time = [scalar.uniform() for _ in range(257)]
+    expected = oracle_uniforms(987654321, n=257)
+    assert one_at_a_time == expected
+    assert vector.uniforms(257).tolist() == expected
+
+
+def test_draws_are_pinned():
+    # Integer arithmetic and one exact int -> float conversion: the same on every platform.
+    assert [u.hex() for u in RandomStream(0).uniforms(3).tolist()] == [
+        "0x1.c4415072f63bap-1", "0x1.b9e279aa86e59p-2", "0x1.b117462002510p-6"]
+    assert [u.hex() for u in cell_uniform_array(42, [0, 1], [0], [0], [0]).tolist()] == [
+        "0x1.e36793f9b937ap-1", "0x1.cc8a03be2f9bep-1"]
 
 
 def test_uniforms_continue_the_stream():
@@ -50,14 +76,14 @@ def test_same_seed_reproduces_and_seeds_differ():
 
 
 def test_mix64_array_matches_scalar():
-    values = np.arange(1000, dtype=np.uint64)
-    expected = np.array([mix64(int(v)) for v in values], dtype=np.uint64)
-    assert np.array_equal(mix64_array(values), expected)
+    values = [*range(1000), _MASK, _GOLDEN, 1 << 63]
+    assert mix64_array(np.array(values, dtype=np.uint64)).tolist() == [mix64(v) for v in values]
 
 
 def test_combine_is_injective_over_keys():
-    seeds = {combine(1234, k) for k in range(10_000)}
-    assert len(seeds) == 10_000
+    children = combine_array(1234, np.arange(10_000)).tolist()
+    assert children == [combine(1234, k) for k in range(10_000)]
+    assert len(set(children)) == 10_000
 
 
 def test_cell_uniform_array_matches_per_cell_streams():
@@ -74,14 +100,7 @@ def test_cell_uniform_array_matches_per_cell_streams():
         for p in range(points):
             for a in range(anchors):
                 for ch in range(channels):
-                    stream = RandomStream(cell_seed(master, r, p, a, ch))
-                    assert grid[r, p, a, ch] == stream.uniform()
-
-
-def test_spawn_matches_combine():
-    parent = RandomStream(5)
-    child = parent.spawn(17)
-    assert child.uniform() == RandomStream(combine(5, 17)).uniform()
+                    assert [grid[r, p, a, ch]] == oracle_uniforms(master, r, p, a, ch)
 
 
 _DRAWS = {
@@ -95,7 +114,6 @@ _DRAWS = {
 def test_all_ones_word_maps_below_one(monkeypatch, path):
     # The top cell, k = 2**53 - 1, would round (k + 0.5) * 2**-53 to 1.0.
     ones = (1 << 64) - 1
-    monkeypatch.setattr(randomness, "mix64", lambda value: ones)
     monkeypatch.setattr(
         randomness, "mix64_array", lambda values: np.full(np.shape(values), ones, dtype=np.uint64)
     )

@@ -4,19 +4,15 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from uwb_locsim import (
-    BurrXII,
     CalibrationCoefficients,
     DataError,
-    Gaussian,
     ParameterError,
-    RandomStream,
     TwrTiming,
     calibrate_apply,
     calibrate_fit,
     diversity_select,
     drift_error,
     propagation_time,
-    simulate_range,
 )
 from uwb_locsim.ranging import DIVERSITY_STRATEGIES
 
@@ -59,34 +55,6 @@ def test_timing_validation():
         TwrTiming(t_round=2e-6, t_proc=1e-6, e1=2e-3)
     with pytest.raises(ParameterError):
         drift_error(TwrTiming(2e-6, 1e-6), -1.0)
-
-
-def test_simulate_range_median_draw_gaussian(fixed_stream):
-    table = {"los": Gaussian(0.004, 0.071)}
-    record = simulate_range(5.0, "los", table, fixed_stream([0.5]))
-    assert record.measured_distance == pytest.approx(5.004, abs=1e-12)
-    assert record.true_distance == 5.0
-    assert record.condition == "los"
-    assert record.channel == 6.5
-
-
-def test_simulate_range_median_draw_burr(fixed_stream):
-    table = {"concrete": BurrXII(9.64, 0.98, -0.46, 0.72)}
-    record = simulate_range(3.0, "concrete", table, fixed_stream([0.5]))
-    assert record.measured_distance == pytest.approx(3.2621013978721634, abs=1e-12)
-    assert record.error == pytest.approx(0.2621013978721633, abs=1e-12)
-
-
-def test_simulate_range_missing_model():
-    with pytest.raises(DataError):
-        simulate_range(3.0, "human", {"los": Gaussian(0, 0.071)}, RandomStream(1))
-
-
-def test_simulate_range_is_reproducible():
-    table = {"los": Gaussian(0.004, 0.071)}
-    a = simulate_range(5.0, "los", table, RandomStream(88))
-    b = simulate_range(5.0, "los", table, RandomStream(88))
-    assert a.measured_distance == b.measured_distance
 
 
 def test_calibrate_fit_exact_line():
