@@ -9,7 +9,7 @@ from .distributions import BurrXII, ErrorDistribution, Gaussian, LogNormal
 from .energy import BUILTIN_PROFILES, PowerProfile, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
 from .fitting import EmpiricalPdf, FitResult, empirical_pdf, fit_mle, select_best_model
-from .geometry import Anchor, Point3, Wall, classify_link, segment_crosses_wall, true_distance
+from .geometry import Anchor, Point3, Wall, classify_link, segment_crosses_wall
 from .randomness import RandomStream
 from .ranging import (
     CalibrationCoefficients,
@@ -29,7 +29,7 @@ from .simulator import (
     build_grid,
     run_scenario,
 )
-from .solver import LocationEstimate, SolverConfig, jacobian, localization_error, solve
+from .solver import LocationEstimate, SolverConfig, jacobian, solve
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "fit_mle",
     "jacobian",
     "load_scenario",
-    "localization_error",
     "preset_scenario",
     "propagation_time",
     "run_scenario",
@@ -79,5 +78,4 @@ __all__ = [
     "segment_crosses_wall",
     "select_best_model",
     "solve",
-    "true_distance",
 ]

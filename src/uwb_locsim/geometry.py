@@ -66,11 +66,6 @@ class Anchor:
     position: Point3
 
 
-def true_distance(p: Point3, q: Point3) -> float:
-    """Euclidean distance in meters."""
-    return float(np.hypot(np.hypot(p.x - q.x, p.y - q.y), p.z - q.z))
-
-
 def _orient(ax, ay, bx, by, cx, cy):
     """Sign of the cross product (b-a) x (c-a); 0 within the epsilon band."""
     cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)

@@ -8,11 +8,12 @@ quantile function at the 1,001 levels p = k/1000, whatever the number
 of runs. The report keeps full precision, and no timestamps are
 recorded, so identical runs produce byte-identical files.
 
-The CSV writers work in fixed blocks of ``_BLOCK`` rows: one
-``tolist()`` per float column slice, ``map("%.6f".__mod__, ...)``, rows
-joined with ``zip`` and one ``write`` per block. The ``px,py,pz`` text
-is formatted once per grid point. Apart from that text the writers'
-memory is bounded by the block, not by the number of runs.
+Each CSV row is one ``%`` template filled from Python floats. For each
+run, ``points.csv`` is written in blocks of ``_BLOCK`` grid points: one
+``tolist()`` of the block's estimates and errors and one ``write`` per
+block, so a block never spans two runs. The ``px,py,pz`` text is
+formatted once per grid point. Apart from that text the writer's memory
+is bounded by the block, not by the number of runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -32,65 +32,43 @@ ECDF_CSV = "ecdf.csv"
 REPORT_JSON = "report.json"
 
 _POINTS_HEADER = "run,px,py,pz,ex,ey,ez,err2d_m,err3d_m,conditions"
-_BLOCK = 128  # CSV rows formatted and written per call; larger blocks raised peak RSS
+_POINT_ROW = "%d,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
+_BLOCK = 128  # grid points formatted and written per call; larger blocks raised peak RSS
 
 
-def _micrometres(values: np.ndarray):
-    """``"%.6f"`` text of a float block; a value that rounds to zero loses its sign."""
+def _zeroed(values: np.ndarray) -> list:
+    """``values.tolist()`` with every value that ``"%.6f"`` writes as zero made +0.0."""
     # 5e-7 is the largest magnitude "%.6f" writes as zero: its double lies just below 5e-7
-    return map("%.6f".__mod__, np.where(np.abs(values) <= 5e-7, 0.0, values).tolist())
-
-
-def _row_blocks(n_rows: int, columns):
-    """Comma-joined text rows, in lists of at most ``_BLOCK``.
-
-    A column is a flat float array, formatted a block at a time, or an
-    iterator of ready-made text consumed in row order.
-    """
-    for lo in range(0, n_rows, _BLOCK):
-        hi = min(lo + _BLOCK, n_rows)
-        cells = [
-            _micrometres(col[lo:hi]) if isinstance(col, np.ndarray) else islice(col, hi - lo)
-            for col in columns
-        ]
-        yield list(map(",".join, zip(*cells)))
-
-
-def _write_rows(out, n_rows: int, columns) -> None:
-    for rows in _row_blocks(n_rows, columns):
-        rows.append("")  # ends the block's last row without copying the block
-        out.write("\n".join(rows))
+    return np.where(np.abs(values) <= 5e-7, 0.0, values).tolist()
 
 
 def write_points_csv(stats: RunStatistics, path: str) -> None:
     n_runs, n_points = stats.err2d.shape
-    estimates = stats.estimates.reshape(-1, 3)
-    positions = list(chain.from_iterable(_row_blocks(n_points, stats.grid.T)))
-    columns = [
-        chain.from_iterable(repeat(str(run), n_points) for run in range(n_runs)),
-        chain.from_iterable(repeat(positions, n_runs)),
-        estimates[:, 0],
-        estimates[:, 1],
-        estimates[:, 2],
-        stats.err2d.reshape(-1),
-        stats.err3d.reshape(-1),
-        chain.from_iterable(repeat(stats.conditions, n_runs)),
-    ]
+    blocks = range(0, n_points, _BLOCK)
+    positions = ["%.6f,%.6f,%.6f" % (x, y, z)
+                 for lo in blocks for x, y, z in _zeroed(stats.grid[lo:lo + _BLOCK])]
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(_POINTS_HEADER + "\n")
-        _write_rows(out, n_runs * n_points, columns)
+        for run in range(n_runs):
+            for lo in blocks:
+                hi = lo + _BLOCK
+                values = _zeroed(np.column_stack(
+                    (stats.estimates[run, lo:hi], stats.err2d[run, lo:hi], stats.err3d[run, lo:hi])))
+                out.write("".join([_POINT_ROW % (run, pos, *v, cond) for pos, v, cond
+                                   in zip(positions[lo:hi], values, stats.conditions[lo:hi])]))
 
 
 def write_ecdf_csv(stats: RunStatistics, path: str) -> None:
     agg = stats.aggregate_2d
+    rows = _zeroed(np.column_stack((agg.ecdf_values, agg.ecdf_probs)))
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write("err2d_m,cum_prob\n")
-        _write_rows(out, len(agg.ecdf_values), [agg.ecdf_values, agg.ecdf_probs])
+        out.write("".join(["%.6f,%.6f\n" % (v, p) for v, p in rows]))
 
 
-def build_report(stats: RunStatistics, scenario: Scenario) -> dict:
+def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> dict:
     n_runs, n_points = stats.err2d.shape
-    return {
+    report = {
         "scenario": scenario_to_dict(scenario),
         "grid_points": n_points,
         "runs": n_runs,
@@ -99,10 +77,6 @@ def build_report(stats: RunStatistics, scenario: Scenario) -> dict:
         "error_2d_m": stats.aggregate_2d.to_dict(),
         "error_3d_m": stats.aggregate_3d.to_dict(),
     }
-
-
-def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> dict:
-    report = build_report(stats, scenario)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")

@@ -2,10 +2,11 @@
 
 ``read_json`` loads a file (``-`` is stdin), ``parse_json`` inline text,
 and ``number`` reads every number, coercing numeric strings and
-rejecting non-finite floats; a bad value raises DataError naming its
-JSON path, such as ``anchors[2].z``. ``read_point`` and ``read_anchors``
-serve scenario anchors, the solver's ``x_r`` and ``x0`` and ``solve``'s
-anchors; the SolverConfig and Scenario codecs are built on them.
+rejecting booleans, non-finite floats and fractions in integer fields;
+a bad value raises DataError naming its JSON path, such as
+``anchors[2].z``. ``read_point`` and ``read_anchors`` serve scenario
+anchors, the solver's ``x_r`` and ``x0`` and ``solve``'s anchors; the
+SolverConfig and Scenario codecs are built on them.
 ``read_model`` reads error models (``models.los.params.sigma``) and
 ``read_profile`` radio power profiles (``profile.p_tx``) the same way.
 A value that a constructor rejects as out of range raises its
@@ -113,14 +114,19 @@ def parse_json(text: str, name: str):
 
 
 def number(value, name: str, kind=float):
-    """``kind(value)``, or DataError naming ``name`` if that fails or is a
-    non-finite float (ints are not tested: math.isfinite overflows on 10**400)."""
+    """``kind(value)``, or DataError naming ``name`` if that fails, if ``value``
+    is a bool, a non-finite float (ints are not tested: math.isfinite
+    overflows on 10**400) or, for ``kind=int``, a float with a fraction."""
+    if isinstance(value, bool):  # JSON true and false would read as 1 and 0
+        raise DataError(f"{name} is not a number: {value!r}")
     try:
         result = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinity overflows
         raise DataError(f"{name} is not a number: {value!r}") from exc
     if isinstance(result, float) and not math.isfinite(result):
         raise DataError(f"{name} must be finite, got {value!r}")
+    if isinstance(value, float) and result != value:
+        raise DataError(f"{name} must be an integer, got {value!r}")
     return result
 
 

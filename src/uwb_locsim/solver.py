@@ -121,16 +121,6 @@ def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
     return np.column_stack([ux[0], uy[0], uz[0]])
 
 
-def localization_error(estimate: Point3, truth: Point3, mode: str = "2d") -> float:
-    """Euclidean position error in meters; '2d' ignores the z term."""
-    dx, dy, dz = estimate.x - truth.x, estimate.y - truth.y, estimate.z - truth.z
-    if mode == "2d":
-        return float(np.hypot(dx, dy))
-    if mode == "3d":
-        return float(np.sqrt(dx * dx + dy * dy + dz * dz))
-    raise ParameterError("mode must be '2d' or '3d'")
-
-
 @dataclass
 class BatchSolveResult:
     positions: np.ndarray  # (B, 3) meters

@@ -556,6 +556,37 @@ def test_simulate_rejects_an_oversized_tag_grid(step):
     assert "tag points" in err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("runs",), 1.5, "scenario.runs must be an integer, got 1.5"),
+    (("seed",), 42.7, "scenario.seed must be an integer, got 42.7"),
+    (("solver", "k_max"), 2.9, "solver.k_max must be an integer, got 2.9"),
+    (("diversity", "channels"), 2.5, "diversity.channels must be an integer, got 2.5"),
+    (("config", "k_max"), 1.7, "config.k_max must be an integer, got 1.7"),
+    (("grid_step",), True, "scenario.grid_step is not a number: True"),
+    (("runs",), True, "scenario.runs is not a number: True"),
+    (("runs",), 5.0, None),
+])
+def test_integer_fields_take_whole_numbers_only(tmp_path, capsys, path, value, message):
+    # A fraction is not truncated and a JSON boolean is not 1 or 0, so the
+    # report's scenario echo reproduces the input
+    if path[0] == "config":
+        payload = {"anchors": _fuzz_base()["anchors"], "distances": [10.0, 11.0, 12.0, 10.5],
+                   "config": {}}
+        argv = ["solve", "--input"]
+    else:
+        payload = _fuzz_base()
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--config"]
+    _mutate(payload, path, value)
+    config_path = tmp_path / "input.json"
+    config_path.write_text(json.dumps(payload))
+    code, _, err = _run(capsys, *argv, str(config_path))
+    if message is None:
+        assert code == 0, err
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["scenario"]["runs"] == 5
+    else:
+        assert (code, err) == (2, f"error: {message}\n")
+
+
 # ------------------------------------------------- the input contract sweep
 
 def _strict_json(out):

@@ -1,26 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwb_locsim import Anchor, ParameterError, Point3, Wall, classify_link, segment_crosses_wall, true_distance
+from uwb_locsim import Anchor, ParameterError, Point3, Wall, classify_link, segment_crosses_wall
 from uwb_locsim.geometry import classify_links_bulk, SEVERITY_TO_CONDITION
-
-
-def test_true_distance_345():
-    assert true_distance(Point3(0, 0, 0), Point3(3, 4, 0)) == 5.0
-
-
-def test_true_distance_zero_and_diagonal():
-    p = Point3(1.5, -2.0, 0.25)
-    assert true_distance(p, p) == 0.0
-    assert true_distance(Point3(0, 0, 0), Point3(1, 1, 1)) == pytest.approx(math.sqrt(3), rel=1e-15)
-
-
-def test_true_distance_symmetry():
-    p, q = Point3(0.3, 9.1, 2.0), Point3(8.8, 0.4, 1.1)
-    assert true_distance(p, q) == true_distance(q, p)
 
 
 def test_point_rejects_nonfinite():

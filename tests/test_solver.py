@@ -18,7 +18,6 @@ from uwb_locsim import (
     SingularGeometryError,
     SolverConfig,
     jacobian,
-    localization_error,
     solve,
 )
 from uwb_locsim import simulator
@@ -224,17 +223,6 @@ def test_per_anchor_weights_downweight_biased_anchor():
     err_plain = np.linalg.norm(plain.position.as_array() - truth)
     err_weighted = np.linalg.norm(weighted.position.as_array() - truth)
     assert err_weighted < err_plain / 5.0
-
-
-def test_localization_error_modes():
-    truth = Point3(0, 0, 0)
-    est = Point3(0.3, 0.4, 1.0)
-    assert localization_error(est, truth, "2d") == pytest.approx(0.5, rel=1e-12)
-    assert localization_error(est, truth, "3d") == pytest.approx(np.sqrt(1.25), rel=1e-12)
-    assert localization_error(truth, truth, "2d") == 0.0
-    assert localization_error(truth, truth, "3d") == 0.0
-    with pytest.raises(ParameterError):
-        localization_error(est, truth, "4d")
 
 
 def test_config_validation():
