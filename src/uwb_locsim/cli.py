@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -22,7 +21,7 @@ from . import distributions
 from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
 from .fitting import select_best_model
-from .outputs import write_outputs
+from .outputs import json_text, write_outputs
 from .randomness import RandomStream
 from .scenarios import (
     PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, read_model, read_profile,
@@ -47,14 +46,6 @@ def _write_text(text: str, out_path: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit(payload: dict, out_path: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # NaN and Infinity are not JSON
-        raise DataError("a result is not finite and cannot be written as JSON") from exc
-    _write_text(text + "\n", out_path)
 
 
 def _read_table(path: str, names: list[str] | None) -> tuple[list[str], list[tuple[int, dict]]]:
@@ -100,7 +91,7 @@ def _cmd_energy(args) -> int:
         payload["update_period_s"] = args.period
         payload["rest_state"] = "sleep" if args.sleep else "idle"
         payload["average_power_mW"] = average_power(profile, args.period, args.sleep)
-    _emit(payload, args.out)
+    _write_text(json_text(payload), args.out)
     return 0
 
 
@@ -128,7 +119,7 @@ def _cmd_fit(args) -> int:
             for fit in ranking
         ],
     }
-    _emit(payload, args.out)
+    _write_text(json_text(payload), args.out)
     return 0
 
 
@@ -149,17 +140,15 @@ def _cmd_sample(args) -> int:
 def _cmd_solve(args) -> int:
     anchors, distances, config = solve_input_from_dict(read_json(args.input))
     estimate = solve(config, anchors, distances)
-    _emit(
-        {
-            "x": estimate.position.x,
-            "y": estimate.position.y,
-            "z": estimate.position.z,
-            "iterations": estimate.iterations,
-            "converged": estimate.converged,
-            "final_step_norm_m": estimate.final_step_norm,
-        },
-        args.out,
-    )
+    payload = {
+        "x": estimate.position.x,
+        "y": estimate.position.y,
+        "z": estimate.position.z,
+        "iterations": estimate.iterations,
+        "converged": estimate.converged,
+        "final_step_norm_m": estimate.final_step_norm,
+    }
+    _write_text(json_text(payload), args.out)
     return 0
 
 
@@ -181,8 +170,7 @@ def _cmd_simulate(args) -> int:
             scenario = dataclasses.replace(scenario, seed=args.seed)
     with timed("run_scenario"):
         stats = run_scenario(scenario)
-    report = write_outputs(stats, scenario, args.out, timed)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(write_outputs(stats, scenario, args.out, timed))
     print(f"wrote points.csv, ecdf.csv, report.json to {args.out}", file=sys.stderr)
     if args.timings:
         import resource  # POSIX only, so imported on request
@@ -215,7 +203,7 @@ def _cmd_range_stats(args) -> int:
             "count": agg.count, "mean_m": agg.mean, "std_m": agg.std, "iqr_m": agg.iqr,
             "median_m": agg.median, **{key: v for key, v in labels.items() if v is not None},
         })
-    _emit(payload, args.out)
+    _write_text(json_text(payload), args.out)
     return 0
 
 
@@ -316,6 +304,10 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:  # a size such as runs or -n beyond what numpy can allocate
         print("error: the input asks for more memory than is available", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the readers raise DataError, so this is a write: --out or stdout
+        print(f"error: cannot write {exc.filename or args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     except (ConvergenceError, SingularGeometryError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -4,6 +4,12 @@ Walls are vertical planes of unbounded height over a 2D segment, so
 occlusion tests ignore z. Grazing contact (shared endpoint, endpoint on
 the other segment, collinear overlap) counts as a crossing, which keeps
 classification deterministic and conservative.
+
+``SEVERITY_TO_CONDITION`` is the one statement of the link conditions'
+order: a link's severity is the index of its condition, and a link
+crossing several walls takes the most severe material. A model table
+may also hold ``human``, a condition of measured data and custom
+tables that no wall produces, so it has no severity.
 """
 
 from __future__ import annotations
@@ -14,15 +20,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Link condition tokens, mildest first. "human" never results from wall
-# classification; it exists for measured data and custom model tables.
-CONDITION_LOS = "los"
-CONDITION_DRYWALL = "drywall"
-CONDITION_CONCRETE = "concrete"
-CONDITION_HUMAN = "human"
-CONDITIONS = (CONDITION_LOS, CONDITION_DRYWALL, CONDITION_CONCRETE, CONDITION_HUMAN)
-
-WALL_MATERIALS = (CONDITION_DRYWALL, CONDITION_CONCRETE)
+SEVERITY_TO_CONDITION = ("los", "drywall", "concrete")  # mildest first; index = severity
+WALL_MATERIALS = SEVERITY_TO_CONDITION[1:]
 
 _ORIENT_EPS = 1e-12  # cross products below this count as collinear
 
@@ -101,21 +100,13 @@ def segment_crosses_wall(p: tuple[float, float], q: tuple[float, float], wall: W
 
 
 def classify_link(tag: Point3, anchor: Anchor, walls: list[Wall]) -> str:
-    """Condition of the tag-anchor link: worst material crossed, else LOS."""
-    worst = CONDITION_LOS
-    for wall in walls:
-        if segment_crosses_wall(tag.xy, anchor.position.xy, wall):
-            if wall.material == CONDITION_CONCRETE:
-                return CONDITION_CONCRETE
-            worst = CONDITION_DRYWALL
-    return worst
+    """Condition of one tag-anchor link: :func:`classify_links_bulk` on a batch of one."""
+    return SEVERITY_TO_CONDITION[classify_links_bulk([tag.xy], anchor.position.xy, walls)[0]]
 
 
 def classify_links_bulk(points_xy: np.ndarray, anchor_xy: tuple[float, float], walls: list[Wall]) -> np.ndarray:
-    """Vectorized :func:`classify_link` for many tag positions, one anchor.
-
-    Returns an integer severity array: 0 = LOS, 1 = drywall, 2 = concrete.
-    """
+    """Severity of the link from each tag position to one anchor, the most
+    severe material crossed: an int8 array of indices into ``SEVERITY_TO_CONDITION``."""
     points_xy = np.asarray(points_xy, dtype=float)
     severity = np.zeros(len(points_xy), dtype=np.int8)
     qx, qy = float(anchor_xy[0]), float(anchor_xy[1])
@@ -124,9 +115,6 @@ def classify_links_bulk(points_xy: np.ndarray, anchor_xy: tuple[float, float], w
             points_xy[:, 0], points_xy[:, 1], qx, qy,
             wall.a[0], wall.a[1], wall.b[0], wall.b[1],
         )
-        level = 2 if wall.material == CONDITION_CONCRETE else 1
-        severity = np.maximum(severity, np.where(crossed, level, 0).astype(np.int8))
+        level = np.int8(SEVERITY_TO_CONDITION.index(wall.material))
+        np.maximum(severity, level * crossed, out=severity)
     return severity
-
-
-SEVERITY_TO_CONDITION = {0: CONDITION_LOS, 1: CONDITION_DRYWALL, 2: CONDITION_CONCRETE}

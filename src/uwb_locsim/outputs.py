@@ -6,7 +6,9 @@ JSON report. CSV floats are written at 1 µm (``"%.6f"``, NaN as
 ``nan``) and never as ``-0.000000``; the ECDF CSV is the 2D-error
 quantile function at the 1,001 levels p = k/1000, whatever the number
 of runs. The report keeps full precision, and no timestamps are
-recorded, so identical runs produce byte-identical files.
+recorded, so identical runs produce byte-identical files. Every JSON
+result of the toolkit, the report included, is encoded by
+``json_text``, which refuses NaN and infinities.
 
 Each CSV row is one ``%`` template filled from Python floats. For each
 run, ``points.csv`` is written in blocks of ``_BLOCK`` grid points: one
@@ -24,6 +26,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from .errors import DataError
 from .scenarios import scenario_to_dict
 from .simulator import RunStatistics, Scenario
 
@@ -34,6 +37,15 @@ REPORT_JSON = "report.json"
 _POINTS_HEADER = "run,px,py,pz,ex,ey,ez,err2d_m,err3d_m,conditions"
 _POINT_ROW = "%d,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
 _BLOCK = 128  # grid points formatted and written per call; larger blocks raised peak RSS
+
+
+def json_text(payload) -> str:
+    """``payload`` as indented, key-sorted JSON text ending in a newline;
+    DataError if it holds NaN or an infinity, which JSON cannot express."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError("a result is not finite and cannot be written as JSON") from exc
 
 
 def _zeroed(values: np.ndarray) -> list:
@@ -66,9 +78,10 @@ def write_ecdf_csv(stats: RunStatistics, path: str) -> None:
         out.write("".join(["%.6f,%.6f\n" % (v, p) for v, p in rows]))
 
 
-def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> dict:
+def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> str:
+    """Write the report; returns its text, the bytes of the file."""
     n_runs, n_points = stats.err2d.shape
-    report = {
+    text = json_text({
         "scenario": scenario_to_dict(scenario),
         "grid_points": n_points,
         "runs": n_runs,
@@ -76,15 +89,14 @@ def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> di
         "failed_solves": stats.n_failed,
         "error_2d_m": stats.aggregate_2d.to_dict(),
         "error_3d_m": stats.aggregate_3d.to_dict(),
-    }
+    })
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    return report
+        out.write(text)
+    return text
 
 
-def write_outputs(stats: RunStatistics, scenario: Scenario, outdir: str, timed=nullcontext) -> dict:
-    """Write all three artifacts into ``outdir``; returns the report.
+def write_outputs(stats: RunStatistics, scenario: Scenario, outdir: str, timed=nullcontext) -> str:
+    """Write all three artifacts into ``outdir``; returns the report's text.
 
     ``timed(stage)`` is entered around each artifact's writer: the CLI's
     ``--timings`` passes a stopwatch, and the default does nothing.

@@ -28,13 +28,7 @@ import numpy as np
 
 from .distributions import ErrorDistribution
 from .errors import DataError, ParameterError, SingularGeometryError
-from .geometry import (
-    CONDITION_LOS,
-    SEVERITY_TO_CONDITION,
-    Anchor,
-    Wall,
-    classify_links_bulk,
-)
+from .geometry import SEVERITY_TO_CONDITION, Anchor, Wall, classify_links_bulk
 from .randomness import cell_uniform_array
 from .ranging import DIVERSITY_STRATEGIES, diversity_select
 from .solver import SolverConfig, anchor_positions, solve_batch, start_points
@@ -79,12 +73,14 @@ class Scenario:
             raise ParameterError("runs must be >= 1")
         if len(self.anchors) < 3:
             raise ParameterError("a scenario needs at least three anchors")
-        if len({a.id for a in self.anchors}) != len(self.anchors):
-            raise ParameterError("anchor ids must be unique")
-        required = {CONDITION_LOS} | {w.material for w in self.walls}
+        ids = [a.id for a in self.anchors]
+        if len(set(ids)) != len(ids):
+            repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise ParameterError(f"anchors: id {repeated!r} is repeated; anchor ids must be unique")
+        required = {SEVERITY_TO_CONDITION[0]} | {w.material for w in self.walls}
         missing = required - set(self.model_table)
         if missing:
-            raise ParameterError(f"model_table is missing conditions: {sorted(missing)}")
+            raise ParameterError(f"models: missing conditions {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -178,14 +174,6 @@ def aggregate(errors) -> AggregateStats:
     )
 
 
-def _classify_grid(grid: np.ndarray, anchors, walls) -> np.ndarray:
-    """Severity matrix (P, A): 0 = LOS, 1 = drywall, 2 = concrete."""
-    severity = np.zeros((len(grid), len(anchors)), dtype=np.int8)
-    for j, anchor in enumerate(anchors):
-        severity[:, j] = classify_links_bulk(grid[:, :2], anchor.position.xy, walls)
-    return severity
-
-
 def run_scenario(scenario: Scenario) -> RunStatistics:
     """Execute the full study: classify; draw, select and solve chunk by
     chunk; aggregate.
@@ -196,7 +184,9 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     grid = build_grid(scenario.area, scenario.grid_step, scenario.tag_height)
     anchors = list(scenario.anchors)
     positions = anchor_positions(anchors)
-    severity = _classify_grid(grid, anchors, scenario.walls)
+    severity = np.column_stack(  # (P, A) indices into SEVERITY_TO_CONDITION
+        [classify_links_bulk(grid[:, :2], a.position.xy, scenario.walls) for a in anchors]
+    )
     with np.errstate(over="ignore"):  # an overflow to inf fails that point's solves
         true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
     x_r, x0 = start_points(scenario.solver, anchors)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -246,8 +247,7 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     points = (out_dir / "points.csv").read_text().strip().split("\n")
     assert points[0] == "run,px,py,pz,ex,ey,ez,err2d_m,err3d_m,conditions"
     assert len(points) == 1 + 98
-    stdout_report = json.loads(out)
-    assert stdout_report["error_2d_m"] == report["error_2d_m"]
+    assert out == (out_dir / "report.json").read_text()
 
 
 def test_simulate_seed_and_threads_determinism(tmp_path, capsys):
@@ -831,6 +831,54 @@ def test_simulate_accepts_a_seed_beyond_the_float_range():
     config["seed"] = 10**400
     code, err = _simulate_config(config)
     assert code == 0, err
+
+
+def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
+    from uwb_locsim import simulator
+
+    real = simulator.aggregate
+    monkeypatch.setattr(simulator, "aggregate",
+                        lambda errors: dataclasses.replace(real(errors), mean=math.nan))
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
+    argv = ["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out")]
+    code, out, err = _main_quiet(argv)
+    assert code == 2, err
+    assert "NaN" not in out
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["models"].pop("los"), "models: missing conditions ['los']"),
+    (lambda c: c["walls"][0].update(material="concrete"), "models: missing conditions ['concrete']"),
+    (lambda c: c["anchors"][3].update(id="a2"), "anchors: id 'a2' is repeated"),
+], ids=["no-los-model", "no-wall-model", "repeated-anchor-id"])
+def test_scenario_errors_name_their_json_key(tmp_path, edit, message):
+    config = _small_scenario()
+    edit(config)
+    (tmp_path / "scenario.json").write_text(json.dumps(config))
+    argv = ["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out")]
+    assert message in _assert_exits_cleanly(argv, 2, message)
+
+
+def test_an_unwritable_out_is_a_data_error_naming_the_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
+    (tmp_path / "a_file").write_text("")
+    model = '{"family": "gaussian", "params": {"mu": 0.0, "sigma": 0.071}}'
+    cases = [
+        (["fit", "--input", "errors.csv", "--families", "gaussian"], "nodir/x.json"),
+        (["sample", "--model", model, "-n", "3"], "nodir/x.csv"),
+        (["solve", "--input", "problem.json"], "nodir/x.json"),
+        (["simulate", "--config", "scenario.json"], "a_file"),
+        (["simulate", "--config", "scenario.json"], "a_file/results"),
+        (["range-stats", "--input", "ranges.csv"], "nodir/x.json"),
+        (["energy", "--profile", "3db"], "nodir/x.json"),
+    ]
+    for argv, out in cases:
+        err = _assert_exits_cleanly([*argv, "--out", out], 2, (argv[0], out))
+        assert err.startswith(f"error: cannot write {out}: "), err
 
 
 # ------------------------------------------- stdout pinned on good inputs

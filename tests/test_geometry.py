@@ -116,6 +116,11 @@ def test_adding_walls_never_softens_severity():
             last = now
 
 
+def _worst_crossed(p, q, walls):
+    """Oracle: severity of the most severe wall that segment pq crosses, 0 if none."""
+    return max((SEVERITY_TO_CONDITION.index(w.material) for w in walls if segment_crosses_wall(p, q, w)), default=0)
+
+
 def test_bulk_classification_matches_scalar():
     rng = np.random.default_rng(30)
     walls = [
@@ -125,10 +130,7 @@ def test_bulk_classification_matches_scalar():
     points = rng.uniform(0, 10, size=(150, 2))
     anchor_xy = (9.0, 9.0)
     bulk = classify_links_bulk(points, anchor_xy, walls)
-    anchor = Anchor("a", Point3(anchor_xy[0], anchor_xy[1], 3.0))
-    for i, (x, y) in enumerate(points):
-        scalar = classify_link(Point3(x, y, 1.2), anchor, walls)
-        assert SEVERITY_TO_CONDITION[int(bulk[i])] == scalar
+    assert bulk.tolist() == [_worst_crossed(tuple(p), anchor_xy, walls) for p in points]
 
 
 # Integer coordinates on a small lattice make shared endpoints, endpoints
@@ -147,6 +149,8 @@ _WALLS = st.lists(
 @given(walls=_WALLS, anchor_xy=_XY, tags=st.lists(_XY, min_size=1, max_size=20))
 def test_bulk_classification_equals_scalar_per_link(walls, anchor_xy, tags):
     bulk = classify_links_bulk(np.array(tags), anchor_xy, walls)
+    assert bulk.dtype == np.int8
+    assert bulk.tolist() == [_worst_crossed(tag, anchor_xy, walls) for tag in tags]
     anchor = Anchor("a", Point3(anchor_xy[0], anchor_xy[1], 2.5))
     for (x, y), severity in zip(tags, bulk):
-        assert SEVERITY_TO_CONDITION[int(severity)] == classify_link(Point3(x, y, 1.0), anchor, walls)
+        assert classify_link(Point3(x, y, 1.0), anchor, walls) == SEVERITY_TO_CONDITION[severity]

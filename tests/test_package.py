@@ -3,6 +3,8 @@ from pathlib import Path
 
 import uwb_locsim
 
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 
 def test_every_export_resolves_and_is_listed_once():
     names = uwb_locsim.__all__
@@ -18,3 +20,21 @@ def test_no_assert_statements_in_the_package():
              if isinstance(node, ast.Assert)]
     assert len(modules) > 10
     assert found == []
+
+
+def test_every_name_the_benchmark_imports_or_wraps_exists(monkeypatch):
+    # The benchmark imports and wraps package names; a rename must fail here first
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import layers
+    import workloads  # noqa: F401  (its imports are the check)
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        wrapped = list(tracer._originals)
+        assert all(getattr(owner, attr) is not original for owner, attr, original in wrapped)
+    finally:
+        tracer.restore()
+    assert len(wrapped) >= 20
+    assert [attr for owner, attr, original in wrapped if getattr(owner, attr) is not original] == []
