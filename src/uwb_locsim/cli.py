@@ -130,7 +130,7 @@ def _cmd_sample(args) -> int:
     spec = parse_json(args.model, "--model") if inline else read_json(args.model)
     dist = read_model(spec, "model")
     draws = dist.sample(RandomStream(args.seed), args.count)
-    lines = ["error_m"] + [str(float(v)) for v in np.atleast_1d(draws)]
+    lines = ["error_m"] + [str(float(v)) for v in draws]
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

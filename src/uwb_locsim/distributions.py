@@ -4,18 +4,29 @@ Three families cover the link conditions seen in practice: a Gaussian
 for line-of-sight and shallow-obstruction links, and two heavy-tailed
 shifted families — Burr XII (Singh-Maddala) and log-normal — for hard
 non-line-of-sight links. All parameters are in meters except the
-dimensionless shapes. The shifted families have support x > mu; their
-density and CDF are exactly 0 at and below mu.
+dimensionless shapes.
 
-Sampling is inverse-transform only: one uniform draw maps to one
-sample, which keeps stream accounting in the simulator deterministic
-and auditable.
+Every family keeps one contract, written once in ``_InverseTransform``:
+
+- A family is a frozen dataclass whose fields are its parameters, in
+  order. Each must be finite, and each except the location ``mu`` must
+  be > 0; otherwise ParameterError says which (``burr12 c must be > 0``,
+  ``gaussian mu must be finite``).
+- The shifted families have support x > mu. Their density and CDF are
+  evaluated at log z, z = (x - mu)/sigma, and are exactly 0 at and
+  below mu.
+- ``pdf``, ``cdf`` and ``quantile`` take a scalar or an array and return
+  a float for a scalar.
+- Sampling is inverse-transform only: ``sample(stream, n)`` maps the
+  stream's next n uniform draws through ``quantile``, one draw per
+  sample, which keeps stream accounting in the simulator deterministic
+  and auditable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -140,17 +151,26 @@ def _scalar_ok(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
-
-
 class _InverseTransform:
-    """The one sampling path: a uniform draw through the family's quantile."""
+    """The family contract: every family's parameter rule and sampling path,
+    and the shifted families' support rule."""
 
-    def sample(self, stream: RandomStream, n: int | None = None):
-        if n is None:
-            return self.quantile(stream.uniform())
+    def __post_init__(self):
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name != "mu"
+            if not math.isfinite(value) or (positive and value <= 0):
+                raise ParameterError(f"{self.family} {f.name} must be {'> 0' if positive else 'finite'}")
+
+    def _on_support(self, x, formula):
+        """``formula(log z, x - mu)`` where z = (x - mu)/sigma > 0, and exactly 0 elsewhere."""
+        shifted = np.asarray(x, dtype=float) - self.mu
+        z = shifted / self.sigma
+        out = np.zeros_like(z)
+        pos = z > 0.0
+        out[pos] = formula(np.log(z[pos]), shifted[pos])
+        return _scalar_ok(x, out)
+
+    def sample(self, stream: RandomStream, n: int) -> np.ndarray:
         return self.quantile(stream.uniforms(n))
 
 
@@ -162,10 +182,6 @@ class Gaussian(_InverseTransform):
     sigma: float  # standard deviation, meters
 
     family = "gaussian"
-
-    def __post_init__(self):
-        _require(math.isfinite(self.mu), "gaussian mu must be finite")
-        _require(math.isfinite(self.sigma) and self.sigma > 0, "gaussian sigma must be > 0")
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
@@ -187,7 +203,6 @@ class BurrXII(_InverseTransform):
     With z = (x - mu)/sigma > 0:
         f(x) = (c*d/sigma) * z^(c-1) / (1 + z^c)^(d+1)
         F(x) = 1 - (1 + z^c)^(-d)
-    and f(x) = F(x) = 0 for x <= mu.
     """
 
     c: float  # first shape, dimensionless
@@ -197,35 +212,14 @@ class BurrXII(_InverseTransform):
 
     family = "burr12"
 
-    def __post_init__(self):
-        _require(math.isfinite(self.c) and self.c > 0, "burr12 c must be > 0")
-        _require(math.isfinite(self.d) and self.d > 0, "burr12 d must be > 0")
-        _require(math.isfinite(self.mu), "burr12 mu must be finite")
-        _require(math.isfinite(self.sigma) and self.sigma > 0, "burr12 sigma must be > 0")
-
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        out = np.zeros_like(z)
-        pos = z > 0.0
         # log-space evaluation keeps z^c from overflowing in the far tail
-        with np.errstate(divide="ignore"):
-            log_z = np.log(z[pos])
-        log_pdf = (
-            math.log(self.c) + math.log(self.d) - math.log(self.sigma)
-            + (self.c - 1.0) * log_z
-            - (self.d + 1.0) * np.logaddexp(0.0, self.c * log_z)
-        )
-        out[pos] = np.exp(log_pdf)
-        return _scalar_ok(x, out)
+        log_scale = math.log(self.c) + math.log(self.d) - math.log(self.sigma)
+        return self._on_support(x, lambda log_z, _: np.exp(
+            log_scale + (self.c - 1.0) * log_z - (self.d + 1.0) * np.logaddexp(0.0, self.c * log_z)))
 
     def cdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        out = np.zeros_like(z)
-        pos = z > 0.0
-        with np.errstate(divide="ignore"):
-            log_z = np.log(z[pos])
-        out[pos] = -np.expm1(-self.d * np.logaddexp(0.0, self.c * log_z))
-        return _scalar_ok(x, out)
+        return self._on_support(x, lambda log_z, _: -np.expm1(-self.d * np.logaddexp(0.0, self.c * log_z)))
 
     def quantile(self, u):
         u_arr = _check_unit_interval(u)
@@ -239,7 +233,7 @@ class LogNormal(_InverseTransform):
 
     With z = (x - mu)/sigma > 0:
         f(x) = exp(-ln(z)^2 / (2 s^2)) / (s * (x - mu) * sqrt(2*pi))
-    and f(x) = F(x) = 0 for x <= mu.
+        F(x) = Phi(ln(z) / s)
     """
 
     s: float  # shape, dimensionless
@@ -248,25 +242,12 @@ class LogNormal(_InverseTransform):
 
     family = "lognormal"
 
-    def __post_init__(self):
-        _require(math.isfinite(self.s) and self.s > 0, "lognormal s must be > 0")
-        _require(math.isfinite(self.mu), "lognormal mu must be finite")
-        _require(math.isfinite(self.sigma) and self.sigma > 0, "lognormal sigma must be > 0")
-
     def pdf(self, x):
-        shifted = np.asarray(x, dtype=float) - self.mu
-        out = np.zeros_like(shifted)
-        pos = shifted > 0.0
-        log_z = np.log(shifted[pos] / self.sigma)
-        out[pos] = np.exp(-0.5 * (log_z / self.s) ** 2) / (self.s * shifted[pos] * _SQRT2PI)
-        return _scalar_ok(x, out)
+        return self._on_support(x, lambda log_z, shifted: np.exp(-0.5 * (log_z / self.s) ** 2)
+                                / (self.s * shifted * _SQRT2PI))
 
     def cdf(self, x):
-        shifted = np.asarray(x, dtype=float) - self.mu
-        out = np.zeros_like(shifted)
-        pos = shifted > 0.0
-        out[pos] = _norm_cdf(np.log(shifted[pos] / self.sigma) / self.s)
-        return _scalar_ok(x, out)
+        return self._on_support(x, lambda log_z, _: _norm_cdf(log_z / self.s))
 
     def quantile(self, u):
         u_arr = _check_unit_interval(u)

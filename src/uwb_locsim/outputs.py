@@ -98,13 +98,16 @@ def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> st
 def write_outputs(stats: RunStatistics, scenario: Scenario, outdir: str, timed=nullcontext) -> str:
     """Write all three artifacts into ``outdir``; returns the report's text.
 
-    ``timed(stage)`` is entered around each artifact's writer: the CLI's
-    ``--timings`` passes a stopwatch, and the default does nothing.
+    The report goes first, so a report that cannot be encoded leaves no
+    artifact behind. ``timed(stage)`` is entered around each artifact's
+    writer: the CLI's ``--timings`` passes a stopwatch, and the default
+    does nothing.
     """
     os.makedirs(outdir, exist_ok=True)
+    with timed("report"):
+        text = write_report_json(stats, scenario, os.path.join(outdir, REPORT_JSON))
     with timed("points.csv"):
         write_points_csv(stats, os.path.join(outdir, POINTS_CSV))
     with timed("ecdf.csv"):
         write_ecdf_csv(stats, os.path.join(outdir, ECDF_CSV))
-    with timed("report"):
-        return write_report_json(stats, scenario, os.path.join(outdir, REPORT_JSON))
+    return text

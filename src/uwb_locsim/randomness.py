@@ -61,12 +61,9 @@ class RandomStream:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def uniform(self) -> float:
-        """Next uniform draw in the open interval (0, 1)."""
-        return float(self.uniforms(1)[0])
-
     def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` draws as an array, identical to ``n`` uniform() calls."""
+        """Next ``n`` draws in the open interval (0, 1), identical to ``n`` calls
+        of ``uniforms(1)``."""
         if n < 0:
             raise ParameterError(f"cannot draw a negative number of uniforms, got {n}")
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
@@ -80,8 +77,8 @@ def cell_uniform_array(master_seed: int, *index_arrays: np.ndarray) -> np.ndarra
 
     Broadcasts the index arrays together. A cell's seed is the master
     seed passed through :func:`combine_array` once per index, in order;
-    the result is the first uniform() draw of a :class:`RandomStream`
-    built from that seed.
+    the result is the first draw of a :class:`RandomStream` built from
+    that seed.
     """
     seeds = np.asarray(np.uint64(master_seed & _MASK))
     for keys in index_arrays:

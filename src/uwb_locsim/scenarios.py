@@ -9,6 +9,8 @@ anchors, the solver's ``x_r`` and ``x0`` and ``solve``'s anchors; the
 SolverConfig and Scenario codecs are built on them.
 ``read_model`` reads error models (``models.los.params.sigma``) and
 ``read_profile`` radio power profiles (``profile.p_tx``) the same way.
+A key that an object's reader does not know raises DataError naming the
+object and the key, such as ``solver: unknown key 'kmax'``.
 A value that a constructor rejects as out of range raises its
 ParameterError prefixed with the path of the object it was read from,
 such as ``solver: k_max must be >= 1``.
@@ -144,6 +146,14 @@ def _of_type(value, kind, name: str):
     return value
 
 
+def _known(mapping, keys, context: str):
+    """``mapping``, a JSON object named ``context``; DataError on a key outside ``keys``."""
+    for key in _of_type(mapping, dict, context):
+        if key not in keys:
+            raise DataError(f"{context}: unknown key {key!r}")
+    return mapping
+
+
 def _field(mapping, key: str, context: str, kind=float):
     return number(_need(mapping, key, context), f"{context}.{key}", kind)
 
@@ -162,8 +172,10 @@ def read_numbers(values, name: str) -> list[float]:
     return [number(v, f"{name}[{i}]") for i, v in enumerate(_of_type(values, (list, tuple), name))]
 
 
-def read_point(spec, name: str) -> Point3:
-    """A Point3 from a JSON ``{x, y, z}`` object named ``name``."""
+def read_point(spec, name: str, extra=()) -> Point3:
+    """A Point3 from a JSON ``{x, y, z}`` object named ``name``, which may
+    also hold the keys ``extra``."""
+    _known(spec, ("x", "y", "z", *extra), name)
     return Point3(*(_field(spec, k, name) for k in ("x", "y", "z")))
 
 
@@ -173,7 +185,7 @@ def read_anchors(specs, ids_required: bool = True) -> list[Anchor]:
     anchors = []
     for i, spec in enumerate(_of_type(specs, list, "anchors")):
         name = f"anchors[{i}]"
-        position = read_point(spec, name)
+        position = read_point(spec, name, ("id",))
         anchor_id = _need(spec, "id", name) if ids_required or "id" in spec else i
         anchors.append(Anchor(id=str(anchor_id), position=position))
     return anchors
@@ -182,7 +194,7 @@ def read_anchors(specs, ids_required: bool = True) -> list[Anchor]:
 def read_model(spec, name: str) -> ErrorDistribution:
     """An error model from a JSON ``{"family", "params"}`` object named ``name``;
     the params must be exactly the family's fields."""
-    family = _need(spec, "family", name)
+    family = _need(_known(spec, ("family", "params"), name), "family", name)
     if not isinstance(family, str) or family not in FAMILIES:
         raise DataError(f"{name}.family must be one of {list(FAMILIES)}, got {family!r}")
     params = _of_type(_need(spec, "params", name), dict, f"{name}.params")
@@ -195,7 +207,7 @@ def read_model(spec, name: str) -> ErrorDistribution:
 
 def read_profile(spec) -> PowerProfile:
     """A PowerProfile from a JSON object of its fields; ``e_transition`` is optional."""
-    _of_type(spec, dict, "profile")
+    _known(spec, [f.name for f in fields(PowerProfile)], "profile")
     values = {f.name: _field(spec, f.name, "profile") for f in fields(PowerProfile)[1:]  # after name
               if f.name in spec or f.default is MISSING}
     return _build(PowerProfile, "profile", name=str(_need(spec, "name", "profile")), **values)
@@ -211,7 +223,7 @@ def solver_config_from_dict(spec, n_anchors: int, context: str = "solver") -> So
     readers = {"delta": number, "k_max": lambda value, name: number(value, name, int),
                "c": number, "x_r": read_point, "x_r_mode": lambda value, name: str(value),
                "weights": lambda values, name: tuple(read_numbers(values, name)), "x0": read_point}
-    _of_type(spec, dict, context)
+    _known(spec, readers, context)
     config = _build(SolverConfig, context, **{key: read(spec[key], f"{context}.{key}")
                                               for key, read in readers.items() if spec.get(key) is not None})
     if config.weights is not None and len(config.weights) != n_anchors:
@@ -222,6 +234,7 @@ def solver_config_from_dict(spec, n_anchors: int, context: str = "solver") -> So
 
 def solve_input_from_dict(payload) -> tuple[list[Anchor], list[float], SolverConfig]:
     """Anchors (ids default to the index), distances and config of a ``solve`` input."""
+    _known(payload, ("anchors", "distances", "config"), "solve input")
     anchors = read_anchors(_need(payload, "anchors", "solve input"), ids_required=False)
     return (
         anchors,
@@ -237,12 +250,15 @@ def solver_config_to_dict(config: SolverConfig) -> dict:
 
 def scenario_from_dict(config: dict) -> Scenario:
     """Build a scenario from its JSON form, naming any offending field."""
-    area_cfg = _need(config, "area", "scenario")
+    _known(config, ("area", "anchors", "walls", "grid_step", "tag_height", "runs", "seed", "models",
+                    "solver", "diversity"), "scenario")
+    area_cfg = _known(_need(config, "area", "scenario"), ("w", "h"), "area")
     area = (_field(area_cfg, "w", "area"), _field(area_cfg, "h", "area"))
 
     walls = []
     for i, spec in enumerate(_of_type(config.get("walls", []), list, "walls")):
         context = f"walls[{i}]"
+        _known(spec, ("ax", "ay", "bx", "by", "material"), context)
         ax, ay, bx, by = (_field(spec, k, context) for k in ("ax", "ay", "bx", "by"))
         material = str(_need(spec, "material", context))
         walls.append(_build(Wall, context, a=(ax, ay), b=(bx, by), material=material))
@@ -254,6 +270,7 @@ def scenario_from_dict(config: dict) -> Scenario:
 
     diversity = config.get("diversity") or None
     if diversity is not None:
+        _known(diversity, ("channels", "strategy"), "diversity")
         diversity = _build(DiversityConfig, "diversity",
                            channels=_field(diversity, "channels", "diversity", int),
                            strategy=str(_need(diversity, "strategy", "diversity")))

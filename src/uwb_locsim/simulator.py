@@ -44,9 +44,9 @@ class DiversityConfig:
 
     def __post_init__(self):
         if self.channels < 1:
-            raise ParameterError("diversity needs at least one channel")
+            raise ParameterError(f"channels must be >= 1, got {self.channels}")
         if self.strategy not in DIVERSITY_STRATEGIES:
-            raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}")
+            raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}, got {self.strategy!r}")
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,10 @@ class FixedStream:
 
     def __init__(self, values):
         self._values = list(values)
-        self._i = 0
-
-    def uniform(self):
-        value = self._values[self._i]
-        self._i += 1
-        return value
 
     def uniforms(self, n):
-        out = np.array([self.uniform() for _ in range(n)])
-        return out
+        out, self._values = self._values[:n], self._values[n:]
+        return np.array(out)
 
 
 @pytest.fixture

@@ -845,6 +845,8 @@ def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
     assert code == 2, err
     assert "NaN" not in out
     assert "not finite" in err
+    assert not any((tmp_path / "out" / name).exists()
+                   for name in ("points.csv", "ecdf.csv", "report.json"))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -879,6 +881,76 @@ def test_an_unwritable_out_is_a_data_error_naming_the_path(tmp_path, monkeypatch
     for argv, out in cases:
         err = _assert_exits_cleanly([*argv, "--out", out], 2, (argv[0], out))
         assert err.startswith(f"error: cannot write {out}: "), err
+
+
+_MODEL = {"family": "burr12", "params": {"c": 9.64, "d": 0.98, "mu": -0.46, "sigma": 0.72}}
+
+
+def _scenario_with_x_r():
+    config = _fuzz_base()
+    config["solver"]["x_r"] = {"x": 4.5, "y": 10.0, "z": 1.5}
+    return config
+
+
+_INPUTS = {  # command -> (argv before the input path, a good input)
+    "simulate": (["simulate", "--out", "out", "--config"], _scenario_with_x_r),
+    "solve": (["solve", "--input"], lambda: copy.deepcopy(_SOLVE_BASE)),
+    "energy": (["energy", "--profile"], lambda: json.loads(_GOLDEN_INPUTS["profile.json"])),
+    "sample": (["sample", "--model"], lambda: copy.deepcopy(_MODEL)),
+}
+
+
+_UNKNOWN_KEY_CASES = [  # (command, path of the object in its input, the name the error gives it)
+    ("simulate", (), "scenario"),
+    ("simulate", ("area",), "area"),
+    ("simulate", ("anchors", 1), "anchors[1]"),
+    ("simulate", ("walls", 0), "walls[0]"),
+    ("simulate", ("models", "concrete"), "models.concrete"),
+    ("simulate", ("solver",), "solver"),
+    ("simulate", ("solver", "x_r"), "solver.x_r"),
+    ("simulate", ("solver", "x0"), "solver.x0"),
+    ("simulate", ("diversity",), "diversity"),
+    ("solve", (), "solve input"),
+    ("solve", ("anchors", 0), "anchors[0]"),
+    ("solve", ("config",), "config"),
+    ("solve", ("config", "x_r"), "config.x_r"),
+    ("solve", ("config", "x0"), "config.x0"),
+    ("energy", (), "profile"),
+    ("sample", (), "model"),
+]
+
+
+@pytest.mark.parametrize("command, path, name", _UNKNOWN_KEY_CASES,
+                         ids=[f"{command}:{name}" for command, _, name in _UNKNOWN_KEY_CASES])
+def test_unknown_keys_are_a_data_error(tmp_path, monkeypatch, command, path, name):
+    # A misspelt optional key ("kmax" for "k_max") must not be silently ignored
+    monkeypatch.chdir(tmp_path)
+    argv, good = _INPUTS[command]
+    payload = good()
+    functools.reduce(operator.getitem, path, payload)["kmax"] = 1
+    (tmp_path / "input.json").write_text(json.dumps(payload))
+    err = _assert_exits_cleanly([*argv, "input.json"], 2, path)
+    assert err == f"error: {name}: unknown key 'kmax'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "errors.csv", "--families", "gaussian"],
+    ["sample", "--model", json.dumps(_MODEL), "-n", "3"],
+    ["solve", "--input", "problem.json"],
+    ["range-stats", "--input", "ranges.csv"],
+    ["energy", "--profile", "profile.json", "--period", "0.5"],
+], ids=operator.itemgetter(0))
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code, expected, err = _main_quiet(argv)
+    assert code == 0 and expected, err
+    code, out, err = _main_quiet([*argv, "--out", "result.txt"])
+    assert code == 0, err
+    assert out == ""
+    assert (tmp_path / "result.txt").read_bytes() == expected.encode()
 
 
 # ------------------------------------------- stdout pinned on good inputs

@@ -134,13 +134,57 @@ def test_norm_ppf_within_8_ulp_of_ndtri():
 
 def test_sampling_is_inverse_transform():
     model = BurrXII(c=9.64, d=0.98, mu=-0.46, sigma=0.72)
-    u = RandomStream(314).uniform()
-    assert model.sample(RandomStream(314)) == model.quantile(u)
+    u = RandomStream(314).uniforms(5)
+    assert model.sample(RandomStream(314), 5).tolist() == model.quantile(u).tolist()
 
 
 def test_sampling_median_draw(fixed_stream):
     model = Gaussian(mu=0.004, sigma=0.071)
-    assert model.sample(fixed_stream([0.5])) == model.quantile(0.5)
+    assert model.sample(fixed_stream([0.5]), 1).tolist() == [model.quantile(0.5)]
+
+
+# Pinned bit for bit: the first three draws of RandomStream(7) through each
+# shipped model, and pdf/cdf of the concrete shifted models at mu - 1, mu,
+# mu + 0.5 and mu + 1.5.
+_SAMPLE_PINS = {
+    "los-gaussian": ["-0x1.03e6e8c37532cp-6", "-0x1.2cd145b70e9a6p-3", "0x1.8657fed10d8c0p-4"],
+    "drywall-gaussian": ["-0x1.198d33f383316p-4", "-0x1.e8787bae0f0eap-3", "0x1.347085b139bc3p-4"],
+    "concrete-burr12": ["0x1.d544c03c5129ep-3", "0x1.aad85523893a0p-7", "0x1.ccd3f627d3ef1p-2"],
+    "concrete-lognormal": ["0x1.f06414cff6980p-3", "0x1.19cebe1bd7930p-5", "0x1.e961f7e055d24p-2"],
+    "human-burr12": ["0x1.0a5464051aed0p-3", "-0x1.8dbe4150238e0p-4", "0x1.30d6b58d4194cp-1"],
+    "human-lognormal": ["0x1.22ffd8db9cbf0p-3", "-0x1.a8d39f4dd407ep-4", "0x1.292d4af0833c0p-1"],
+}
+_SUPPORT_PINS = {  # offset from mu -> (pdf, cdf)
+    "concrete-burr12": {
+        -1.0: ("0x0.0p+0", "0x0.0p+0"),
+        0.0: ("0x0.0p+0", "0x0.0p+0"),
+        0.5: ("0x1.0f8280e407722p-1", "0x1.cfe7c5d5260e4p-6"),
+        1.5: ("0x1.9168b832a7628p-8", "0x1.ff806c496d72dp-1"),
+    },
+    "concrete-lognormal": {
+        -1.0: ("0x0.0p+0", "0x0.0p+0"),
+        0.0: ("0x0.0p+0", "0x0.0p+0"),
+        0.5: ("0x1.56e0c5a3c841bp-4", "0x1.29b35c861c177p-9"),
+        1.5: ("0x1.1fc0e98e08fa9p-9", "0x1.ffed08facc99dp-1"),
+    },
+}
+_MODELS_BY_LABEL = {label: model for label, _, model in MODEL_SETS}
+
+
+@pytest.mark.parametrize("label", list(_SAMPLE_PINS))
+def test_samples_are_pinned(label):
+    draws = _MODELS_BY_LABEL[label].sample(RandomStream(7), 3).tolist()
+    assert [v.hex() for v in draws] == _SAMPLE_PINS[label]
+
+
+@pytest.mark.parametrize("label", list(_SUPPORT_PINS))
+def test_shifted_pdf_and_cdf_are_pinned(label):
+    model = _MODELS_BY_LABEL[label]
+    for offset, (pdf, cdf) in _SUPPORT_PINS[label].items():
+        x = model.mu + offset
+        assert (model.pdf(x).hex(), model.cdf(x).hex()) == (pdf, cdf), offset
+        assert model.pdf(np.array([x])).tolist() == [model.pdf(x)]
+        assert model.cdf(np.array([x])).tolist() == [model.cdf(x)]
 
 
 def test_gaussian_sample_mean():
@@ -183,6 +227,34 @@ def test_sampling_is_bit_reproducible():
 def test_invalid_parameters_are_rejected_at_construction(bad):
     with pytest.raises(ParameterError):
         bad()
+
+
+_VALID = {Gaussian: {"mu": 0.0, "sigma": 1.0}, BurrXII: {"c": 1.0, "d": 1.0, "mu": 0.0, "sigma": 1.0},
+          LogNormal: {"s": 1.0, "mu": 0.0, "sigma": 1.0}}
+_PARAMETER_ERRORS = [  # (family, parameter, the error for a zero or NaN value; None: 0 is valid)
+    (Gaussian, "mu", None, "gaussian mu must be finite"),
+    (Gaussian, "sigma", "gaussian sigma must be > 0", "gaussian sigma must be > 0"),
+    (BurrXII, "c", "burr12 c must be > 0", "burr12 c must be > 0"),
+    (BurrXII, "d", "burr12 d must be > 0", "burr12 d must be > 0"),
+    (BurrXII, "mu", None, "burr12 mu must be finite"),
+    (BurrXII, "sigma", "burr12 sigma must be > 0", "burr12 sigma must be > 0"),
+    (LogNormal, "s", "lognormal s must be > 0", "lognormal s must be > 0"),
+    (LogNormal, "mu", None, "lognormal mu must be finite"),
+    (LogNormal, "sigma", "lognormal sigma must be > 0", "lognormal sigma must be > 0"),
+]
+
+
+@pytest.mark.parametrize("cls, name, at_zero, at_nan", _PARAMETER_ERRORS,
+                         ids=[f"{cls.family}.{name}" for cls, name, _, _ in _PARAMETER_ERRORS])
+def test_parameter_errors_name_family_and_parameter(cls, name, at_zero, at_nan):
+    for bad, message in ((0.0, at_zero), (math.nan, at_nan)):
+        params = {**_VALID[cls], name: bad}
+        if message is None:
+            assert getattr(cls(**params), name) == bad
+            continue
+        with pytest.raises(ParameterError) as excinfo:
+            cls(**params)
+        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.5])

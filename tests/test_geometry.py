@@ -122,7 +122,7 @@ def _worst_crossed(p, q, walls):
 
 
 def test_bulk_classification_matches_scalar():
-    rng = np.random.default_rng(30)
+    rng = np.random.default_rng(37)  # 60 LOS, 38 drywall and 52 concrete links
     walls = [
         Wall(a=tuple(rng.uniform(0, 10, 2)), b=tuple(rng.uniform(0, 10, 2)), material=m)
         for m in ("drywall", "concrete", "drywall")
@@ -130,6 +130,7 @@ def test_bulk_classification_matches_scalar():
     points = rng.uniform(0, 10, size=(150, 2))
     anchor_xy = (9.0, 9.0)
     bulk = classify_links_bulk(points, anchor_xy, walls)
+    assert set(bulk.tolist()) == set(range(len(SEVERITY_TO_CONDITION))), "a severity never occurs"
     assert bulk.tolist() == [_worst_crossed(tuple(p), anchor_xy, walls) for p in points]
 
 

@@ -38,7 +38,7 @@ def test_uniform_is_strictly_inside_unit_interval():
 def test_vectorized_draws_match_scalar_draws():
     scalar = RandomStream(987654321)
     vector = RandomStream(987654321)
-    one_at_a_time = [scalar.uniform() for _ in range(257)]
+    one_at_a_time = [scalar.uniforms(1)[0] for _ in range(257)]
     expected = oracle_uniforms(987654321, n=257)
     assert one_at_a_time == expected
     assert vector.uniforms(257).tolist() == expected
@@ -104,7 +104,6 @@ def test_cell_uniform_array_matches_per_cell_streams():
 
 
 _DRAWS = {
-    "uniform": lambda: RandomStream(5).uniform(),
     "uniforms": lambda: RandomStream(5).uniforms(3),
     "cell_uniform_array": lambda: cell_uniform_array(5, np.arange(3)),
 }
