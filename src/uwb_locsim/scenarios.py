@@ -10,7 +10,8 @@ SolverConfig and Scenario codecs are built on them.
 ``read_model`` reads error models (``models.los.params.sigma``) and
 ``read_profile`` radio power profiles (``profile.p_tx``) the same way.
 A key that an object's reader does not know raises DataError naming the
-object and the key, such as ``solver: unknown key 'kmax'``.
+object and the key, such as ``solver: unknown key 'kmax'``; a model
+table key outside ``CONDITIONS`` is ``models: unknown condition 'drywal'``.
 A value that a constructor rejects as out of range raises its
 ParameterError prefixed with the path of the object it was read from,
 such as ``solver: k_max must be >= 1``.
@@ -54,11 +55,12 @@ from . import distributions
 from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian
 from .energy import PowerProfile
 from .errors import DataError, ParameterError
-from .geometry import Anchor, Point3, Wall
+from .geometry import SEVERITY_TO_CONDITION, Anchor, Point3, Wall
 from .simulator import DiversityConfig, Scenario
 from .solver import SolverConfig
 
 PRESETS = ("paper-los", "paper-drywall", "paper-concrete")
+CONDITIONS = (*SEVERITY_TO_CONDITION, "human")  # the keys a model table may hold
 
 _DEFAULT_MODELS = {
     "los": Gaussian(mu=0.004, sigma=0.071),
@@ -263,10 +265,11 @@ def scenario_from_dict(config: dict) -> Scenario:
         material = str(_need(spec, "material", context))
         walls.append(_build(Wall, context, a=(ax, ay), b=(bx, by), material=material))
 
-    models = {
-        condition: read_model(spec, f"models.{condition}")
-        for condition, spec in _of_type(_need(config, "models", "scenario"), dict, "models").items()
-    }
+    models = {}
+    for condition, spec in _of_type(_need(config, "models", "scenario"), dict, "models").items():
+        if condition not in CONDITIONS:
+            raise DataError(f"models: unknown condition {condition!r}")
+        models[condition] = read_model(spec, f"models.{condition}")
 
     diversity = config.get("diversity") or None
     if diversity is not None:

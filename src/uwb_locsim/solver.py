@@ -20,6 +20,16 @@ below ``delta`` or after ``k_max`` iterations.
 The batched entry point runs many independent solves at once with the
 same per-point arithmetic; the single-point API is a thin wrapper over
 a batch of one, so the two can never drift apart.
+
+A batch is held anchor-major: iterates and steps are (3, B) arrays,
+ranges, residuals and unit-vector components (N, B), so every
+per-point sum (the six entries of J^T W^2 J + c^2 I, the three of the
+right-hand side, the step norm) is a reduction over axis 0, a few
+whole-row adds instead of a short loop per point. ``_anchor_sum`` adds
+the anchors in the order numpy adds the rows of a (B, N) array: left
+to right below eight anchors, pairwise from eight on. So the results
+are bit-identical to those of a point-major (B, N) kernel whatever the
+anchor count, and do not depend on how a batch is split.
 """
 
 from __future__ import annotations
@@ -96,29 +106,36 @@ def start_points(config: SolverConfig, anchors: list[Anchor]) -> tuple[np.ndarra
     return x_r, (config.x0.as_array() if config.x0 is not None else x_r)
 
 
+def _anchor_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the anchors (axis 0) of an (N, B) array, added in the order
+    numpy adds the rows of its (B, N) transpose: left to right below eight
+    anchors, pairwise from eight on."""
+    return a.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(a.T).sum(axis=1)
+
+
 def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
-    """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (B, N), from
-    iterates ``x`` (B, 3) toward the anchors. An iterate on an anchor raises
+    """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (N, B), from
+    iterates ``x`` (3, B) toward the anchors. An iterate on an anchor raises
     SingularGeometryError or, with ``nudge``, moves along +z in place."""
     for _attempt in range(3):
-        ex = positions[:, 0] - x[:, 0, None]
-        ey = positions[:, 1] - x[:, 1, None]
-        ez = positions[:, 2] - x[:, 2, None]
+        ex = positions[:, 0, None] - x[0]
+        ey = positions[:, 1, None] - x[1]
+        ez = positions[:, 2, None] - x[2]
         dist = np.sqrt(ex * ex + ey * ey + ez * ez)
         too_close = dist < _ANCHOR_COINCIDENCE
         if not too_close.any():
             break
         if not nudge:
             raise SingularGeometryError("position coincides with an anchor")
-        x[too_close.any(axis=1), 2] += _PERTURB_Z
+        x[2, too_close.any(axis=0)] += _PERTURB_Z
     return ex / dist, ey / dist, ez / dist, dist
 
 
 def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
     """Unit-row direction matrix from position x toward every anchor."""
     point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float)
-    ux, uy, uz, _ = _unit_rows(anchor_positions(anchors), point.reshape(1, 3), nudge=False)
-    return np.column_stack([ux[0], uy[0], uz[0]])
+    ux, uy, uz, _ = _unit_rows(anchor_positions(anchors), point.reshape(3, 1), nudge=False)
+    return np.column_stack([ux[:, 0], uy[:, 0], uz[:, 0]])
 
 
 @dataclass
@@ -131,21 +148,22 @@ class BatchSolveResult:
 
 
 def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
-    """Steps (B, 3) for iterates ``xk`` and a (B,) mask of unsolvable points:
-    singular normal matrix, or a non-finite pivot or step."""
+    """Steps (3, B) for iterates ``xk`` (3, B) and ranges ``d`` (N, B), and a
+    (B,) mask of unsolvable points: singular normal matrix, or a non-finite
+    pivot or step."""
     ux, uy, uz, dist = _unit_rows(positions, xk, nudge=True)
     wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
     resid = dist - d
-    a11 = (wx * ux).sum(axis=1) + c2
-    a12 = (wx * uy).sum(axis=1)
-    a13 = (wx * uz).sum(axis=1)
-    a22 = (wy * uy).sum(axis=1) + c2
-    a23 = (wy * uz).sum(axis=1)
-    a33 = (wz * uz).sum(axis=1) + c2
+    a11 = _anchor_sum(wx * ux) + c2
+    a12 = _anchor_sum(wx * uy)
+    a13 = _anchor_sum(wx * uz)
+    a22 = _anchor_sum(wy * uy) + c2
+    a23 = _anchor_sum(wy * uz)
+    a33 = _anchor_sum(wz * uz) + c2
     pull = c2 * (x_r - xk)
-    b1 = (wx * resid).sum(axis=1) + pull[:, 0]
-    b2 = (wy * resid).sum(axis=1) + pull[:, 1]
-    b3 = (wz * resid).sum(axis=1) + pull[:, 2]
+    b1 = _anchor_sum(wx * resid) + pull[0]
+    b2 = _anchor_sum(wy * resid) + pull[1]
+    b3 = _anchor_sum(wz * resid) + pull[2]
 
     # A = L L^T, then L y = b and L^T dx = y.
     l11 = np.sqrt(a11)
@@ -159,11 +177,11 @@ def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
     y3 = (b3 - l31 * y1 - l32 * y2) / l33
     s3 = y3 / l33
     s2 = (y2 - l32 * s3) / l22
-    step = np.column_stack([(y1 - l21 * s2 - l31 * s3) / l11, s2, s3])
+    step = np.array([(y1 - l21 * s2 - l31 * s3) / l11, s2, s3])
 
     # NaN or infinite pivots fail the comparison and count as singular.
     low, high = np.minimum(np.minimum(l11, l22), l33), np.maximum(np.maximum(l11, l22), l33)
-    unsolvable = ~(low > _RANK_TOL * high) | ~np.isfinite(step).all(axis=1)
+    unsolvable = ~(low > _RANK_TOL * high) | ~np.isfinite(step).all(axis=0)
     return step, unsolvable
 
 
@@ -193,13 +211,15 @@ def solve_batch(
     if config.weights is not None:
         if len(config.weights) != n_anchors:
             raise ParameterError("one weight per anchor required")
-        w2 = 1.0 / np.asarray(config.weights, dtype=float) ** 2
+        w2 = 1.0 / np.asarray(config.weights, dtype=float)[:, None] ** 2
     c2 = config.c * config.c
+    x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
-    x = np.array(x0, dtype=float).reshape(n_points, 3).copy()
+    ranges = distances.T.copy()  # (N, B)
+    x = np.array(np.reshape(x0, (n_points, 3)).T, dtype=float, order="C")  # (3, B)
     iterations = np.zeros(n_points, dtype=int)
     converged = np.zeros(n_points, dtype=bool)
-    failed = ~np.all(np.isfinite(distances) & (distances > 0.0), axis=1)
+    failed = ~np.all(np.isfinite(ranges) & (ranges > 0.0), axis=0)
     step_norms = np.zeros(n_points)
 
     idx = np.flatnonzero(~failed)
@@ -207,22 +227,22 @@ def solve_batch(
         for _ in range(config.k_max):
             if idx.size == 0:
                 break
-            xk = x[idx]
-            step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, xk, distances[idx])
+            xk = x[:, idx]
+            step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, xk, ranges[:, idx])
             if unsolvable.any():
                 failed[idx[unsolvable]] = True
                 keep = ~unsolvable
-                idx, xk, step = idx[keep], xk[keep], step[keep]
+                idx, xk, step = idx[keep], xk[:, keep], step[:, keep]
 
-            norms = np.sqrt((step * step).sum(axis=1))
-            x[idx] = xk + step
+            norms = np.sqrt((step * step).sum(axis=0))
+            x[:, idx] = xk + step
             step_norms[idx] = norms
             iterations[idx] += 1
             done = norms < config.delta
             converged[idx] = done
             idx = idx[~done]
 
-    return BatchSolveResult(x, iterations, converged, step_norms, failed)
+    return BatchSolveResult(x.T, iterations, converged, step_norms, failed)
 
 
 def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEstimate:

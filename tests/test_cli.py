@@ -838,7 +838,7 @@ def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
 
     real = simulator.aggregate
     monkeypatch.setattr(simulator, "aggregate",
-                        lambda errors: dataclasses.replace(real(errors), mean=math.nan))
+                        lambda errors, *levels: dataclasses.replace(real(errors, *levels), mean=math.nan))
     (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
     argv = ["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out")]
     code, out, err = _main_quiet(argv)
@@ -853,7 +853,8 @@ def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
     (lambda c: c["models"].pop("los"), "models: missing conditions ['los']"),
     (lambda c: c["walls"][0].update(material="concrete"), "models: missing conditions ['concrete']"),
     (lambda c: c["anchors"][3].update(id="a2"), "anchors: id 'a2' is repeated"),
-], ids=["no-los-model", "no-wall-model", "repeated-anchor-id"])
+    (lambda c: c["models"].update(drywal=c["models"]["los"]), "models: unknown condition 'drywal'"),
+], ids=["no-los-model", "no-wall-model", "repeated-anchor-id", "misspelt-condition"])
 def test_scenario_errors_name_their_json_key(tmp_path, edit, message):
     config = _small_scenario()
     edit(config)

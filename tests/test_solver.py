@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uwb_locsim import (
     Anchor,
@@ -23,7 +24,13 @@ from uwb_locsim import (
 from uwb_locsim import simulator
 from uwb_locsim.geometry import SEVERITY_TO_CONDITION, classify_links_bulk
 from uwb_locsim.scenarios import PRESETS, preset_scenario
-from uwb_locsim.solver import anchor_positions, reference_point, solve_batch, start_points
+from uwb_locsim.solver import (
+    _anchor_sum,
+    anchor_positions,
+    reference_point,
+    solve_batch,
+    start_points,
+)
 
 
 def _anchor(i, x, y, z):
@@ -424,3 +431,148 @@ def test_solve_batch_does_not_depend_on_how_the_batch_is_split(distances, config
         for name in ("positions", "iterations", "converged", "failed"):
             joined = np.concatenate([getattr(part, name) for part in parts])
             assert np.array_equal(joined, getattr(whole, name), equal_nan=name == "positions"), name
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the row-major kernel the anchor-major kernel replaced.
+
+def _row_major_reference(config, positions, distances, x_r, x0):
+    """The Gauss-Newton kernel on (B, N) arrays with row sums ``.sum(axis=1)``,
+    frozen as it was before the kernel moved to (3, B) iterates and (N, B)
+    ranges. Returns the five BatchSolveResult fields."""
+    w2 = None if config.weights is None else 1.0 / np.asarray(config.weights, dtype=float) ** 2
+    c2 = config.c * config.c
+    x = np.array(x0, dtype=float).reshape(len(distances), 3).copy()
+    iterations = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    failed = ~np.all(np.isfinite(distances) & (distances > 0.0), axis=1)
+    step_norms = np.zeros(len(x))
+    idx = np.flatnonzero(~failed)
+    with np.errstate(all="ignore"):
+        for _ in range(config.k_max):
+            if idx.size == 0:
+                break
+            xk, d = x[idx], distances[idx]
+            for _attempt in range(3):
+                ex = positions[:, 0] - xk[:, 0, None]
+                ey = positions[:, 1] - xk[:, 1, None]
+                ez = positions[:, 2] - xk[:, 2, None]
+                dist = np.sqrt(ex * ex + ey * ey + ez * ez)
+                too_close = dist < 1e-9
+                if not too_close.any():
+                    break
+                xk[too_close.any(axis=1), 2] += 1e-6
+            ux, uy, uz = ex / dist, ey / dist, ez / dist
+            wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
+            resid = dist - d
+            a11 = (wx * ux).sum(axis=1) + c2
+            a12 = (wx * uy).sum(axis=1)
+            a13 = (wx * uz).sum(axis=1)
+            a22 = (wy * uy).sum(axis=1) + c2
+            a23 = (wy * uz).sum(axis=1)
+            a33 = (wz * uz).sum(axis=1) + c2
+            pull = c2 * (x_r - xk)
+            b1 = (wx * resid).sum(axis=1) + pull[:, 0]
+            b2 = (wy * resid).sum(axis=1) + pull[:, 1]
+            b3 = (wz * resid).sum(axis=1) + pull[:, 2]
+            l11 = np.sqrt(a11)
+            l21 = a12 / l11
+            l31 = a13 / l11
+            l22 = np.sqrt(a22 - l21 * l21)
+            l32 = (a23 - l31 * l21) / l22
+            l33 = np.sqrt(a33 - l31 * l31 - l32 * l32)
+            y1 = b1 / l11
+            y2 = (b2 - l21 * y1) / l22
+            y3 = (b3 - l31 * y1 - l32 * y2) / l33
+            s3 = y3 / l33
+            s2 = (y2 - l32 * s3) / l22
+            step = np.column_stack([(y1 - l21 * s2 - l31 * s3) / l11, s2, s3])
+            low = np.minimum(np.minimum(l11, l22), l33)
+            high = np.maximum(np.maximum(l11, l22), l33)
+            unsolvable = ~(low > 1e-12 * high) | ~np.isfinite(step).all(axis=1)
+            if unsolvable.any():
+                failed[idx[unsolvable]] = True
+                keep = ~unsolvable
+                idx, xk, step = idx[keep], xk[keep], step[keep]
+            norms = np.sqrt((step * step).sum(axis=1))
+            x[idx] = xk + step
+            step_norms[idx] = norms
+            iterations[idx] += 1
+            done = norms < config.delta
+            converged[idx] = done
+            idx = idx[~done]
+    return {"positions": x, "iterations": iterations, "converged": converged,
+            "step_norms": step_norms, "failed": failed}
+
+
+def _assert_bit_identical(result, reference):
+    for name, expected in reference.items():
+        got = np.ascontiguousarray(getattr(result, name))
+        assert got.shape == expected.shape and got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def _random_problem(n_anchors, n_points=300):
+    """Anchors spread over a 20 x 20 m floor, noisy ranges from tags at 1.2 m,
+    and starts at the anchor median. Point 0 starts on anchor 0 (the nudge),
+    point 1 has a NaN range, point 2 an infinite one, point 3 a negative one."""
+    rng = np.random.default_rng(n_anchors)
+    positions = np.column_stack([rng.uniform(0, 20, (n_anchors, 2)), rng.uniform(2, 3, n_anchors)])
+    tags = np.column_stack([rng.uniform(0, 20, (n_points, 2)), np.full(n_points, 1.2)])
+    distances = np.linalg.norm(positions[None] - tags[:, None], axis=2)
+    distances += rng.normal(0.0, 0.3, distances.shape)
+    distances[1, -1], distances[2, 0], distances[3, n_anchors // 2] = np.nan, np.inf, -0.5
+    x_r = np.median(positions, axis=0)
+    starts = np.tile(x_r, (n_points, 1))
+    starts[0] = positions[0]
+    return positions, distances, x_r, starts
+
+
+@pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
+@pytest.mark.parametrize("config", ["default", "weights", "c0"])
+def test_kernel_is_bit_identical_to_the_row_major_kernel(n_anchors, config):
+    positions, distances, x_r, starts = _random_problem(n_anchors)
+    config = {
+        "default": SolverConfig(),
+        "weights": SolverConfig(weights=tuple(np.linspace(0.05, 0.9, n_anchors))),
+        "c0": SolverConfig(c=0.0),
+    }[config]
+    result = solve_batch(config, positions, distances, x_r, starts)
+    _assert_bit_identical(result, _row_major_reference(config, positions, distances, x_r, starts))
+    assert result.failed[1:4].all() and not result.failed[0]
+    assert result.iterations[0] > 0
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_kernel_is_bit_identical_to_the_row_major_kernel_on_presets(preset):
+    positions, distances, x_r, starts = _preset_problem(preset, 42)
+    for config in (SolverConfig(), _WEIGHTED, SolverConfig(c=0.0)):
+        result = solve_batch(config, positions, distances, x_r, starts)
+        _assert_bit_identical(result, _row_major_reference(config, positions, distances, x_r, starts))
+
+
+def test_a_point_failing_after_the_nudge_keeps_its_start():
+    # Collinear anchors at c = 0: the start sits on anchor 1, is nudged
+    # along +z, and the y column of J is then zero, so the point fails.
+    collinear = anchor_positions([_anchor(i, float(i), 0.0, 0.0) for i in range(4)])
+    distances = np.array([[1.0, 1.0, 1.0, 2.0], [1.5, 0.8, 1.2, 2.1]])
+    starts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    config = SolverConfig(c=0.0)
+    result = solve_batch(config, collinear, distances, np.zeros(3), starts)
+    _assert_bit_identical(result, _row_major_reference(config, collinear, distances, np.zeros(3), starts))
+    assert result.failed.all()
+    np.testing.assert_array_equal(result.positions, starts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 33)),
+        elements=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    )
+)
+def test_anchor_sum_adds_in_the_order_of_row_sums(rows):
+    # rows is (B, N); the kernel holds its transpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _anchor_sum(rows.T.copy()).tobytes() == rows.sum(axis=1).tobytes()
