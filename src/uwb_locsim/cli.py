@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import distributions
 from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
@@ -302,14 +300,14 @@ def main(argv=None) -> int:
     except (ParameterError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # a size such as runs or -n beyond what numpy can allocate
+    except MemoryError:  # a size such as runs or -n beyond what numpy can allocate or index
         print("error: the input asks for more memory than is available", file=sys.stderr)
         return 2
     except OSError as exc:  # the readers raise DataError, so this is a write: --out or stdout
         print(f"error: cannot write {exc.filename or args.out or 'stdout'}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
-    except (ConvergenceError, SingularGeometryError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

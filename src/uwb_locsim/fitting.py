@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian, LogNormal
-from .errors import ConvergenceError, DataError, ParameterError
+from .errors import ConvergenceError, DataError, ParameterError, check_array_size
 
 _GRAD_TOL = 1e-6  # converged when max|gradient of the profile NLL| <= this * n
 _BFGS_GTOL = 1e-5  # BFGS stops at max|gradient| <= this
@@ -74,15 +74,20 @@ class FitResult:
 
 
 def empirical_pdf(data, bins: int) -> EmpiricalPdf:
-    """Equal-width histogram spanning [min(data), max(data)], density-normalized."""
+    """Equal-width histogram spanning [min(data), max(data)], density-normalized.
+    DataError if a bin would have no width: all values equal, or a range
+    too narrow for ``bins + 1`` distinct edges."""
     data = np.asarray(data, dtype=float)
     if bins < 1:
         raise ParameterError("bins must be >= 1")
     if data.size < 2:
         raise DataError("need at least two data points for a histogram")
-    if np.ptp(data) == 0.0:
-        raise DataError("degenerate data: all values are equal")
-    densities, edges = np.histogram(data, bins=bins, density=True)
+    check_array_size(bins + 1)
+    lo, hi = float(data.min()), float(data.max())
+    edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram makes for ``bins``
+    if not (edges[:-1] < edges[1:]).all():
+        raise DataError(f"cannot make {bins} bins of finite width over [{lo!r}, {hi!r}]")
+    densities, edges = np.histogram(data, bins=edges, density=True)
     return EmpiricalPdf(bin_edges=edges, densities=densities)
 
 

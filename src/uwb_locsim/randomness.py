@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_array_size
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -66,6 +66,7 @@ class RandomStream:
         of ``uniforms(1)``."""
         if n < 0:
             raise ParameterError(f"cannot draw a negative number of uniforms, got {n}")
+        check_array_size(n)
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
         z = mix64_array(np.uint64(self._state) + steps)
         self._state = (self._state + n * _GOLDEN) & _MASK

@@ -212,7 +212,10 @@ def read_profile(spec) -> PowerProfile:
     _known(spec, [f.name for f in fields(PowerProfile)], "profile")
     values = {f.name: _field(spec, f.name, "profile") for f in fields(PowerProfile)[1:]  # after name
               if f.name in spec or f.default is MISSING}
-    return _build(PowerProfile, "profile", name=str(_need(spec, "name", "profile")), **values)
+    name = _need(spec, "name", "profile")
+    if not isinstance(name, str):
+        raise DataError(f"profile.name must be a string, got {name!r}")
+    return _build(PowerProfile, "profile", name=name, **values)
 
 
 def solver_config_from_dict(spec, n_anchors: int, context: str = "solver") -> SolverConfig:

@@ -9,25 +9,27 @@ only per-point results grow with the number of runs.
 
 Every (run, point, anchor, channel) cell owns one uniform draw, derived
 by avalanche-mixing the cell indices into the master seed. Draws are
-therefore independent of execution order, chunk size and thread count,
-and the link condition only chooses how a cell's uniform is transformed
-— so removing all walls from a scenario reproduces the LOS outputs for
-the same seed, draw for draw.
+therefore independent of execution order and chunk size, and the link
+condition only chooses how a cell's uniform is transformed — so
+removing all walls from a scenario reproduces the LOS outputs for the
+same seed, draw for draw.
 
 Results aggregate the errors of all runs concatenated (not averaged
-per point). The standard deviation is the population form. Points
-whose solve fails are excluded from the aggregates and counted.
+per point). The standard deviation is the population form. A failed
+solve is written as NaN into ``estimates``, ``err2d`` and ``err3d`` in
+the chunk that solved it; that NaN is its only mark, so it is excluded
+from the aggregates and counted as ``RunStatistics.n_failed``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ErrorDistribution
-from .errors import DataError, ParameterError, SingularGeometryError
+from .errors import DataError, ParameterError, SingularGeometryError, check_array_size
 from .geometry import SEVERITY_TO_CONDITION, Anchor, Wall, classify_links_bulk
 from .randomness import cell_uniform_array
 from .ranging import DIVERSITY_STRATEGIES, diversity_select
@@ -116,12 +118,16 @@ class RunStatistics:
 
     grid: np.ndarray  # (P, 3) true tag positions
     conditions: list[str]  # per point: "|"-joined per-anchor condition tokens
-    estimates: np.ndarray  # (R, P, 3) solved positions (NaN where failed)
-    err2d: np.ndarray  # (R, P) meters (NaN where failed)
-    err3d: np.ndarray  # (R, P) meters (NaN where failed)
-    failed: np.ndarray  # (R, P) bool
-    aggregate_2d: AggregateStats = field(default=None)
-    aggregate_3d: AggregateStats = field(default=None)
+    estimates: np.ndarray  # (R, P, 3) solved positions; NaN marks a failed solve
+    err2d: np.ndarray  # (R, P) meters; NaN exactly where the solve failed
+    err3d: np.ndarray  # (R, P) meters; NaN exactly where the solve failed
+    aggregate_2d: AggregateStats  # of the finite err2d; its ecdf_values fill ecdf.csv
+    aggregate_3d: AggregateStats  # of the finite err3d, at QUARTILES only
+
+    @property
+    def failed(self) -> np.ndarray:
+        """(R, P) bool, the solves that failed."""
+        return np.isnan(self.err2d)
 
     @property
     def n_failed(self) -> int:
@@ -198,14 +204,14 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
         for level in np.unique(severity)
     }
     diversity = scenario.diversity or DiversityConfig(channels=1, strategy="min")
-    anchor_keys = np.arange(len(anchors))[:, None]
-    channel_keys = np.arange(diversity.channels)
-
     n_runs, n_points = scenario.runs, len(grid)
     n_cells = n_runs * n_points
-    estimates = np.empty((n_cells, 3))
-    err2d, err3d = np.empty(n_cells), np.empty(n_cells)
-    failed = np.empty(n_cells, dtype=bool)
+    check_array_size(max(n_cells * 3, diversity.channels))  # estimates, channel_keys
+    anchor_keys = np.arange(len(anchors))[:, None]
+    channel_keys = np.arange(diversity.channels)
+    estimates = np.empty((n_runs, n_points, 3))
+    err2d, err3d = np.empty((n_runs, n_points)), np.empty((n_runs, n_points))
+    flat_estimates, flat_err2d, flat_err3d = estimates.reshape(-1, 3), err2d.ravel(), err3d.ravel()
     for lo in range(0, n_cells, _CHUNK):
         hi = min(lo + _CHUNK, n_cells)
         run, point = np.divmod(np.arange(lo, hi), n_points)
@@ -220,35 +226,25 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
         measured = diversity_select(draws, diversity.strategy, axis=-1)
         starts = np.broadcast_to(x0, (hi - lo, 3))
         result = solve_batch(scenario.solver, positions, measured, x_r, starts)
-        estimates[lo:hi] = result.positions
-        failed[lo:hi] = result.failed
-        with np.errstate(over="ignore"):  # a far-off failed point's error; NaN below
+        result.positions[result.failed] = np.nan  # the one mark of a failed solve; errors follow
+        flat_estimates[lo:hi] = result.positions
+        with np.errstate(over="ignore"):  # a far-off point's error overflows to inf
             diff = result.positions - grid[point]
-            err2d[lo:hi] = np.linalg.norm(diff[:, :2], axis=1)
-            err3d[lo:hi] = np.linalg.norm(diff, axis=1)
-    if failed.all():
+            flat_err2d[lo:hi] = np.linalg.norm(diff[:, :2], axis=1)
+            flat_err3d[lo:hi] = np.linalg.norm(diff, axis=1)
+    ok = ~np.isnan(err2d)
+    if not ok.any():
         raise SingularGeometryError(f"all {n_cells} solves failed")
 
-    estimates = estimates.reshape(n_runs, n_points, 3)
-    failed = failed.reshape(n_runs, n_points)
-    err2d = err2d.reshape(n_runs, n_points)
-    err3d = err3d.reshape(n_runs, n_points)
-    estimates[failed] = np.nan
-    err2d[failed] = np.nan
-    err3d[failed] = np.nan
-
-    signatures, signature_of = np.unique(severity, axis=0, return_inverse=True)
-    labels = ["|".join(SEVERITY_TO_CONDITION[int(s)] for s in row) for row in signatures]
-    condition_labels = [labels[i] for i in signature_of.ravel().tolist()]
-    ok = ~failed
-    stats = RunStatistics(
+    codes = severity.view(np.dtype((np.void, severity.shape[1])))[:, 0]  # one byte string per row
+    _, first, signature_of = np.unique(codes, return_index=True, return_inverse=True)
+    labels = ["|".join(SEVERITY_TO_CONDITION[s] for s in row) for row in severity[first].tolist()]
+    return RunStatistics(
         grid=grid,
-        conditions=condition_labels,
+        conditions=[labels[i] for i in signature_of.tolist()],
         estimates=estimates,
         err2d=err2d,
         err3d=err3d,
-        failed=failed,
         aggregate_2d=aggregate(err2d[ok]),
         aggregate_3d=aggregate(err3d[ok], QUARTILES),  # report.json reads only its quartiles
     )
-    return stats

@@ -34,7 +34,7 @@ anchor count, and do not depend on how a batch is split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +144,7 @@ class BatchSolveResult:
     iterations: np.ndarray  # (B,) int
     converged: np.ndarray  # (B,) bool
     step_norms: np.ndarray  # (B,) meters, last step taken
-    failed: np.ndarray = field(default=None)  # (B,) bool, unsolvable points
+    failed: np.ndarray  # (B,) bool, unsolvable points; positions keep their last finite iterate
 
 
 def _gauss_newton_step(positions, w2, c2, x_r, xk, d):

@@ -706,6 +706,14 @@ def test_fit_rejects_samples_whose_spread_overflows(tmp_path):
     assert "sigma" not in err
 
 
+def test_fit_rejects_samples_too_narrow_for_the_bins(tmp_path):
+    # Three doubles one ulp apart cannot hold 200 bins of finite width
+    path = tmp_path / "errors.csv"
+    path.write_text("0.1\n0.10000000000000002\n0.1\n")
+    err = _assert_exits_cleanly(["fit", "--input", str(path), "--no-header"], 2, "narrow")
+    assert err == "error: cannot make 200 bins of finite width over [0.1, 0.10000000000000002]\n"
+
+
 _BAD_JSON_VALUES = [math.nan, math.inf, -math.inf, "inf", "abc", _DROP]
 
 
@@ -755,12 +763,16 @@ def test_energy_profile_rejects_every_bad_field(tmp_path):
             spec = dict(good)
             _mutate(spec, (field,), value)
             path.write_text(json.dumps(spec))
-            valid = field == "name" and value is not _DROP or field == "e_transition" and value is _DROP
+            valid = field == "name" and isinstance(value, str) or field == "e_transition" and value is _DROP
             argv = ["energy", "--profile", str(path), "--period", "0.5"]
             err = _assert_exits_cleanly(argv, 0 if valid else 2, (field, value))
             if not valid:
                 name = f"missing {field!r} in profile" if value is _DROP else f"profile.{field}"
                 assert name in err, (field, value, err)
+    for name in (["x"], {"x": 1}, 3, None):  # the name is echoed into the result, so only a string
+        path.write_text(json.dumps({**good, "name": name}))
+        err = _assert_exits_cleanly(["energy", "--profile", str(path)], 2, name)
+        assert err == f"error: profile.name must be a string, got {name!r}\n", err
 
 
 def test_energy_profile_out_of_range_values_name_the_profile(tmp_path):
@@ -799,8 +811,11 @@ def test_sample_rejects_a_negative_count():
 
 
 def test_inputs_beyond_the_memory_limit_are_a_data_error(tmp_path):
-    # Each asks for at least 1 PiB in one array, so the allocation fails at once.
-    for path, size in ((("runs",), 10**12), (("diversity", "channels"), 10**15)):
+    # Each asks for at least 1 PiB in one array, so the allocation fails at once;
+    # the larger sizes are beyond what one numpy array can even index.
+    for path, size in ((("runs",), 10**12), (("runs",), 10**15), (("runs",), 10**20),
+                       (("diversity", "channels"), 10**15), (("diversity", "channels"), 2**63 - 1),
+                       (("diversity", "channels"), 10**20)):
         config = _fuzz_base()
         _mutate(config, path, size)
         code, err = _simulate_config(config)
@@ -810,7 +825,10 @@ def test_inputs_beyond_the_memory_limit_are_a_data_error(tmp_path):
     path.write_text("0.1\n0.2\n0.4\n")
     model = '{"family": "gaussian", "params": {"mu": 0.0, "sigma": 0.071}}'
     for argv in (["fit", "--input", str(path), "--no-header", "--bins", str(10**15)],
-                 ["sample", "--model", model, "-n", str(10**15)]):
+                 ["fit", "--input", str(path), "--no-header", "--bins", str(10**30)],
+                 ["sample", "--model", model, "-n", str(10**15)],
+                 ["sample", "--model", model, "-n", str(2**62)],
+                 ["sample", "--model", model, "-n", str(2**63)]):  # numpy's arange gives [] here
         assert "more memory" in _assert_exits_cleanly(argv, 2, argv[0])
 
 

@@ -86,8 +86,8 @@ def _statistics(draw):
         estimates=estimates,
         err2d=err2d,
         err3d=err3d,
-        failed=failed,
         aggregate_2d=_ecdf(ecdf_values),
+        aggregate_3d=_ecdf(ecdf_values),
     )
 
 
@@ -131,8 +131,8 @@ def test_special_values_have_fixed_text():
         estimates=np.array([[[math.nan] * 3, [-1e-9, -math.nextafter(5e-7, 1.0), 1e16 + 2.0]]]),
         err2d=np.array([[math.nan, 2.5e-6]]),
         err3d=np.array([[math.nan, 1.0000005]]),
-        failed=np.array([[True, False]]),
         aggregate_2d=_ecdf(np.array([-0.0, 0.25])),
+        aggregate_3d=_ecdf(np.array([1.0000005])),
     )
     points, ecdf = _written(stats, outputs._BLOCK)
     assert points.splitlines()[1:] == [

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from unittest import mock
@@ -25,6 +26,7 @@ from uwb_locsim import (
     run_scenario,
 )
 from uwb_locsim import simulator
+from uwb_locsim.outputs import write_outputs
 from uwb_locsim.ranging import DIVERSITY_STRATEGIES
 from uwb_locsim.scenarios import scenario_from_dict, scenario_to_dict
 
@@ -213,21 +215,52 @@ def test_diversity_min_lowers_measurements():
     assert a.aggregate_2d.median != b.aggregate_2d.median
 
 
+def _biased_los_floor(**overrides):
+    """paper-los on a 1 m grid for 3 runs with LOS errors biased to -4 m:
+    ranges near an anchor go negative, so some solves fail and others do not."""
+    floor = preset_scenario("paper-los")
+    return dataclasses.replace(floor, grid_step=1.0, runs=3,
+                               model_table={**floor.model_table, "los": Gaussian(-4.0, 2.0)},
+                               **overrides)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), strategy=st.sampled_from(DIVERSITY_STRATEGIES),
        runs=st.integers(2, 3))
 def test_chunk_size_does_not_change_results(chunk, seed, strategy, runs):
-    # 81 points per run: chunks of 7 cells straddle run boundaries
-    scenario = _mini_scenario(
-        seed=seed, runs=runs, diversity=DiversityConfig(channels=3, strategy=strategy),
-        walls=(Wall((0.0, 2.0), (4.0, 2.0), "concrete"),),
-    )
-    reference = run_scenario(scenario)
-    with mock.patch.object(simulator, "_CHUNK", chunk):
-        chunked = run_scenario(scenario)
-    for name in ("estimates", "err2d", "failed"):
-        assert np.array_equal(getattr(chunked, name), getattr(reference, name), equal_nan=True)
+    # 81 points per run on the mini floor: chunks of 7 cells straddle run boundaries
+    diversity = DiversityConfig(channels=3, strategy=strategy)
+    for scenario in (
+        _mini_scenario(seed=seed, runs=runs, diversity=diversity,
+                       walls=(Wall((0.0, 2.0), (4.0, 2.0), "concrete"),)),
+        _biased_los_floor(seed=seed, diversity=diversity),
+    ):
+        reference = run_scenario(scenario)
+        with mock.patch.object(simulator, "_CHUNK", chunk):
+            chunked = run_scenario(scenario)
+        for name in ("estimates", "err2d", "err3d", "failed"):
+            assert np.array_equal(getattr(chunked, name), getattr(reference, name), equal_nan=True)
+
+
+# Recorded from the implementation that kept failures in a separate bool array:
+# marking them by NaN alone must not change a byte
+_BIASED_LOS_SHA256 = {
+    "points.csv": "a1f964cb91907449a1113e70e146c8ad5781188e2f355d12e7b8a2e0ac649635",
+    "ecdf.csv": "6d44f390d077006f47b0fd6ee5c74abd5bf55078d776fec15632a258b9f1b266",
+    "report.json": "cda86056eada21f3983dccf52510d0c1befb2c29460fb87a466f293184a103e4",
+}
+
+
+def test_partly_failing_study_artifacts_are_pinned(tmp_path):
+    scenario = _biased_los_floor()
+    stats = run_scenario(scenario)
+    assert stats.n_failed == 195 and stats.err2d.size == 630
+    assert np.array_equal(stats.failed, np.isnan(stats.estimates).any(axis=2))
+    assert np.array_equal(stats.failed, np.isnan(stats.err3d))
+    write_outputs(stats, scenario, str(tmp_path))
+    for name, digest in _BIASED_LOS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_draws_are_made_chunk_by_chunk(monkeypatch):
