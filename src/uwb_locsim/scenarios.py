@@ -1,20 +1,21 @@
 """The one reader of outside JSON input, and the built-in presets.
 
-``read_json`` loads a file (``-`` is stdin), ``parse_json`` inline text,
-and ``number`` reads every number, coercing numeric strings and
-rejecting booleans, non-finite floats and fractions in integer fields;
-a bad value raises DataError naming its JSON path, such as
-``anchors[2].z``. ``read_point`` and ``read_anchors`` serve scenario
-anchors, the solver's ``x_r`` and ``x0`` and ``solve``'s anchors; the
-SolverConfig and Scenario codecs are built on them.
-``read_model`` reads error models (``models.los.params.sigma``) and
-``read_profile`` radio power profiles (``profile.p_tx``) the same way.
-A key that an object's reader does not know raises DataError naming the
-object and the key, such as ``solver: unknown key 'kmax'``; a model
-table key outside ``CONDITIONS`` is ``models: unknown condition 'drywal'``.
-A value that a constructor rejects as out of range raises its
-ParameterError prefixed with the path of the object it was read from,
-such as ``solver: k_max must be >= 1``.
+``read_json`` loads a file (``-`` is stdin) and ``parse_json`` inline
+text. Every JSON object is read by one reader, ``_object``, with four
+rules: the value must be a JSON object; a key it does not know raises
+DataError naming the object, such as ``solver: unknown key 'kmax'`` (a
+model table names it ``models: unknown condition 'drywal'``); a missing
+required key raises ``missing 'w' in area``; and an optional key that is
+absent or ``null`` is left out, so the object built from it takes its
+default. Each value is read by its key's leaf reader: ``number`` (which
+coerces numeric strings and rejects booleans, non-finite floats and
+fractions in integer fields), ``_text`` (JSON strings only), an array
+reader, or the reader of a nested object. A bad value raises DataError
+naming its JSON path, such as ``anchors[2].z``,
+``models.los.params.sigma`` or ``profile.p_tx``. A value that a
+constructor rejects as out of range raises its ParameterError prefixed
+with the path of the object it was read from, such as ``solver: k_max
+must be >= 1``.
 
 A scenario file::
 
@@ -49,7 +50,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
+from functools import partial
 
 from . import distributions
 from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian
@@ -134,30 +136,43 @@ def number(value, name: str, kind=float):
     return result
 
 
-def _need(mapping, key: str, context: str):
-    if not isinstance(mapping, dict):
-        raise DataError(f"{context} must be a JSON object")
-    if key not in mapping:
-        raise DataError(f"missing {key!r} in {context}")
-    return mapping[key]
+def _integer(value, name: str) -> int:
+    return number(value, name, int)
 
 
-def _of_type(value, kind, name: str):
-    if not isinstance(value, kind):
-        raise DataError(f"{name} must be a JSON {'object' if kind is dict else 'array'}")
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{name} must be a string, got {value!r}")
     return value
 
 
-def _known(mapping, keys, context: str):
-    """``mapping``, a JSON object named ``context``; DataError on a key outside ``keys``."""
-    for key in _of_type(mapping, dict, context):
-        if key not in keys:
-            raise DataError(f"{context}: unknown key {key!r}")
-    return mapping
+def _as_is(value, name: str):
+    """The reader of a value whose reading needs another key of its object
+    (a model's params need its family): it is read after ``_object``."""
+    return value
 
 
-def _field(mapping, key: str, context: str, kind=float):
-    return number(_need(mapping, key, context), f"{context}.{key}", kind)
+def _array(values, name: str, read=number) -> tuple:
+    """The items of a JSON array named ``name``, each read by ``read``."""
+    if not isinstance(values, (list, tuple)):  # a tuple: scenario_to_dict output, not via JSON
+        raise DataError(f"{name} must be a JSON array")
+    return tuple(read(value, f"{name}[{i}]") for i, value in enumerate(values))
+
+
+def _object(spec, name: str, readers: dict, optional=(), word: str = "key") -> dict:
+    """The values of the JSON object ``spec`` named ``name``, each read by
+    ``readers[key](value, f"{name}.{key}")`` in the order of ``readers``; an
+    unknown key is named an unknown ``word``. See the module docstring."""
+    if not isinstance(spec, dict):
+        raise DataError(f"{name} must be a JSON object")
+    for key in spec:
+        if key not in readers:
+            raise DataError(f"{name}: unknown {word} {key!r}")
+    for key in readers:
+        if key not in spec and key not in optional:
+            raise DataError(f"missing {key!r} in {name}")
+    return {key: read(spec[key], f"{name}.{key}") for key, read in readers.items()
+            if key in spec and not (spec[key] is None and key in optional)}
 
 
 def _build(cls, path: str, /, **values):
@@ -169,83 +184,72 @@ def _build(cls, path: str, /, **values):
         raise ParameterError(f"{path}: {exc}") from exc
 
 
-def read_numbers(values, name: str) -> list[float]:
-    """The numbers of a JSON array named ``name``."""
-    return [number(v, f"{name}[{i}]") for i, v in enumerate(_of_type(values, (list, tuple), name))]
+_POINT = dict.fromkeys("xyz", number)
+_ANCHOR = {"id": _text, **_POINT}
 
 
-def read_point(spec, name: str, extra=()) -> Point3:
-    """A Point3 from a JSON ``{x, y, z}`` object named ``name``, which may
-    also hold the keys ``extra``."""
-    _known(spec, ("x", "y", "z", *extra), name)
-    return Point3(*(_field(spec, k, name) for k in ("x", "y", "z")))
+def read_point(spec, name: str) -> Point3:
+    """A Point3 from a JSON ``{x, y, z}`` object named ``name``."""
+    return Point3(**_object(spec, name, _POINT))
 
 
-def read_anchors(specs, ids_required: bool = True) -> list[Anchor]:
-    """Anchors from a JSON array of ``{id, x, y, z}``; unless ``ids_required``,
-    a missing id defaults to the anchor's index."""
-    anchors = []
-    for i, spec in enumerate(_of_type(specs, list, "anchors")):
-        name = f"anchors[{i}]"
-        position = read_point(spec, name, ("id",))
-        anchor_id = _need(spec, "id", name) if ids_required or "id" in spec else i
-        anchors.append(Anchor(id=str(anchor_id), position=position))
-    return anchors
+def _anchors(items) -> tuple[Anchor, ...]:
+    """Anchors from read ``{id, x, y, z}`` objects; an absent id is the anchor's index."""
+    return tuple(Anchor(item.pop("id", f"{i}"), Point3(**item)) for i, item in enumerate(items))
+
+
+def _wall(spec, name: str) -> Wall:
+    ax, ay, bx, by, material = _object(spec, name, {**dict.fromkeys(("ax", "ay", "bx", "by"), number),
+                                                    "material": _text}).values()
+    return _build(Wall, name, a=(ax, ay), b=(bx, by), material=material)
+
+
+def _family(value, name: str) -> type:
+    if not isinstance(value, str) or value not in FAMILIES:
+        raise DataError(f"{name} must be one of {list(FAMILIES)}, got {value!r}")
+    return FAMILIES[value]
 
 
 def read_model(spec, name: str) -> ErrorDistribution:
     """An error model from a JSON ``{"family", "params"}`` object named ``name``;
-    the params must be exactly the family's fields."""
-    family = _need(_known(spec, ("family", "params"), name), "family", name)
-    if not isinstance(family, str) or family not in FAMILIES:
-        raise DataError(f"{name}.family must be one of {list(FAMILIES)}, got {family!r}")
-    params = _of_type(_need(spec, "params", name), dict, f"{name}.params")
-    keys = [f.name for f in fields(FAMILIES[family])]
-    if set(params) != set(keys):
-        raise DataError(f"{name}.params of {family} must be exactly {keys}, got {sorted(params)}")
-    return _build(FAMILIES[family], f"{name}.params",
-                  **{key: _field(params, key, f"{name}.params") for key in keys})
+    the params are the family's fields."""
+    model = _object(spec, name, {"family": _family, "params": _as_is})
+    readers = {f.name: number for f in fields(model["family"])}
+    path = f"{name}.params"
+    return _build(model["family"], path, **_object(model["params"], path, readers))
 
 
 def read_profile(spec) -> PowerProfile:
     """A PowerProfile from a JSON object of its fields; ``e_transition`` is optional."""
-    _known(spec, [f.name for f in fields(PowerProfile)], "profile")
-    values = {f.name: _field(spec, f.name, "profile") for f in fields(PowerProfile)[1:]  # after name
-              if f.name in spec or f.default is MISSING}
-    name = _need(spec, "name", "profile")
-    if not isinstance(name, str):
-        raise DataError(f"profile.name must be a string, got {name!r}")
-    return _build(PowerProfile, "profile", name=name, **values)
+    readers = {f.name: number for f in fields(PowerProfile)} | {"name": _text}
+    return _build(PowerProfile, "profile", **_object(spec, "profile", readers, ("e_transition",)))
+
+
+_SOLVER = {"delta": number, "k_max": _integer, "c": number, "x_r": read_point, "x_r_mode": _text,
+           "weights": _array, "x0": read_point}
 
 
 def solver_config_from_dict(spec, n_anchors: int, context: str = "solver") -> SolverConfig:
-    """SolverConfig from its JSON form for ``n_anchors`` anchors; missing or
-    null fields take defaults.
-
-    Numeric strings are coerced; a value that cannot be read raises
-    DataError naming the field as ``<context>.<key>``.
-    """
-    readers = {"delta": number, "k_max": lambda value, name: number(value, name, int),
-               "c": number, "x_r": read_point, "x_r_mode": lambda value, name: str(value),
-               "weights": lambda values, name: tuple(read_numbers(values, name)), "x0": read_point}
-    _known(spec, readers, context)
-    config = _build(SolverConfig, context, **{key: read(spec[key], f"{context}.{key}")
-                                              for key, read in readers.items() if spec.get(key) is not None})
+    """SolverConfig from its JSON form for ``n_anchors`` anchors; every field
+    is optional, and a value that cannot be read raises DataError naming
+    it as ``<context>.<key>``."""
+    config = _build(SolverConfig, context, **_object(spec, context, _SOLVER, _SOLVER))
     if config.weights is not None and len(config.weights) != n_anchors:
         raise ParameterError(f"{context}.weights: one weight per anchor required, "
                              f"got {len(config.weights)} for {n_anchors} anchors")
     return config
 
 
-def solve_input_from_dict(payload) -> tuple[list[Anchor], list[float], SolverConfig]:
-    """Anchors (ids default to the index), distances and config of a ``solve`` input."""
-    _known(payload, ("anchors", "distances", "config"), "solve input")
-    anchors = read_anchors(_need(payload, "anchors", "solve input"), ids_required=False)
-    return (
-        anchors,
-        read_numbers(_need(payload, "distances", "solve input"), "distances"),
-        solver_config_from_dict(payload.get("config", {}), len(anchors), "config"),
-    )
+def solve_input_from_dict(payload) -> tuple[tuple[Anchor, ...], tuple[float, ...], SolverConfig]:
+    """Anchors (an absent or null id is the index), distances and config of a ``solve`` input."""
+    anchor = partial(_object, readers=_ANCHOR, optional=("id",))
+    values = _object(payload, "solve input", {
+        "anchors": lambda specs, _: _anchors(_array(specs, "anchors", anchor)),
+        "distances": lambda values, _: _array(values, "distances"),
+        "config": _as_is,
+    }, ("config",))
+    config = solver_config_from_dict(values.pop("config", {}), len(values["anchors"]), "config")
+    return values["anchors"], values["distances"], config
 
 
 def solver_config_to_dict(config: SolverConfig) -> dict:
@@ -253,47 +257,22 @@ def solver_config_to_dict(config: SolverConfig) -> dict:
     return {key: value for key, value in asdict(config).items() if value is not None}
 
 
-def scenario_from_dict(config: dict) -> Scenario:
+def scenario_from_dict(config) -> Scenario:
     """Build a scenario from its JSON form, naming any offending field."""
-    _known(config, ("area", "anchors", "walls", "grid_step", "tag_height", "runs", "seed", "models",
-                    "solver", "diversity"), "scenario")
-    area_cfg = _known(_need(config, "area", "scenario"), ("w", "h"), "area")
-    area = (_field(area_cfg, "w", "area"), _field(area_cfg, "h", "area"))
-
-    walls = []
-    for i, spec in enumerate(_of_type(config.get("walls", []), list, "walls")):
-        context = f"walls[{i}]"
-        _known(spec, ("ax", "ay", "bx", "by", "material"), context)
-        ax, ay, bx, by = (_field(spec, k, context) for k in ("ax", "ay", "bx", "by"))
-        material = str(_need(spec, "material", context))
-        walls.append(_build(Wall, context, a=(ax, ay), b=(bx, by), material=material))
-
-    models = {}
-    for condition, spec in _of_type(_need(config, "models", "scenario"), dict, "models").items():
-        if condition not in CONDITIONS:
-            raise DataError(f"models: unknown condition {condition!r}")
-        models[condition] = read_model(spec, f"models.{condition}")
-
-    diversity = config.get("diversity") or None
-    if diversity is not None:
-        _known(diversity, ("channels", "strategy"), "diversity")
-        diversity = _build(DiversityConfig, "diversity",
-                           channels=_field(diversity, "channels", "diversity", int),
-                           strategy=str(_need(diversity, "strategy", "diversity")))
-
-    anchors = tuple(read_anchors(_need(config, "anchors", "scenario")))
-    return Scenario(
-        area=area,
-        anchors=anchors,
-        walls=tuple(walls),
-        grid_step=_field(config, "grid_step", "scenario"),
-        tag_height=_field(config, "tag_height", "scenario"),
-        runs=_field(config, "runs", "scenario", int),
-        seed=_field(config, "seed", "scenario", int),
-        model_table=models,
-        solver=solver_config_from_dict(config.get("solver", {}), len(anchors)),
-        diversity=diversity,
-    )
+    values = _object(config, "scenario", {
+        "area": lambda spec, _: tuple(_object(spec, "area", {"w": number, "h": number}).values()),
+        "anchors": lambda specs, _: _anchors(_array(specs, "anchors", partial(_object, readers=_ANCHOR))),
+        "walls": lambda specs, _: _array(specs, "walls", _wall),
+        "grid_step": number, "tag_height": number, "runs": _integer, "seed": _integer,
+        "models": lambda spec, _: _object(spec, "models", dict.fromkeys(CONDITIONS, read_model),
+                                          CONDITIONS, "condition"),
+        "solver": _as_is,
+        "diversity": lambda spec, _: _build(DiversityConfig, "diversity", **_object(
+            spec, "diversity", {"channels": _integer, "strategy": _text})),
+    }, ("walls", "solver", "diversity"))
+    return Scenario(walls=values.pop("walls", ()), model_table=values.pop("models"),
+                    solver=solver_config_from_dict(values.pop("solver", {}), len(values["anchors"])),
+                    **values)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwb_locsim import Gaussian, RandomStream
+from uwb_locsim import Gaussian, RandomStream, SolverConfig
 from uwb_locsim.cli import main
 from uwb_locsim.scenarios import preset_scenario, scenario_to_dict
 
@@ -272,7 +272,10 @@ def test_simulate_non_numeric_field_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, value", [("models", []), ("walls", 5), ("anchors", 5)])
+@pytest.mark.parametrize("field, value", [
+    ("models", []), ("walls", 5), ("anchors", 5),
+    ("diversity", False), ("diversity", 0), ("diversity", ""), ("diversity", []), ("diversity", {}),
+])
 def test_simulate_wrongly_typed_collection_is_a_data_error(tmp_path, capsys, field, value):
     config = _small_scenario()
     config[field] = value
@@ -739,7 +742,7 @@ _SOLVE_BASE = {
 
 
 def test_solve_rejects_every_bad_leaf(tmp_path):
-    # Any value is a valid anchor id, and a dropped id or top-level
+    # Any string is a valid anchor id, and a dropped id or top-level
     # config field takes its default; every other case is a data error.
     path = tmp_path / "problem.json"
     for leaf in _leaves(_SOLVE_BASE):
@@ -747,7 +750,8 @@ def test_solve_rejects_every_bad_leaf(tmp_path):
             payload = copy.deepcopy(_SOLVE_BASE)
             _mutate(payload, leaf, value)
             path.write_text(json.dumps(payload))
-            valid = leaf[-1] == "id" or (value is _DROP and len(leaf) == 2 and leaf[0] == "config")
+            valid = (leaf[-1] == "id" and (value is _DROP or isinstance(value, str))
+                     or value is _DROP and len(leaf) == 2 and leaf[0] == "config")
             err = _assert_exits_cleanly(["solve", "--input", str(path)], 0 if valid else 2, (leaf, value))
             if not valid and value is not _DROP:
                 name = "x_r_mode" if leaf[-1] == "x_r_mode" else _json_path(leaf)
@@ -936,6 +940,8 @@ _UNKNOWN_KEY_CASES = [  # (command, path of the object in its input, the name th
     ("solve", ("config", "x0"), "config.x0"),
     ("energy", (), "profile"),
     ("sample", (), "model"),
+    ("simulate", ("models", "concrete", "params"), "models.concrete.params"),
+    ("sample", ("params",), "model.params"),
 ]
 
 
@@ -951,6 +957,64 @@ def test_unknown_keys_are_a_data_error(tmp_path, monkeypatch, command, path, nam
     err = _assert_exits_cleanly([*argv, "input.json"], 2, path)
     assert err == f"error: {name}: unknown key 'kmax'\n"
     assert not (tmp_path / "out").exists()
+
+
+_MISSING_KEY_CASES = [  # (command, path of a required key, the message when it is missing)
+    ("simulate", ("models", "concrete", "params", "c"), "missing 'c' in models.concrete.params"),
+    ("sample", ("params", "sigma"), "missing 'sigma' in model.params"),
+    ("simulate", ("diversity", "channels"), "missing 'channels' in diversity"),
+    ("simulate", ("anchors", 1, "id"), "missing 'id' in anchors[1]"),
+    ("solve", ("distances",), "missing 'distances' in solve input"),
+]
+
+
+@pytest.mark.parametrize("command, path, message", _MISSING_KEY_CASES,
+                         ids=[f"{command}:{_json_path(path)}" for command, path, _ in _MISSING_KEY_CASES])
+def test_missing_keys_are_a_data_error(tmp_path, monkeypatch, command, path, message):
+    monkeypatch.chdir(tmp_path)
+    argv, good = _INPUTS[command]
+    payload = good()
+    _mutate(payload, path, _DROP)
+    (tmp_path / "input.json").write_text(json.dumps(payload))
+    assert _assert_exits_cleanly([*argv, "input.json"], 2, path) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("anchor_id", [{"k": 1}, 1, True, ["a"]], ids=json.dumps)
+def test_anchor_ids_must_be_strings(tmp_path, monkeypatch, anchor_id):
+    # The id is echoed into report.json, so it is not turned into text
+    monkeypatch.chdir(tmp_path)
+    for command in ("simulate", "solve"):
+        argv, good = _INPUTS[command]
+        payload = good()
+        payload["anchors"][0]["id"] = anchor_id
+        (tmp_path / "input.json").write_text(json.dumps(payload))
+        err = _assert_exits_cleanly([*argv, "input.json"], 2, command)
+        assert err == f"error: anchors[0].id must be a string, got {anchor_id!r}\n"
+
+
+_OPTIONAL_KEYS = [  # (command, path of a key that may be absent or null)
+    ("simulate", ("walls",)), ("simulate", ("solver",)), ("simulate", ("diversity",)),
+    *[("simulate", ("solver", f.name)) for f in dataclasses.fields(SolverConfig)],
+    ("solve", ("config",)), ("solve", ("anchors", 0, "id")),
+    *[("solve", ("config", f.name)) for f in dataclasses.fields(SolverConfig)],
+    ("energy", ("e_transition",)),
+]
+
+
+@pytest.mark.parametrize("command, path", _OPTIONAL_KEYS,
+                         ids=[f"{command}:{_json_path(path)}" for command, path in _OPTIONAL_KEYS])
+def test_a_null_optional_key_reads_as_absent(tmp_path, monkeypatch, command, path):
+    monkeypatch.chdir(tmp_path)
+    argv, good = _INPUTS[command]
+    outcomes = []
+    for value in (None, _DROP):
+        payload = good()
+        _mutate(payload, path, value)
+        (tmp_path / "input.json").write_text(json.dumps(payload))
+        code, out, err = _main_quiet([*argv, "input.json"])
+        assert code == 0, (value, err)
+        outcomes.append(out)
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,3 +38,16 @@ def test_every_name_the_benchmark_imports_or_wraps_exists(monkeypatch):
         tracer.restore()
     assert len(wrapped) >= 20
     assert [attr for owner, attr, original in wrapped if getattr(owner, attr) is not original] == []
+
+
+def test_scenarios_turns_no_json_value_into_text_or_a_default():
+    # Text must be a JSON string and a default comes only from an absent or
+    # null optional key, so the reader never calls str() or dict.get()
+    path = Path(uwb_locsim.__file__).parent / "scenarios.py"
+    calls = [node.func for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    found = [f"{path.name}:{func.lineno}" for func in calls
+             if isinstance(func, ast.Name) and func.id == "str"
+             or isinstance(func, ast.Attribute) and func.attr == "get"]
+    assert len(calls) > 50
+    assert found == []
