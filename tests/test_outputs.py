@@ -1,6 +1,7 @@
-"""Golden-format checks: the block-wise CSV writers give the bytes of
-row-by-row reference writers of the 1 µm ("%.6f") format, for any block
-size, and ecdf.csv is the 1,001-level quantile function of the 2D errors."""
+"""Golden-format checks: the CSV formatter writes what "%.6f" writes for
+any float, the block-wise CSV writers give the bytes of row-by-row
+reference writers of that 1 µm format, for any block size, and ecdf.csv
+is the 1,001-level quantile function of the 2D errors."""
 
 import json
 import math
@@ -49,13 +50,20 @@ def _reference_ecdf_csv(stats) -> str:
 
 # --------------------------------------------------------------- inputs
 
+# Exact binary ties (odd multiples of 2**-7 round half to even) and their
+# neighbours, the 2**33 m edge above which micrometres are not exact in a
+# double, and a value above 2**34 whose micrometres a double rounds wrongly
+_TIES = [0.0078125, -0.0234375]
+_BEYOND = 2.0**34 + 3 * 2.0**-18
 _SPECIAL = [
     math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e16, 1e16 + 2.0,
-    5e-7, -5e-7, -math.nextafter(5e-7, 1.0), 1.0000005, -1.0000005, 1e308,
+    5e-7, -5e-7, -math.nextafter(5e-7, 1.0), 1.0000005, -1.0000005, 1e308, math.inf, -math.inf,
+    *[v for tie in _TIES for v in (tie, math.nextafter(tie, -1.0), math.nextafter(tie, 1.0))],
+    2.0**33, math.nextafter(2.0**33, 0.0), math.nextafter(2.0**33, math.inf), _BEYOND,
 ]
 _FLOATS = st.one_of(
     st.sampled_from(_SPECIAL),
-    st.floats(allow_nan=True, allow_infinity=False, width=64),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
     st.floats(min_value=-30.0, max_value=30.0),
 )
 _CONDITIONS = st.sampled_from(["los|los|los", "drywall|los|concrete", "concrete|concrete|los"])
@@ -112,6 +120,32 @@ def test_block_writers_match_row_by_row_reference(block, stats):
     assert ecdf == _reference_ecdf_csv(stats)
 
 
+def _fields(text: np.ndarray) -> list[list[str]]:
+    """The rows of a ``_fixed6`` matrix as lists of field strings."""
+    return [row[row != 0].tobytes().decode("ascii").split(",")[:-1] for row in text]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                     elements=st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))))
+def test_formatter_writes_the_text_of_percent_format(values):
+    assert _fields(outputs._fixed6(values)) == [[_fmt(v) for v in row] for row in values.tolist()]
+
+
+@pytest.mark.parametrize("wild", [math.inf, -math.inf, math.nan, 2.0**33, -1e300])
+def test_a_wild_value_leaves_the_other_blocks_bytes_unchanged(wild):
+    scenario = replace(preset_scenario("paper-concrete"), grid_step=1.0, runs=2)
+    stats = run_scenario(scenario)
+    points, _ = _written(stats, 7)
+    stats.estimates[1, 9, 0] = wild  # run 1, block 1 of points 7..13
+    wild_points, _ = _written(stats, 7)
+    lines, wild_lines = points.splitlines(), wild_points.splitlines()
+    row = 1 + stats.err2d.shape[1] + 9  # the header, run 0, then point 9 of run 1
+    changed = [i for i, (a, b) in enumerate(zip(lines, wild_lines)) if a != b]
+    assert len(lines) == len(wild_lines) and changed == [row]
+    assert wild_lines[row].split(",")[4] == _fmt(wild)
+
+
 @pytest.mark.parametrize("block", [7, outputs._BLOCK])
 def test_study_files_match_row_by_row_reference(block):
     scenario = replace(preset_scenario("paper-concrete"), grid_step=1.0, runs=3)
@@ -123,15 +157,17 @@ def test_study_files_match_row_by_row_reference(block):
 
 
 def test_special_values_have_fixed_text():
-    # One failed row (all NaN) and one row of values at the rounding edges:
-    # whatever rounds to zero is written 0.000000, never -0.000000.
+    # One failed row (all NaN), one row of values at the rounding edges and one
+    # of infinities and exact ties: whatever rounds to zero is written
+    # 0.000000, never -0.000000, and a tie goes to the even micrometre.
     stats = RunStatistics(
-        grid=np.array([[0.0, -0.0, 1.2], [-5e-324, 5e-7, -5e-7]]),
-        conditions=["los|los|los", "los|drywall|los"],
-        estimates=np.array([[[math.nan] * 3, [-1e-9, -math.nextafter(5e-7, 1.0), 1e16 + 2.0]]]),
-        err2d=np.array([[math.nan, 2.5e-6]]),
-        err3d=np.array([[math.nan, 1.0000005]]),
-        aggregate_2d=_ecdf(np.array([-0.0, 0.25])),
+        grid=np.array([[0.0, -0.0, 1.2], [-5e-324, 5e-7, -5e-7], [0.0078125, -0.0234375, 2.0**33]]),
+        conditions=["los|los|los", "los|drywall|los", "los|los|drywall"],
+        estimates=np.array([[[math.nan] * 3, [-1e-9, -math.nextafter(5e-7, 1.0), 1e16 + 2.0],
+                             [math.inf, -math.inf, math.nextafter(0.0078125, 1.0)]]]),
+        err2d=np.array([[math.nan, 2.5e-6, math.inf]]),
+        err3d=np.array([[math.nan, 1.0000005, _BEYOND]]),
+        aggregate_2d=_ecdf(np.array([-0.0, 0.0078125, 0.25, math.inf])),
         aggregate_3d=_ecdf(np.array([1.0000005])),
     )
     points, ecdf = _written(stats, outputs._BLOCK)
@@ -139,8 +175,11 @@ def test_special_values_have_fixed_text():
         "0,0.000000,0.000000,1.200000,nan,nan,nan,nan,nan,los|los|los",
         "0,0.000000,0.000000,0.000000,0.000000,-0.000001,10000000000000002.000000,"
         "0.000003,1.000001,los|drywall|los",  # the doubles lie just above the half
+        "0,0.007812,-0.023438,8589934592.000000,inf,-inf,0.007813,inf,17179869184.000011,"
+        "los|los|drywall",
     ]
-    assert ecdf == "err2d_m,cum_prob\n0.000000,0.500000\n0.250000,1.000000\n"
+    assert ecdf == ("err2d_m,cum_prob\n0.000000,0.250000\n0.007812,0.500000\n"
+                    "0.250000,0.750000\ninf,1.000000\n")
 
 
 @pytest.mark.parametrize("runs", [1, 3])

@@ -51,3 +51,21 @@ def test_scenarios_turns_no_json_value_into_text_or_a_default():
              or isinstance(func, ast.Attribute) and func.attr == "get"]
     assert len(calls) > 50
     assert found == []
+
+
+def test_outputs_formats_floats_only_in_its_formatter():
+    # Every CSV float goes through outputs._fixed6; a ".6f" format anywhere
+    # else in the module (a % template, an f-string, format()) is a second path
+    path = Path(uwb_locsim.__file__).parent / "outputs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    formatter = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_fixed6")
+    inside = {id(node) for node in ast.walk(formatter)}
+    formats = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and isinstance(node.value, (str, bytes)) and id(node) not in docstrings
+               and (b".6f" if isinstance(node.value, bytes) else ".6f") in node.value]
+    assert len(formats) >= 1
+    assert [f"{path.name}:{node.lineno}" for node in formats if id(node) not in inside] == []
