@@ -146,7 +146,7 @@ def test_a_wild_value_leaves_the_other_blocks_bytes_unchanged(wild):
     assert wild_lines[row].split(",")[4] == _fmt(wild)
 
 
-@pytest.mark.parametrize("block", [7, outputs._BLOCK])
+@pytest.mark.parametrize("block", [7, 128, outputs._BLOCK])
 def test_study_files_match_row_by_row_reference(block):
     scenario = replace(preset_scenario("paper-concrete"), grid_step=1.0, runs=3)
     stats = run_scenario(scenario)
