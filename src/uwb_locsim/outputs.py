@@ -26,8 +26,10 @@ micrometres are not exact in a double, are formatted one at a time by
 points: the run number, the ``px,py,pz`` text, the five value fields
 and the conditions text side by side, then one ``write``, so a block
 never spans two runs. The position and conditions text is built once
-per study; apart from it the writer's memory is bounded by the block,
-not by the number of runs.
+per study, the latter by gathering a table of one line per link
+signature (``RunStatistics.labels``) by each point's ``signature_of``;
+apart from it the writer's memory is bounded by the block, not by the
+number of runs.
 """
 
 from __future__ import annotations
@@ -123,9 +125,8 @@ def _fixed6(values: np.ndarray) -> np.ndarray:
 def write_points_csv(stats: RunStatistics, path: str) -> None:
     n_runs, n_points = stats.err2d.shape
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, n_points, _BLOCK)]
-    lines = {label: label.encode() + b"\n" for label in set(stats.conditions)}
-    conditions = np.array([lines[label] for label in stats.conditions])
-    conditions = conditions.view(np.uint8).reshape(n_points, -1)
+    lines = np.array([label.encode() + b"\n" for label in stats.labels])
+    conditions = lines.view(np.uint8).reshape(len(lines), -1)[stats.signature_of]
     positions = [_fixed6(stats.grid[block]) for block in blocks]
     with open(path, "wb") as out:
         out.write(_POINTS_HEADER)

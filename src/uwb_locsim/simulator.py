@@ -117,7 +117,8 @@ class RunStatistics:
     """Per-point results for every run plus cross-run aggregates."""
 
     grid: np.ndarray  # (P, 3) true tag positions
-    conditions: list[str]  # per point: "|"-joined per-anchor condition tokens
+    labels: list[str]  # link signatures: "|"-joined per-anchor condition tokens
+    signature_of: np.ndarray  # (P,) int, each point's index into labels
     estimates: np.ndarray  # (R, P, 3) solved positions; NaN marks a failed solve
     err2d: np.ndarray  # (R, P) meters; NaN exactly where the solve failed
     err3d: np.ndarray  # (R, P) meters; NaN exactly where the solve failed
@@ -224,8 +225,7 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
             draws[mask] = model.quantile(draws[mask])
         draws += true_dist[point][:, :, None]
         measured = diversity_select(draws, diversity.strategy, axis=-1)
-        starts = np.broadcast_to(x0, (hi - lo, 3))
-        result = solve_batch(scenario.solver, positions, measured, x_r, starts)
+        result = solve_batch(scenario.solver, positions, measured, x_r, x0)
         result.positions[result.failed] = np.nan  # the one mark of a failed solve; errors follow
         flat_estimates[lo:hi] = result.positions
         with np.errstate(over="ignore"):  # a far-off point's error overflows to inf
@@ -241,7 +241,8 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     labels = ["|".join(SEVERITY_TO_CONDITION[s] for s in row) for row in severity[first].tolist()]
     return RunStatistics(
         grid=grid,
-        conditions=[labels[i] for i in signature_of.tolist()],
+        labels=labels,
+        signature_of=signature_of,
         estimates=estimates,
         err2d=err2d,
         err3d=err3d,

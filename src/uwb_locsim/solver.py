@@ -30,6 +30,18 @@ the anchors in the order numpy adds the rows of a (B, N) array: left
 to right below eight anchors, pairwise from eight on. So the results
 are bit-identical to those of a point-major (B, N) kernel whatever the
 anchor count, and do not depend on how a batch is split.
+
+The points still iterating form an active set: their iterates, ranges
+and last step norms are held in compacted working arrays, which shrink
+(``np.compress``) only on an iteration where some point leaves. A point's
+results are written once, when it leaves: converged at iteration k with
+k iterations; unsolvable at iteration k with k - 1 iterations, its last
+finite iterate and the norm of the step before; still active after
+``k_max`` with ``k_max`` iterations. A start ``x0`` of shape (3,) is
+shared by the whole batch: the first iteration runs the same kernel on
+one (3, 1) iterate, so numpy broadcasting forms the unit rows, the
+normal matrix and its Cholesky factor once, and only the residuals, the
+right-hand side and the two triangular solves are per point.
 """
 
 from __future__ import annotations
@@ -110,31 +122,32 @@ def _anchor_sum(a: np.ndarray) -> np.ndarray:
     """Sums over the anchors (axis 0) of an (N, B) array, added in the order
     numpy adds the rows of its (B, N) transpose: left to right below eight
     anchors, pairwise from eight on."""
-    return a.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(a.T).sum(axis=1)
+    return np.add.reduce(a, 0) if len(a) < 8 else np.add.reduce(np.ascontiguousarray(a.T), 1)
 
 
 def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
     """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (N, B), from
-    iterates ``x`` (3, B) toward the anchors. An iterate on an anchor raises
-    SingularGeometryError or, with ``nudge``, moves along +z in place."""
+    iterates ``x`` (3, B) toward the anchors, and the iterates they were taken
+    from. An iterate on an anchor raises SingularGeometryError or, with
+    ``nudge``, moves along +z in a copy; ``x`` itself is never written."""
     for _attempt in range(3):
         ex = positions[:, 0, None] - x[0]
         ey = positions[:, 1, None] - x[1]
         ez = positions[:, 2, None] - x[2]
         dist = np.sqrt(ex * ex + ey * ey + ez * ez)
-        too_close = dist < _ANCHOR_COINCIDENCE
-        if not too_close.any():
+        if not dist.min(initial=np.inf) < _ANCHOR_COINCIDENCE:
             break
         if not nudge:
             raise SingularGeometryError("position coincides with an anchor")
-        x[2, too_close.any(axis=0)] += _PERTURB_Z
-    return ex / dist, ey / dist, ez / dist, dist
+        x = x.copy()
+        x[2, (dist < _ANCHOR_COINCIDENCE).any(axis=0)] += _PERTURB_Z
+    return ex / dist, ey / dist, ez / dist, dist, x
 
 
 def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
     """Unit-row direction matrix from position x toward every anchor."""
     point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float)
-    ux, uy, uz, _ = _unit_rows(anchor_positions(anchors), point.reshape(3, 1), nudge=False)
+    ux, uy, uz, _, _ = _unit_rows(anchor_positions(anchors), point.reshape(3, 1), nudge=False)
     return np.column_stack([ux[:, 0], uy[:, 0], uz[:, 0]])
 
 
@@ -148,10 +161,11 @@ class BatchSolveResult:
 
 
 def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
-    """Steps (3, B) for iterates ``xk`` (3, B) and ranges ``d`` (N, B), and a
-    (B,) mask of unsolvable points: singular normal matrix, or a non-finite
-    pivot or step."""
-    ux, uy, uz, dist = _unit_rows(positions, xk, nudge=True)
+    """The iterates the step starts from (``xk``, nudged off any anchor), the
+    steps (3, B) and a (B,) mask of unsolvable points (singular normal matrix,
+    or a non-finite pivot or step), for iterates ``xk`` (3, B), or one (3, 1)
+    iterate shared by all, and ranges ``d`` (N, B)."""
+    ux, uy, uz, dist, xk = _unit_rows(positions, xk, nudge=True)
     wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
     resid = dist - d
     a11 = _anchor_sum(wx * ux) + c2
@@ -182,7 +196,7 @@ def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
     # NaN or infinite pivots fail the comparison and count as singular.
     low, high = np.minimum(np.minimum(l11, l22), l33), np.maximum(np.maximum(l11, l22), l33)
     unsolvable = ~(low > _RANK_TOL * high) | ~np.isfinite(step).all(axis=0)
-    return step, unsolvable
+    return xk, step, unsolvable
 
 
 def solve_batch(
@@ -195,7 +209,8 @@ def solve_batch(
     """Run independent Gauss-Newton solves for a batch of points.
 
     ``positions`` is (N, 3) anchor coordinates, ``distances`` is (B, N)
-    measured ranges, ``x0`` is (B, 3) start iterates. Points whose
+    measured ranges, ``x0`` is (B, 3) start iterates or one (3,) start
+    shared by the batch, which gives the same results. Points whose
     distances are not all finite and positive, or that become unsolvable,
     are flagged failed instead of aborting the batch.
     """
@@ -215,34 +230,52 @@ def solve_batch(
     c2 = config.c * config.c
     x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
-    ranges = distances.T.copy()  # (N, B)
-    x = np.array(np.reshape(x0, (n_points, 3)).T, dtype=float, order="C")  # (3, B)
+    failed = ~np.all(np.isfinite(distances) & (distances > 0.0), axis=1)
+    idx = np.flatnonzero(~failed)  # the points still iterating
+    ranges = distances[idx].T.copy()  # (N, m) for the m points in idx
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape == (3,):  # one start shared by the batch: the first step broadcasts it
+        out = np.repeat(x0[:, None], n_points, axis=1)
+        x = x0[:, None]
+    else:
+        out = np.array(np.reshape(x0, (n_points, 3)).T, dtype=float, order="C")  # (3, B)
+        x = out[:, idx]
     iterations = np.zeros(n_points, dtype=int)
     converged = np.zeros(n_points, dtype=bool)
-    failed = ~np.all(np.isfinite(ranges) & (ranges > 0.0), axis=0)
     step_norms = np.zeros(n_points)
+    last = np.zeros(idx.size)  # step norms of the points in idx
 
-    idx = np.flatnonzero(~failed)
+    # A point's results are written once, when it leaves the active set.
     with np.errstate(all="ignore"):
-        for _ in range(config.k_max):
+        for k in range(1, config.k_max + 1):
             if idx.size == 0:
                 break
-            xk = x[:, idx]
-            step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, xk, ranges[:, idx])
-            if unsolvable.any():
-                failed[idx[unsolvable]] = True
-                keep = ~unsolvable
-                idx, xk, step = idx[keep], xk[:, keep], step[:, keep]
-
+            xk, step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, x, ranges)
             norms = np.sqrt((step * step).sum(axis=0))
-            x[:, idx] = xk + step
-            step_norms[idx] = norms
-            iterations[idx] += 1
-            done = norms < config.delta
-            converged[idx] = done
-            idx = idx[~done]
+            x_next = xk + step
+            done = leave = norms < config.delta
+            if unsolvable.any():  # these keep their last finite iterate and step
+                gone = idx[unsolvable]
+                out[:, gone] = np.broadcast_to(x, step.shape)[:, unsolvable]
+                iterations[gone] = k - 1
+                failed[gone] = True
+                step_norms[gone] = last[unsolvable]
+                done, leave = done & ~unsolvable, done | unsolvable
+            if leave.any():
+                gone = idx[done]
+                out[:, gone] = x_next[:, done]
+                iterations[gone] = k
+                converged[gone] = True
+                step_norms[gone] = norms[done]
+                stay = ~leave
+                idx, norms = idx[stay], norms[stay]
+                x_next, ranges = np.compress(stay, x_next, axis=1), np.compress(stay, ranges, axis=1)
+            x, last = x_next, norms
+    out[:, idx] = x
+    iterations[idx] = config.k_max
+    step_norms[idx] = last
 
-    return BatchSolveResult(x.T, iterations, converged, step_norms, failed)
+    return BatchSolveResult(out.T, iterations, converged, step_norms, failed)
 
 
 def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEstimate:
@@ -263,7 +296,7 @@ def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEst
         raise ParameterError("at least three anchors are required")
 
     x_r, x0 = start_points(config, anchors)
-    result = solve_batch(config, positions, distances[None, :], x_r, x0[None, :])
+    result = solve_batch(config, positions, distances[None, :], x_r, x0)
     if result.failed[0]:
         raise SingularGeometryError("rank-deficient anchor geometry or non-finite iterate")
     pos = result.positions[0]

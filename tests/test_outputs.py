@@ -36,7 +36,8 @@ def _reference_points_csv(stats) -> str:
             ex, ey, ez = stats.estimates[run, p]
             rows.append(
                 f"{run},{_fmt(px)},{_fmt(py)},{_fmt(pz)},{_fmt(ex)},{_fmt(ey)},{_fmt(ez)},"
-                f"{_fmt(stats.err2d[run, p])},{_fmt(stats.err3d[run, p])},{stats.conditions[p]}\n"
+                f"{_fmt(stats.err2d[run, p])},{_fmt(stats.err3d[run, p])},"
+                f"{stats.labels[stats.signature_of[p]]}\n"
             )
     return "".join(rows)
 
@@ -66,7 +67,7 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=64),
     st.floats(min_value=-30.0, max_value=30.0),
 )
-_CONDITIONS = st.sampled_from(["los|los|los", "drywall|los|concrete", "concrete|concrete|los"])
+_LABELS = ["los|los|los", "drywall|los|concrete", "concrete|concrete|los"]
 
 
 def _ecdf(values) -> AggregateStats:
@@ -90,7 +91,8 @@ def _statistics(draw):
     ecdf_values = draw(arrays(np.float64, st.integers(1, 30), elements=_FLOATS))
     return RunStatistics(
         grid=draw(arrays(np.float64, (n_points, 3), elements=_FLOATS)),
-        conditions=draw(st.lists(_CONDITIONS, min_size=n_points, max_size=n_points)),
+        labels=_LABELS,
+        signature_of=draw(arrays(np.intp, n_points, elements=st.integers(0, len(_LABELS) - 1))),
         estimates=estimates,
         err2d=err2d,
         err3d=err3d,
@@ -162,7 +164,8 @@ def test_special_values_have_fixed_text():
     # 0.000000, never -0.000000, and a tie goes to the even micrometre.
     stats = RunStatistics(
         grid=np.array([[0.0, -0.0, 1.2], [-5e-324, 5e-7, -5e-7], [0.0078125, -0.0234375, 2.0**33]]),
-        conditions=["los|los|los", "los|drywall|los", "los|los|drywall"],
+        labels=["los|los|drywall", "los|los|los", "los|drywall|los"],
+        signature_of=np.array([1, 2, 0]),
         estimates=np.array([[[math.nan] * 3, [-1e-9, -math.nextafter(5e-7, 1.0), 1e16 + 2.0],
                              [math.inf, -math.inf, math.nextafter(0.0078125, 1.0)]]]),
         err2d=np.array([[math.nan, 2.5e-6, math.inf]]),

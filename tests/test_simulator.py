@@ -170,7 +170,8 @@ def test_run_shapes_and_counts():
     points = len(build_grid(scenario.area, scenario.grid_step, scenario.tag_height))
     assert stats.err2d.shape == (2, points)
     assert stats.aggregate_2d.count == 2 * points - stats.n_failed
-    assert len(stats.conditions) == points
+    assert stats.signature_of.shape == (points,)
+    assert sorted(set(stats.signature_of.tolist())) == list(range(len(stats.labels)))
 
 
 def test_wall_free_scenario_equals_all_los():
@@ -191,8 +192,9 @@ def test_condition_isolation():
     )
     a = run_scenario(walled)
     b = run_scenario(tweaked)
-    los_points = [i for i, c in enumerate(a.conditions) if set(c.split("|")) == {"los"}]
-    mixed = [i for i, c in enumerate(a.conditions) if "concrete" in c]
+    conditions = [a.labels[i] for i in a.signature_of]
+    los_points = [i for i, c in enumerate(conditions) if set(c.split("|")) == {"los"}]
+    mixed = [i for i, c in enumerate(conditions) if "concrete" in c]
     assert mixed, "the dividing wall should obstruct some links"
     np.testing.assert_array_equal(a.err2d[:, los_points], b.err2d[:, los_points])
     assert not np.array_equal(a.err2d[:, mixed], b.err2d[:, mixed])
@@ -250,6 +252,35 @@ _BIASED_LOS_SHA256 = {
     "ecdf.csv": "6d44f390d077006f47b0fd6ee5c74abd5bf55078d776fec15632a258b9f1b266",
     "report.json": "cda86056eada21f3983dccf52510d0c1befb2c29460fb87a466f293184a103e4",
 }
+
+
+# The three preset studies at seed 42, recorded at 3b2fcc7: the solver's active
+# set and shared start, and the writer's label table, must not change a byte
+_PRESET_SHA256 = {
+    "paper-los": {
+        "points.csv": "3a4937971a4e66e709c783beee050e6a7b535cb757b3bc574205d90346607008",
+        "ecdf.csv": "171cf278678cbff80e75a2ea2a79fc97389915bbecda1f97420f06f949ced4af",
+        "report.json": "efe80e8d92b8dd1dbb44884ae87a625d203d2b5999045346d57918632fd6d6cb",
+    },
+    "paper-drywall": {
+        "points.csv": "d724b91317aacea7455af260891e451dfa63e477a0c82d8c3d6195870c2e5a08",
+        "ecdf.csv": "6afd8e1e6b810205079663316c13e31cec1b238a17da2a0a4c7cdcdb325c4171",
+        "report.json": "3c0260f011e912643d6b03c4be2400919efdaa7a225961c2d1162ba330f557aa",
+    },
+    "paper-concrete": {
+        "points.csv": "05f21d6020c49397710d843c4bda26ff2c52ae5277c33f7e7c4ee0b3f97da257",
+        "ecdf.csv": "636f7dcf620f8952ebfdc52edc6d584d49a0fea62c1cfbbcf0aea1cc86a5c799",
+        "report.json": "7f5f891e9493b4348071ad0f5d910858388cde6a93065140e07224e2148dfb5f",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_SHA256))
+def test_preset_study_artifacts_are_pinned(tmp_path, preset):
+    scenario = dataclasses.replace(preset_scenario(preset), seed=42)
+    write_outputs(run_scenario(scenario), scenario, str(tmp_path))
+    for name, digest in _PRESET_SHA256[preset].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_partly_failing_study_artifacts_are_pinned(tmp_path):

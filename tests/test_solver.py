@@ -306,7 +306,7 @@ def _preset_problem(name, seed):
         simulator.solve_batch = original
     positions, _, x_r, _ = calls[0]
     distances = np.concatenate([call[1] for call in calls])
-    starts = np.concatenate([call[3] for call in calls])
+    starts = np.concatenate([np.broadcast_to(call[3], (len(call[1]), 3)) for call in calls])
     return positions, distances, x_r, starts
 
 
@@ -423,14 +423,16 @@ def test_solve_batch_does_not_depend_on_how_the_batch_is_split(distances, config
     x_r, x0 = start_points(config, list(_CONCRETE.anchors))
     starts = np.broadcast_to(x0, (len(distances), 3))
     whole = solve_batch(config, _CONCRETE_POSITIONS, distances, x_r, starts)
-    for size in (1, 7):
-        parts = [
-            solve_batch(config, _CONCRETE_POSITIONS, distances[lo:lo + size], x_r, starts[lo:lo + size])
-            for lo in range(0, len(distances), size)
-        ]
-        for name in ("positions", "iterations", "converged", "failed"):
-            joined = np.concatenate([getattr(part, name) for part in parts])
-            assert np.array_equal(joined, getattr(whole, name), equal_nan=name == "positions"), name
+    for size in (1, 7, len(distances)):
+        for shared in (False, True):
+            parts = [
+                solve_batch(config, _CONCRETE_POSITIONS, distances[lo:lo + size], x_r,
+                            x0 if shared else starts[lo:lo + size])
+                for lo in range(0, len(distances), size)
+            ]
+            for name in ("positions", "iterations", "converged", "step_norms", "failed"):
+                joined = np.concatenate([getattr(part, name) for part in parts])
+                assert np.array_equal(joined, getattr(whole, name), equal_nan=name == "positions"), name
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +530,19 @@ def _random_problem(n_anchors, n_points=300):
     return positions, distances, x_r, starts
 
 
+def _config(name, n_anchors):
+    return {
+        "default": SolverConfig(),
+        "weights": SolverConfig(weights=tuple(np.linspace(0.05, 0.9, n_anchors))),
+        "c0": SolverConfig(c=0.0),
+    }[name]
+
+
 @pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
 @pytest.mark.parametrize("config", ["default", "weights", "c0"])
 def test_kernel_is_bit_identical_to_the_row_major_kernel(n_anchors, config):
     positions, distances, x_r, starts = _random_problem(n_anchors)
-    config = {
-        "default": SolverConfig(),
-        "weights": SolverConfig(weights=tuple(np.linspace(0.05, 0.9, n_anchors))),
-        "c0": SolverConfig(c=0.0),
-    }[config]
+    config = _config(config, n_anchors)
     result = solve_batch(config, positions, distances, x_r, starts)
     _assert_bit_identical(result, _row_major_reference(config, positions, distances, x_r, starts))
     assert result.failed[1:4].all() and not result.failed[0]
@@ -562,6 +568,38 @@ def test_a_point_failing_after_the_nudge_keeps_its_start():
     _assert_bit_identical(result, _row_major_reference(config, collinear, distances, np.zeros(3), starts))
     assert result.failed.all()
     np.testing.assert_array_equal(result.positions, starts)
+
+
+@pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
+def test_points_failing_mid_loop_match_the_row_major_kernel(n_anchors):
+    # Ranges of 1e100 at c = 0 send the first step ~1e100 m away, where every
+    # anchor lies in one direction and J^T J is singular; ranges of 1e154 send
+    # it far enough that the distances overflow (not for every layout). A point
+    # failing there has taken one step and keeps that step's iterate and norm.
+    late = 0
+    for config, far in ((SolverConfig(c=0.0), 1e100), (SolverConfig(), 1e154)):
+        positions, distances, x_r, starts = _random_problem(n_anchors)
+        distances[10:20] = far
+        result = solve_batch(config, positions, distances, x_r, starts)
+        _assert_bit_identical(result, _row_major_reference(config, positions, distances, x_r, starts))
+        mid_loop = result.failed & (result.iterations > 0)
+        assert (result.step_norms[mid_loop] > 0.0).all()
+        late += mid_loop.sum()
+    assert late >= 10
+
+
+@pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
+@pytest.mark.parametrize("config", ["default", "weights", "c0"])
+def test_a_shared_start_gives_the_results_of_per_point_starts(n_anchors, config):
+    positions, distances, x_r, _ = _random_problem(n_anchors)
+    config = _config(config, n_anchors)
+    for x0 in (x_r.copy(), positions[1].copy()):  # the second starts on an anchor: the nudge
+        given = x0.copy()
+        shared = solve_batch(config, positions, distances, x_r, x0)
+        each = solve_batch(config, positions, distances, x_r, np.broadcast_to(x0, (len(distances), 3)))
+        _assert_bit_identical(shared, dataclasses.asdict(each))
+        assert x0.tobytes() == given.tobytes()
+        assert shared.iterations.max() > 0
 
 
 @settings(max_examples=200, deadline=None)
