@@ -72,6 +72,8 @@ def _cell_number(path: str, line_no: int, row: dict, column: str) -> float:
 # ---------------------------------------------------------------- energy
 
 def _cmd_energy(args) -> int:
+    if args.sleep and args.period is None:
+        raise _UsageError("uwb-locsim energy: --sleep needs --period")
     if args.profile in BUILTIN_PROFILES:
         profile = BUILTIN_PROFILES[args.profile]
     elif os.path.exists(args.profile):
@@ -278,7 +280,7 @@ def build_parser() -> _Parser:
     p_energy.add_argument("--period", type=float, default=None,
                           help="location update period in seconds (enables average power)")
     p_energy.add_argument("--sleep", action="store_true",
-                          help="rest in deep sleep between rangings instead of idle")
+                          help="with --period, rest in deep sleep between rangings instead of idle")
     p_energy.add_argument("--out", help="write the JSON result here instead of stdout")
     p_energy.set_defaults(handler=_cmd_energy)
 
@@ -289,14 +291,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+        return args.handler(args)
+    except _UsageError as exc:  # from the parser, or a flag that needs another
         print(str(exc), file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-
-    try:
-        return args.handler(args)
     except (ParameterError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,13 +26,13 @@ bound; that fit raises ConvergenceError naming the final c and gradient.
 
 Model selection scores each fitted density against the empirical PDF
 with a sum of squared errors at the histogram bin centers and ranks
-families by ascending SSE; ties inside 1e-12 go to the family with
-fewer parameters.
+families by one sort key: failed fits last, then ascending SSE (NaN
+last), then an exact SSE tie to the family with fewer parameters. So the
+ranking does not depend on the order the families are given in.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -45,7 +45,6 @@ _GRAD_TOL = 1e-6  # converged when max|gradient of the profile NLL| <= this * n
 _BFGS_GTOL = 1e-5  # BFGS stops at max|gradient| <= this
 _C1, _C2 = 1e-4, 0.9  # strong Wolfe sufficient-decrease and curvature constants
 _LOCATION_MARGIN = 1e-6  # meters kept between mu and min(data)
-_SSE_TIE = 1e-12
 
 _LOG_SQRT2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -284,14 +283,6 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     return fit
 
 
-def _rank_order(a: FitResult, b: FitResult) -> int:
-    if (a.error is None) != (b.error is None):
-        return -1 if a.error is None else 1
-    if abs(a.sse - b.sse) <= _SSE_TIE:
-        return len(fields(a.params)) - len(fields(b.params))
-    return -1 if a.sse < b.sse else 1
-
-
 def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
     """Fit every family and rank by SSE against one shared empirical PDF
     (each fit_mle scores against the histogram of the same data and bins).
@@ -309,4 +300,6 @@ def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
             results.append(fit_mle(family, data, bins=bins))
         except ConvergenceError as exc:
             results.append(replace(exc.best, error=str(exc)))
-    return sorted(results, key=functools.cmp_to_key(_rank_order))
+    return sorted(results, key=lambda fit: (fit.error is not None, math.isnan(fit.sse),
+                                            0.0 if math.isnan(fit.sse) else fit.sse,
+                                            len(fields(fit.params))))

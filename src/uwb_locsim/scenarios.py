@@ -252,11 +252,6 @@ def solve_input_from_dict(payload) -> tuple[tuple[Anchor, ...], tuple[float, ...
     return values["anchors"], values["distances"], config
 
 
-def solver_config_to_dict(config: SolverConfig) -> dict:
-    """JSON form of a SolverConfig; unset optional fields are omitted."""
-    return {key: value for key, value in asdict(config).items() if value is not None}
-
-
 def scenario_from_dict(config) -> Scenario:
     """Build a scenario from its JSON form, naming any offending field."""
     values = _object(config, "scenario", {
@@ -291,7 +286,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             condition: distributions.to_dict(model)
             for condition, model in sorted(scenario.model_table.items())
         },
-        "solver": solver_config_to_dict(scenario.solver),
+        "solver": {key: value for key, value in asdict(scenario.solver).items() if value is not None},
         "diversity": asdict(scenario.diversity) if scenario.diversity is not None else None,
     }
 

@@ -19,7 +19,10 @@ below ``delta`` or after ``k_max`` iterations.
 
 The batched entry point runs many independent solves at once with the
 same per-point arithmetic; the single-point API is a thin wrapper over
-a batch of one, so the two can never drift apart.
+a batch of one, so the two can never drift apart. ``solve_batch`` states
+the input contract once: (B, N) distances with N >= 3, (N, 3) anchors,
+one weight per anchor and a (3,) or (B, 3) ``x0``, each rule a
+ParameterError naming the shapes.
 
 A batch is held anchor-major: iterates and steps are (3, B) arrays,
 ranges, residuals and unit-vector components (N, B), so every
@@ -98,11 +101,13 @@ class LocationEstimate:
 
 
 def anchor_positions(anchors: list[Anchor]) -> np.ndarray:
-    return np.array([a.position.as_array() for a in anchors], dtype=float)
+    return np.array([a.position.as_array() for a in anchors], dtype=float).reshape(-1, 3)
 
 
 def reference_point(anchors: list[Anchor], mode: str = "median") -> np.ndarray:
     """Component-wise median (or mean) of the anchor coordinates."""
+    if not anchors:
+        raise ParameterError("a reference point needs at least one anchor")
     positions = anchor_positions(anchors)
     if mode == "median":
         return np.median(positions, axis=0)
@@ -208,37 +213,39 @@ def solve_batch(
 ) -> BatchSolveResult:
     """Run independent Gauss-Newton solves for a batch of points.
 
-    ``positions`` is (N, 3) anchor coordinates, ``distances`` is (B, N)
-    measured ranges, ``x0`` is (B, 3) start iterates or one (3,) start
-    shared by the batch, which gives the same results. Points whose
-    distances are not all finite and positive, or that become unsolvable,
-    are flagged failed instead of aborting the batch.
+    ``positions`` is (N, 3) anchor coordinates (N >= 3), ``distances``
+    (B, N) measured ranges and ``x0`` (B, 3) start iterates or one (3,)
+    start shared by the batch, which gives the same results; any other
+    shape is a ParameterError. Points whose distances are not all finite
+    and positive, or that become unsolvable, are flagged failed.
     """
     positions = np.asarray(positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if distances.ndim != 2:
+        raise ParameterError(f"distances must be a (B, N) array, got shape {distances.shape}")
     n_points, n_anchors = distances.shape
     if positions.shape != (n_anchors, 3):
-        raise ParameterError(
-            f"anchor array {positions.shape} does not match distances ({n_anchors} per point)"
-        )
+        raise ParameterError(f"got {n_anchors} distances per point for anchors of shape {positions.shape}")
+    if n_anchors < 3:
+        raise ParameterError("at least three anchors are required")
+    if config.weights is not None and len(config.weights) != n_anchors:
+        raise ParameterError(f"one weight per anchor required, got {len(config.weights)} for {n_anchors}")
+    if x0.shape not in ((3,), (n_points, 3)):
+        raise ParameterError(f"x0 must have shape (3,) or ({n_points}, 3), got {x0.shape}")
 
-    w2 = None
-    if config.weights is not None:
-        if len(config.weights) != n_anchors:
-            raise ParameterError("one weight per anchor required")
-        w2 = 1.0 / np.asarray(config.weights, dtype=float)[:, None] ** 2
+    w2 = None if config.weights is None else 1.0 / np.asarray(config.weights, dtype=float)[:, None] ** 2
     c2 = config.c * config.c
     x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
     failed = ~np.all(np.isfinite(distances) & (distances > 0.0), axis=1)
     idx = np.flatnonzero(~failed)  # the points still iterating
     ranges = distances[idx].T.copy()  # (N, m) for the m points in idx
-    x0 = np.asarray(x0, dtype=float)
     if x0.shape == (3,):  # one start shared by the batch: the first step broadcasts it
         out = np.repeat(x0[:, None], n_points, axis=1)
         x = x0[:, None]
     else:
-        out = np.array(np.reshape(x0, (n_points, 3)).T, dtype=float, order="C")  # (3, B)
+        out = np.array(x0.T, order="C")  # (3, B)
         x = out[:, idx]
     iterations = np.zeros(n_points, dtype=int)
     converged = np.zeros(n_points, dtype=bool)
@@ -281,27 +288,19 @@ def solve_batch(
 def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEstimate:
     """Estimate a position from anchor distances.
 
-    Raises ParameterError on malformed inputs, including distances that
-    are not finite and positive, and SingularGeometryError when the
-    anchor geometry is rank deficient (only possible with c = 0) or the
-    iterate stops being finite.
+    Its one rule: distances not all finite and positive are the caller's
+    ParameterError, not a failed solve; ``solve_batch`` checks the shapes
+    and the anchor count. SingularGeometryError when the geometry is rank
+    deficient (only possible with c = 0) or the iterate stops being finite.
     """
-    positions = anchor_positions(anchors)
     distances = np.asarray(distances, dtype=float)
-    if distances.ndim != 1 or distances.size != len(anchors):
-        raise ParameterError(f"got {distances.size} distances for {len(anchors)} anchors")
     if not np.all(np.isfinite(distances) & (distances > 0.0)):
         raise ParameterError("distances must all be finite and > 0")
-    if len(anchors) < 3:
-        raise ParameterError("at least three anchors are required")
-
-    x_r, x0 = start_points(config, anchors)
-    result = solve_batch(config, positions, distances[None, :], x_r, x0)
+    result = solve_batch(config, anchor_positions(anchors), distances[None], *start_points(config, anchors))
     if result.failed[0]:
         raise SingularGeometryError("rank-deficient anchor geometry or non-finite iterate")
-    pos = result.positions[0]
     return LocationEstimate(
-        position=Point3(float(pos[0]), float(pos[1]), float(pos[2])),
+        position=Point3(*result.positions[0].tolist()),
         iterations=int(result.iterations[0]),
         converged=bool(result.converged[0]),
         final_step_norm=float(result.step_norms[0]),

@@ -46,6 +46,13 @@ def test_energy_3db_with_period(capsys):
     assert payload["average_power_mW"] > 0
 
 
+def test_energy_sleep_without_a_period_is_a_usage_error(capsys):
+    # --sleep only chooses the rest state of the average power, which needs --period
+    code, out, err = _run(capsys, "energy", "--profile", "3db", "--sleep")
+    assert (code, out) == (1, "")
+    assert "--sleep" in err and "--period" in err
+
+
 def test_energy_profile_from_file(tmp_path, capsys):
     spec = {"name": "custom", "p_tx": 10.0, "p_rx": 20.0, "p_idle": 1.0,
             "p_sleep": 0.001, "t_packet": 100.0, "e_transition": 0.5}
@@ -876,13 +883,60 @@ def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
     (lambda c: c["walls"][0].update(material="concrete"), "models: missing conditions ['concrete']"),
     (lambda c: c["anchors"][3].update(id="a2"), "anchors: id 'a2' is repeated"),
     (lambda c: c["models"].update(drywal=c["models"]["los"]), "models: unknown condition 'drywal'"),
-], ids=["no-los-model", "no-wall-model", "repeated-anchor-id", "misspelt-condition"])
+    (lambda c: c["walls"][0].update(bx=0.0), "walls[0]: wall endpoints must differ"),
+    (lambda c: c.update(anchors=c["anchors"][:2]), "a scenario needs at least three anchors"),
+], ids=["no-los-model", "no-wall-model", "repeated-anchor-id", "misspelt-condition",
+        "wall-without-length", "two-anchors"])
 def test_scenario_errors_name_their_json_key(tmp_path, edit, message):
     config = _small_scenario()
     edit(config)
     (tmp_path / "scenario.json").write_text(json.dumps(config))
     argv = ["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out")]
     assert message in _assert_exits_cleanly(argv, 2, message)
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["fit", "--input"], None, "cannot read input: "),
+    (["fit", "--input"], b"\xff\xfe\n", "cannot read input: "),
+    (["fit", "--input"], b"\n  \n", "input: file is empty"),
+    (["range-stats", "--input"], b"true_m,measured\n5.0,5.1\n",
+     "input: header must contain 'true_m' and 'measured_m', got ['true_m', 'measured']"),
+    (["solve", "--input"], None, "cannot read input: "),
+    (["solve", "--input"], b'{"anchors": \xff}', "cannot read input: "),
+], ids=["fit-directory", "fit-not-utf8", "fit-empty", "range-stats-no-columns",
+        "solve-directory", "solve-not-utf8"])
+def test_unreadable_inputs_are_a_data_error(tmp_path, monkeypatch, argv, content, message):
+    # content None makes the input a directory, which open() cannot read
+    monkeypatch.chdir(tmp_path)
+    if content is None:
+        (tmp_path / "input").mkdir()
+    else:
+        (tmp_path / "input").write_bytes(content)
+    assert _assert_exits_cleanly([*argv, "input"], 2, argv[0]).startswith(f"error: {message}")
+
+
+_MODULE_CASES = [  # (solve input on stdin, exit code, text stderr must hold)
+    ({**_SOLVE_BASE, "anchors": _SOLVE_BASE["anchors"][:2], "distances": [10.2, 11.5],
+      "config": {}}, 2, "at least three anchors are required"),
+    (_SOLVE_BASE, 0, ""),
+]
+
+
+@pytest.mark.parametrize("payload, code, message", _MODULE_CASES, ids=["two-anchors", "four-anchors"])
+def test_the_module_entry_point_reads_stdin_and_sets_the_exit_code(payload, code, message):
+    # ``python -m uwb_locsim.cli`` is the process a user starts: its exit
+    # status comes from main(), and "-" reads the input from stdin.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "uwb_locsim.cli", "solve", "--input", "-"],
+                          input=json.dumps(payload), capture_output=True, text=True, env=env)
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 0:
+        assert _strict_json(done.stdout)["converged"] is True
+    else:
+        assert done.stdout == ""
 
 
 def test_an_unwritable_out_is_a_data_error_naming_the_path(tmp_path, monkeypatch):

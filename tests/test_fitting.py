@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from uwb_locsim import (
     select_best_model,
 )
 from uwb_locsim import fitting
-from uwb_locsim.fitting import sse_against
+from uwb_locsim.fitting import FitResult, sse_against
 
 CONCRETE = BurrXII(9.64, 0.98, -0.46, 0.72)
 HUMAN = BurrXII(32.84, 0.24, -1.63, 1.66)
@@ -258,6 +259,38 @@ def test_select_best_model_prefers_gaussian_on_gaussian_data():
     data = Gaussian(0.0, 0.071).sample(RandomStream(11), 20_000)
     ranking = select_best_model(data, ["gaussian", "burr12", "lognormal"])
     assert ranking[0].family == "gaussian"
+
+
+def test_select_ranking_does_not_depend_on_family_order():
+    data = CONCRETE.sample(RandomStream(2021), 10_000)
+    rankings = {tuple((fit.family, fit.sse) for fit in select_best_model(data, families))
+                for families in itertools.permutations(["gaussian", "burr12", "lognormal"])}
+    assert len(rankings) == 1
+
+
+def _fit(family, params, sse, error=None):
+    return FitResult(family, params, nll=0.0, sse=sse, converged=error is None, iterations=0, error=error)
+
+
+@pytest.mark.parametrize("fits, expected", [
+    # SSEs 0.6e-12 apart: a "tied within 1e-12" rule is not transitive here
+    ({"gaussian": _fit("gaussian", Gaussian(0.0, 0.1), 1.2e-12),
+      "burr12": _fit("burr12", CONCRETE, 0.0),
+      "lognormal": _fit("lognormal", LogNormal(0.17, -0.53, 0.81), 0.6e-12)},
+     ["burr12", "lognormal", "gaussian"]),
+    # an exact tie goes to fewer parameters, a NaN SSE sorts last, a failed fit after it
+    ({"failed": _fit("burr12", HUMAN, 0.1, error="did not converge"),
+      "burr12": _fit("burr12", CONCRETE, 0.5),
+      "lognormal": _fit("lognormal", LogNormal(0.17, -0.53, 0.81), math.nan),
+      "gaussian": _fit("gaussian", Gaussian(0.0, 0.1), 0.5)},
+     ["gaussian", "burr12", "lognormal", "failed"]),
+], ids=["tie-window", "exact-tie-nan-failed"])
+def test_select_sorts_by_one_key_whatever_the_input_order(monkeypatch, fits, expected):
+    monkeypatch.setattr(fitting, "fit_mle", lambda family, data, bins: fits[family])
+    label = {id(fit): name for name, fit in fits.items()}
+    orders = {tuple(label[id(fit)] for fit in select_best_model([0.0, 1.0], families))
+              for families in itertools.permutations(fits)}
+    assert orders == {tuple(expected)}
 
 
 def test_select_single_family():

@@ -61,6 +61,12 @@ def test_grid_rejects_a_negative_area(area):
         build_grid(area, 1.0, 1.2)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.25, float("nan")])
+def test_grid_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ParameterError, match="grid_step must be > 0"):
+        build_grid((9.0, 20.0), step, 1.2)
+
+
 @pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-4])
 def test_grid_size_is_bounded_before_allocation(step):
     # 5e-324 makes the step count overflow to inf; 1e-4 would be 1.8e10 points

@@ -105,12 +105,50 @@ def test_solve_respects_k_max():
 
 
 def test_solve_input_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"got 3 distances per point for anchors of shape \(4, 3\)"):
         solve(SolverConfig(), SQUARE, [1.0, 2.0, 3.0])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="finite and > 0"):
         solve(SolverConfig(), SQUARE, [1.0, 2.0, 3.0, -1.0])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="at least three anchors are required"):
         solve(SolverConfig(), SQUARE[:2], [1.0, 2.0])
+    with pytest.raises(ParameterError, match=r"got 2 distances per point for anchors of shape \(3, 3\)"):
+        solve(SolverConfig(), SQUARE[:3], [1.0, 2.0])  # a count mismatch, not too few anchors
+    for distances in (5.0, [[5.0] * 4]):  # 0-D and 2-D reach solve_batch's shape rule
+        with pytest.raises(ParameterError, match=r"distances must be a \(B, N\) array"):
+            solve(SolverConfig(), SQUARE, distances)
+
+
+_POSITIONS = anchor_positions(SQUARE)
+_X_R = np.median(_POSITIONS, axis=0)
+
+
+@pytest.mark.parametrize("positions, distances, x0, weights, message", [
+    (_POSITIONS[:0], np.full((2, 0), 5.0), _X_R, None, "at least three anchors are required"),
+    (_POSITIONS[:1], np.full((2, 1), 5.0), _X_R, None, "at least three anchors are required"),
+    (_POSITIONS[:2], np.full((2, 2), 5.0), _X_R, None, "at least three anchors are required"),
+    (_POSITIONS, np.full(4, 5.0), _X_R, None, r"distances must be a \(B, N\) array, got shape \(4,\)"),
+    (_POSITIONS, np.full((2, 2, 4), 5.0), _X_R, None, r"got shape \(2, 2, 4\)"),
+    (_POSITIONS[:3], np.full((2, 4), 5.0), _X_R, None,
+     r"got 4 distances per point for anchors of shape \(3, 3\)"),
+    (_POSITIONS, np.full((2, 4), 5.0), _X_R, (1.0, 1.0), "one weight per anchor required, got 2 for 4"),
+    (_POSITIONS, np.full((2, 4), 5.0), _X_R[:2], None, r"x0 must have shape \(3,\) or \(2, 3\), got \(2,\)"),
+    (_POSITIONS, np.full((2, 4), 5.0), np.zeros((3, 3)), None, r"got \(3, 3\)"),
+], ids=["0-anchors", "1-anchor", "2-anchors", "1-d-distances", "3-d-distances", "anchor-array",
+        "weights", "x0-(2,)", "x0-(B+1,3)"])
+def test_solve_batch_rejects_malformed_input(positions, distances, x0, weights, message):
+    # solve_batch states the solver's input contract once; with fewer than
+    # three anchors it used to return every point "converged"
+    with pytest.raises(ParameterError, match=message):
+        solve_batch(SolverConfig(weights=weights), positions, distances, _X_R, x0)
+
+
+@pytest.mark.parametrize("anchors, mode, message", [
+    (SQUARE, "centroid", "mode must be 'median' or 'mean'"),
+    ([], "median", "at least one anchor"),
+], ids=["unknown-mode", "no-anchors"])
+def test_reference_point_rejects_malformed_input(anchors, mode, message):
+    with pytest.raises(ParameterError, match=message):
+        reference_point(anchors, mode)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
