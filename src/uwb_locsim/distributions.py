@@ -17,6 +17,8 @@ Every family keeps one contract, written once in ``_InverseTransform``:
   below mu.
 - ``pdf``, ``cdf`` and ``quantile`` take a scalar or an array and return
   a float for a scalar.
+- ``quantile`` takes probabilities strictly inside (0, 1): 0, 1 and NaN
+  raise ParameterError, and an empty array gives an empty array.
 - Sampling is inverse-transform only: ``sample(stream, n)`` maps the
   stream's next n uniform draws through ``quantile``, one draw per
   sample, which keeps stream accounting in the simulator deterministic
@@ -107,42 +109,50 @@ def _norm_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.asarray(np.frompyfunc(math.erfc, 1, 1)(-x / _SQRT2), dtype=float)
 
 
+def _horner(coefs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """sum(coefs[k] * x**k) by Horner's rule in one buffer: the rounding of
+    (((c[n] * x + c[n-1]) * x + ...) * x + c[0]), without a temporary per step."""
+    out = coefs[-1] * x
+    for coef in coefs[-2:0:-1]:
+        out += coef
+        out *= x
+    out += coefs[0]
+    return out
+
+
 def _norm_ppf(u: np.ndarray) -> np.ndarray:
-    """Standard normal quantile by Wichura's AS241 (PPND16)."""
-    a, b, c, d, e, f = _AS241_A, _AS241_B, _AS241_C, _AS241_D, _AS241_E, _AS241_F
+    """Standard normal quantile by Wichura's AS241 (PPND16).
+
+    The central rational is evaluated on every element, and the tail
+    elements, |u - 0.5| > 0.425 (15% of uniform draws), are overwritten:
+    the central majority is never gathered or scattered.
+    """
     u = np.asarray(u, dtype=float)
+    shape, u = u.shape, u.ravel()  # 1-D, so a 0-d input still gives an array to write into
     q = u - 0.5
-    x = np.empty_like(u)
+    r = 0.180625 - q * q
+    x = _horner(_AS241_A, r)
+    x *= q
+    x /= _horner((1.0, *_AS241_B), r)
 
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num = ((((((a[7] * r + a[6]) * r + a[5]) * r + a[4]) * r + a[3]) * r + a[2]) * r + a[1]) * r + a[0]
-    den = ((((((b[6] * r + b[5]) * r + b[4]) * r + b[3]) * r + b[2]) * r + b[1]) * r + b[0]) * r + 1.0
-    x[central] = qc * num / den
-
-    tail = ~central
+    tail = np.flatnonzero(~(np.abs(q) <= 0.425))
     ut = u[tail]
     # min(u, 1 - u), not 0.5 - |q|: q has already rounded away a tiny u
     r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
-    z = np.empty_like(r)
-    near = r <= 5.0
-    s = r[near] - 1.6
-    num = ((((((c[7] * s + c[6]) * s + c[5]) * s + c[4]) * s + c[3]) * s + c[2]) * s + c[1]) * s + c[0]
-    den = ((((((d[6] * s + d[5]) * s + d[4]) * s + d[3]) * s + d[2]) * s + d[1]) * s + d[0]) * s + 1.0
-    z[near] = num / den
-    far = ~near
+    s = r - 1.6  # r <= 5 unless u or 1 - u is below exp(-25), about 1.4e-11
+    z = _horner(_AS241_C, s)
+    z /= _horner((1.0, *_AS241_D), s)
+    far = ~(r <= 5.0)
     s = r[far] - 5.0
-    num = ((((((e[7] * s + e[6]) * s + e[5]) * s + e[4]) * s + e[3]) * s + e[2]) * s + e[1]) * s + e[0]
-    den = ((((((f[6] * s + f[5]) * s + f[4]) * s + f[3]) * s + f[2]) * s + f[1]) * s + f[0]) * s + 1.0
-    z[far] = num / den
+    z[far] = _horner(_AS241_E, s) / _horner((1.0, *_AS241_F), s)
     x[tail] = np.copysign(z, q[tail])
-    return x
+    return x.reshape(shape)
 
 
 def _check_unit_interval(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    # NaN fails both comparisons, since min and max propagate it
+    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
         raise ParameterError("quantile probability must lie strictly in (0, 1)")
     return u
 

@@ -25,23 +25,29 @@ _U_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array the caller owns, in place,
+    with one scratch buffer for the shifts. Returns ``z``."""
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= _U_MIX_1
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= _U_MIX_2
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
+
+
 def mix64_array(values: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array: a bijective avalanche mix."""
-    z = values.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= _U_MIX_1
-    z ^= z >> np.uint64(27)
-    z *= _U_MIX_2
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix64_inplace(np.array(values, dtype=np.uint64))
 
 
 def combine_array(seed: np.ndarray | int, keys: np.ndarray) -> np.ndarray:
     """Child seeds of parent seeds and index keys, broadcast together. For a
     fixed parent the map key -> child is injective: siblings never collide."""
-    seed_arr = np.asarray(seed, dtype=np.uint64)
-    mixed = mix64_array(np.asarray(keys, dtype=np.uint64)) + _U_GOLDEN
-    return mix64_array(seed_arr ^ mixed)
+    mixed = mix64_array(keys)
+    mixed += _U_GOLDEN
+    return _mix64_inplace(np.bitwise_xor(np.asarray(seed, dtype=np.uint64), mixed))
 
 
 # Top 53 bits k, offset to the cell center: (k + 0.5) * 2**-53. For the
@@ -51,7 +57,10 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def _to_unit_interval_array(z: np.ndarray) -> np.ndarray:
-    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """Words to (0, 1); shifts ``z``, which the caller owns, in place."""
+    u = np.right_shift(z, np.uint64(11), out=z).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
@@ -68,7 +77,7 @@ class RandomStream:
             raise ParameterError(f"cannot draw a negative number of uniforms, got {n}")
         check_array_size(n)
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
-        z = mix64_array(np.uint64(self._state) + steps)
+        z = _mix64_inplace(np.uint64(self._state) + steps)
         self._state = (self._state + n * _GOLDEN) & _MASK
         return _to_unit_interval_array(z)
 
@@ -84,5 +93,5 @@ def cell_uniform_array(master_seed: int, *index_arrays: np.ndarray) -> np.ndarra
     seeds = np.asarray(np.uint64(master_seed & _MASK))
     for keys in index_arrays:
         seeds = combine_array(seeds, keys)
-    z = mix64_array(seeds + _U_GOLDEN)
-    return _to_unit_interval_array(z)
+    seeds += _U_GOLDEN
+    return _to_unit_interval_array(_mix64_inplace(seeds))

@@ -9,6 +9,7 @@ math testable in isolation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,8 +92,11 @@ def diversity_select(values, strategy: str, axis: int | None = None):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DataError("diversity selection needs at least one value")
-    if strategy == "min":
-        out = arr.min(axis=axis)
+    if strategy == "min" and axis is None:
+        out = arr.min()
+    elif strategy == "min":  # one np.minimum per channel slice, not one inner loop per row
+        channels = np.moveaxis(arr, axis, 0)
+        out = functools.reduce(np.minimum, channels[1:], channels[0].copy())
     elif strategy == "mean":
         out = arr.mean(axis=axis)
     elif strategy == "median":

@@ -132,6 +132,52 @@ def test_norm_ppf_within_8_ulp_of_ndtri():
     assert ulps.max() <= 8, f"worst {ulps.max():.0f} ulp at u = {u[ulps.argmax()]!r}"
 
 
+# One value per AS241 branch, recorded while the central rational was
+# still evaluated on the central elements alone: central (0.075 on its
+# edge, 0.925 just past it), near tail (r <= 5), far tail (r > 5), and
+# the two extreme cell uniforms.
+_PPF_BRANCH_PINS = {
+    0.5: "0x0.0p+0",
+    0.3: "-0x1.0c7e39582c5fap-1",
+    0.7: "0x1.0c7e39582c5fap-1",
+    0.075: "-0x1.7085226d3e523p+0",
+    0.925: "0x1.7085226d3e524p+0",
+    0.07: "-0x1.79cd70d9c27f0p+0",
+    0.93: "0x1.79cd70d9c27f3p+0",
+    1e-6: "-0x1.30381a9799f7ep+2",
+    1.0 - 1e-6: "0x1.30381a97985f1p+2",
+    2e-11: "-0x1.a6a9350dc279bp+2",
+    1e-12: "-0x1.c234fba57a32ap+2",
+    1e-300: "-0x1.286074064c26ep+5",
+    0.5 * 2.0**-53: "-0x1.095b059d67c4cp+3",
+    1.0 - 2.0**-53: "0x1.06b48528cea51p+3",
+}
+
+
+def test_norm_ppf_shape_and_branch_contract():
+    u = np.array(list(_PPF_BRANCH_PINS))
+    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+    central = np.abs(u - 0.5) <= 0.425
+    assert central.sum() == 4 and (~central & (r <= 5.0)).sum() == 6 and (r > 5.0).sum() == 4
+    flat = distributions._norm_ppf(u)
+    assert [x.hex() for x in flat.tolist()] == list(_PPF_BRANCH_PINS.values())
+    bits = flat.view(np.int64)
+    for k, value in enumerate(u.tolist()):
+        for form in (value, np.float64(value), np.array(value)):
+            got = distributions._norm_ppf(form)
+            assert got.shape == () and got.view(np.int64) == bits[k], (form, got)
+    wide = np.zeros(2 * u.size)
+    wide[::2] = u
+    for shaped, expected in [
+        (u.reshape(2, 7), bits.reshape(2, 7)),
+        (np.asfortranarray(u.reshape(2, 7)), bits.reshape(2, 7)),
+        (u.reshape(7, 2).T, bits.reshape(7, 2).T),
+        (wide[::2], bits),
+        (u[::-1], bits[::-1]),
+    ]:
+        assert np.array_equal(distributions._norm_ppf(shaped).view(np.int64), expected)
+
+
 def test_sampling_is_inverse_transform():
     model = BurrXII(c=9.64, d=0.98, mu=-0.46, sigma=0.72)
     u = RandomStream(314).uniforms(5)
@@ -261,6 +307,25 @@ def test_parameter_errors_name_family_and_parameter(cls, name, at_zero, at_nan):
 def test_quantile_domain_errors(u):
     with pytest.raises(ParameterError):
         Gaussian(0.0, 1.0).quantile(u)
+
+
+_ONE_PER_FAMILY = [m for m in MODEL_SETS if m[0] in ("los-gaussian", "concrete-burr12", "concrete-lognormal")]
+
+
+@pytest.mark.parametrize("label,family,model", _ONE_PER_FAMILY, ids=[m[0] for m in _ONE_PER_FAMILY])
+@pytest.mark.parametrize("u", [math.nan, 0.0, 1.0, [0.5, math.nan], [[math.nan], [0.5]], [0.0, 0.5], [0.5, 1.0]],
+                         ids=["nan", "0", "1", "list-nan", "2d-nan", "list-0", "list-1"])
+def test_quantile_rejects_nan_and_the_interval_ends(label, family, model, u):
+    # NaN fails every comparison, so a test of u <= 0 or u >= 1 let it through
+    with pytest.raises(ParameterError, match=r"strictly in \(0, 1\)"):
+        model.quantile(u)
+
+
+@pytest.mark.parametrize("label,family,model", _ONE_PER_FAMILY, ids=[m[0] for m in _ONE_PER_FAMILY])
+def test_quantile_of_an_empty_array_is_empty(label, family, model):
+    for shape in ((0,), (0, 3)):
+        out = model.quantile(np.empty(shape))
+        assert out.shape == shape and out.dtype == np.float64
 
 
 @pytest.mark.parametrize("label,family,model", MODEL_SETS, ids=[m[0] for m in MODEL_SETS])

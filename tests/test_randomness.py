@@ -112,9 +112,10 @@ _DRAWS = {
 @pytest.mark.parametrize("path", list(_DRAWS))
 def test_all_ones_word_maps_below_one(monkeypatch, path):
     # The top cell, k = 2**53 - 1, would round (k + 0.5) * 2**-53 to 1.0.
+    # Both paths make their final word with the in-place finalizer.
     ones = (1 << 64) - 1
     monkeypatch.setattr(
-        randomness, "mix64_array", lambda values: np.full(np.shape(values), ones, dtype=np.uint64)
+        randomness, "_mix64_inplace", lambda values: np.full(np.shape(values), ones, dtype=np.uint64)
     )
     u = _DRAWS[path]()
     assert np.all(np.asarray(u) == np.nextafter(1.0, 0.0))

@@ -137,7 +137,15 @@ def test_diversity_select_along_axis_equals_each_row(values, strategy):
     expected = np.array([diversity_select(row, strategy) for row in rows])
     selected = diversity_select(values, strategy, axis=-1)
     assert selected.shape == values.shape[:-1]
-    assert np.array_equal(selected.ravel(), expected)
+    assert np.array_equal(selected.ravel().view(np.int64), expected.view(np.int64))  # bit for bit
+
+
+def test_diversity_select_along_an_axis_returns_a_new_array():
+    values = np.array([[[0.4], [0.2]], [[0.1], [0.3]]])
+    for strategy in DIVERSITY_STRATEGIES:
+        selected = diversity_select(values, strategy, axis=-1)
+        selected[...] = 7.0
+        assert values.tolist() == [[[0.4], [0.2]], [[0.1], [0.3]]], strategy
 
 
 def test_diversity_select_errors():

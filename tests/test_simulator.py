@@ -28,6 +28,7 @@ from uwb_locsim import (
 from uwb_locsim import simulator
 from uwb_locsim.outputs import write_outputs
 from uwb_locsim.ranging import DIVERSITY_STRATEGIES
+from uwb_locsim.solver import BatchSolveResult
 from uwb_locsim.scenarios import scenario_from_dict, scenario_to_dict
 
 
@@ -281,6 +282,41 @@ _PRESET_SHA256 = {
 }
 
 
+# A 3-channel study per diversity strategy on the mini floor split by a
+# concrete wall (Gaussian LOS, Burr XII concrete), recorded at 971402f,
+# before the channel min, the per-condition transform, the AS241 tails,
+# the splitmix64 finalizer and the error norms lost their temporaries
+_DIVERSITY_SHA256 = {
+    "min": {
+        "points.csv": "0b2c6c487c511417660d0e1e5a30ba5491d7b9cd2ec72b02c7b89559afba3311",
+        "ecdf.csv": "460d3c9facefb03312dd9cebf6ae33410b5a3be937c5ffe8d8d521ffc711c5eb",
+        "report.json": "f8a511670c966c87887b6850ff9f8bca3756601ed2fea256076eb74ec14e80ab",
+    },
+    "mean": {
+        "points.csv": "4cf9a7cd5fda9ab8b872fbeac5de4781b3611a15447e86ca9d5115299970dd45",
+        "ecdf.csv": "15a5ceed314d06e6321404a6188a94182d290d83611ffd05e1e30baa8ce99382",
+        "report.json": "14f0e95022a26d752ebbeb9d840001131c44ace8839dd3d0557d9c5be010a01d",
+    },
+    "median": {
+        "points.csv": "2ab5034e0fa72ec76c24b43d2ae78031c71c41286bbcc2a0c76c79a2aff6edd0",
+        "ecdf.csv": "c43854f71df4abcbedc521af9526e663aa1befbd9e0f89301ba30884b01e6650",
+        "report.json": "5e333a250912cc4851b8962ac0df1d337a016037b6f5edb5abea26b13b656388",
+    },
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_DIVERSITY_SHA256))
+def test_three_channel_study_artifacts_are_pinned(tmp_path, strategy):
+    scenario = _mini_scenario(
+        walls=(Wall((0.0, 2.0), (4.0, 2.0), "concrete"),), runs=3, seed=2022,
+        model_table={"los": Gaussian(0.004, 0.071), "concrete": BurrXII(c=9.64, d=0.98, mu=-0.46, sigma=0.72)},
+        diversity=DiversityConfig(channels=3, strategy=strategy),
+    )
+    write_outputs(run_scenario(scenario), scenario, str(tmp_path))
+    for name, digest in _DIVERSITY_SHA256[strategy].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("preset", sorted(_PRESET_SHA256))
 def test_preset_study_artifacts_are_pinned(tmp_path, preset):
     scenario = dataclasses.replace(preset_scenario(preset), seed=42)
@@ -298,6 +334,41 @@ def test_partly_failing_study_artifacts_are_pinned(tmp_path):
     write_outputs(stats, scenario, str(tmp_path))
     for name, digest in _BIASED_LOS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # aggregates of inf errors
+@pytest.mark.parametrize("chunk", [4096, 5])
+def test_error_norms_match_linalg_norm_bit_for_bit(monkeypatch, chunk):
+    # Every tag at the origin, and a solver that returns these rows: each
+    # row is then its own difference vector, and err2d / err3d must carry
+    # np.linalg.norm's bits for it
+    big, tiny = 1e160, 5e-324
+    rows = np.array([
+        [3.0, 4.0, 12.0], [0.1, 0.2, 0.3], [-1.5, 2.25, -0.75], [1e-3, -7.0, 1e5],
+        [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [np.inf, np.nan, 1.0],
+        [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [1.0, 1.0, np.inf], [np.inf, -np.inf, -np.inf],
+        [big, 0.0, 0.0], [-big, big, 1.0], [1.0, 2.0, -big], [9e153, 9e153, 9e153], [1e154, 1e154, 0.0],
+        [tiny, 0.0, 0.0], [1e-310, -2e-310, 3e-310], [2.2e-308, 1e-160, 1e-170], [tiny, tiny, tiny],
+        [-0.0, -0.0, -0.0], [-0.0, 0.0, -3.0], [0.0, -0.0, 0.0],
+    ])
+    batches = iter(np.array_split(rows, range(chunk, len(rows), chunk)))
+
+    def solver(config, positions, distances, x_r, x0):
+        batch = next(batches).copy()
+        assert len(batch) == len(distances)
+        nothing = np.zeros(len(batch))
+        return BatchSolveResult(batch, nothing.astype(int), nothing == 0, nothing, nothing != 0)
+
+    monkeypatch.setattr(simulator, "build_grid", lambda *args: np.zeros((len(rows), 3)))
+    monkeypatch.setattr(simulator, "solve_batch", solver)
+    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    stats = run_scenario(_mini_scenario(runs=1))
+    with np.errstate(over="ignore"):
+        expected_2d = np.linalg.norm(rows[:, :2], axis=1)
+        expected_3d = np.linalg.norm(rows, axis=1)
+    assert np.isinf(expected_2d[11]) and np.isfinite(expected_2d[14]) and np.isinf(expected_3d[14])  # overflows
+    assert np.array_equal(stats.err2d[0].view(np.int64), expected_2d.view(np.int64))
+    assert np.array_equal(stats.err3d[0].view(np.int64), expected_3d.view(np.int64))
 
 
 def test_draws_are_made_chunk_by_chunk(monkeypatch):
