@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -209,6 +210,7 @@ def _cmd_range_stats(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache  # built once per process: building costs about 15 parses
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="uwb-locsim",

@@ -45,9 +45,19 @@ def mix64_array(values: np.ndarray) -> np.ndarray:
 def combine_array(seed: np.ndarray | int, keys: np.ndarray) -> np.ndarray:
     """Child seeds of parent seeds and index keys, broadcast together. For a
     fixed parent the map key -> child is injective: siblings never collide."""
+    seed = np.asarray(seed, dtype=np.uint64)
     mixed = mix64_array(keys)
     mixed += _U_GOLDEN
-    return _mix64_inplace(np.bitwise_xor(np.asarray(seed, dtype=np.uint64), mixed))
+    out = np.empty(np.broadcast_shapes(seed.shape, mixed.shape), dtype=np.uint64)
+    width = out.shape[-1] if out.ndim else 1
+    if seed.ndim and seed.shape[-1] == 1 < width and width * width < out.size:
+        # Only the keys vary along a short last axis (the channels): numpy
+        # would run its inner loop once per row, so xor one slice at a time.
+        for j in range(width):
+            np.bitwise_xor(seed[..., 0], mixed[..., j], out=out[..., j])
+    else:
+        np.bitwise_xor(seed, mixed, out=out)
+    return _mix64_inplace(out)
 
 
 # Top 53 bits k, offset to the cell center: (k + 0.5) * 2**-53. For the

@@ -238,9 +238,12 @@ def solve_batch(
     c2 = config.c * config.c
     x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
-    failed = ~np.all(np.isfinite(distances) & (distances > 0.0), axis=1)
-    idx = np.flatnonzero(~failed)  # the points still iterating
-    ranges = distances[idx].T.copy()  # (N, m) for the m points in idx
+    # Anchor-major first, so the test and the gather run along whole rows.
+    ranges = distances.T.copy()
+    solvable = (np.isfinite(ranges) & (ranges > 0.0)).all(axis=0)
+    failed = ~solvable
+    idx = np.flatnonzero(solvable)  # the points still iterating
+    ranges = np.compress(solvable, ranges, axis=1)  # (N, m) for the m points in idx
     if x0.shape == (3,):  # one start shared by the batch: the first step broadcasts it
         out = np.repeat(x0[:, None], n_points, axis=1)
         x = x0[:, None]

@@ -939,6 +939,25 @@ def test_the_module_entry_point_reads_stdin_and_sets_the_exit_code(payload, code
         assert done.stdout == ""
 
 
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main() builds its parser once per process; a parse that fails must not
+    # leave state behind for the next call in the same process.
+    model = '{"family": "burr12", "params": {"c": 9.64, "d": 0.98, "mu": -0.46, "sigma": 0.72}}'
+    calls = [["energy"], ["energy", "--profile", "dw1000", "--period", "0.5"],
+             ["sample", "--model", model, "-n", "4", "--seed", "3"], ["sample"],
+             ["energy", "--profile", "3db"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    in_process = [_run(capsys, *argv)[:2] for argv in calls]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "uwb_locsim.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((done.returncode, done.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [1, 0, 0, 1, 0]
+
+
 def test_an_unwritable_out_is_a_data_error_naming_the_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in _GOLDEN_INPUTS.items():

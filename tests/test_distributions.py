@@ -178,6 +178,48 @@ def test_norm_ppf_shape_and_branch_contract():
         assert np.array_equal(distributions._norm_ppf(shaped).view(np.int64), expected)
 
 
+def _ulps(a, b):
+    """Ulp distance of same-sign finite doubles, by their integer bits."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_softplus_within_4_ulp_of_logaddexp():
+    rng = np.random.default_rng(23)
+    for v in (rng.uniform(-800.0, 800.0, 10**6), rng.uniform(-40.0, 40.0, 10**6),
+              rng.normal(0.0, 1e-3, 10**6)):
+        ulps = _ulps(distributions._softplus(v), np.logaddexp(0.0, v))
+        assert ulps.max() <= 4, f"worst {ulps.max()} ulp at v = {v[ulps.argmax()]!r}"
+
+
+def test_softplus_bits_at_the_edges_and_for_every_input_form():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -746.0, -1000.0,
+                      -1e308, -np.finfo(float).max, 40.0, 41.5, 1e3, 1e308, np.finfo(float).max])
+    with np.errstate(invalid="ignore"):
+        expected = np.logaddexp(0.0, edges)
+    assert np.array_equal(distributions._softplus(edges).view(np.int64), expected.view(np.int64))
+
+    v = np.random.default_rng(5).uniform(-60.0, 60.0, 24)
+    v[:3] = [0.0, 1e-300, -35.5]
+    bits = distributions._softplus(v).view(np.int64)
+    for k, value in enumerate(v.tolist()):
+        for form in (value, np.float64(value), np.array(value)):
+            got = distributions._softplus(form)
+            assert got.shape == () and got.view(np.int64) == bits[k], (form, got)
+    wide = np.zeros(2 * v.size)
+    wide[::2] = v
+    for shaped, expected in [
+        (v.reshape(4, 6), bits.reshape(4, 6)),
+        (np.asfortranarray(v.reshape(4, 6)), bits.reshape(4, 6)),
+        (v.reshape(6, 4).T, bits.reshape(6, 4).T),
+        (wide[::2], bits),
+        (v[::-1], bits[::-1]),
+    ]:
+        before = shaped.copy()
+        assert np.array_equal(distributions._softplus(shaped).view(np.int64), expected)
+        assert np.array_equal(shaped, before)  # the argument is never written
+    assert np.array_equal(wide[1::2], np.zeros(v.size))
+
+
 def test_sampling_is_inverse_transform():
     model = BurrXII(c=9.64, d=0.98, mu=-0.46, sigma=0.72)
     u = RandomStream(314).uniforms(5)
