@@ -26,22 +26,27 @@ strong-Wolfe line search (J. Nocedal and S. J. Wright, "Numerical
 Optimization", 2006, Algorithms 3.5 and 3.6), from a deterministic start
 (mu0 = min(x) - 5% of the range; Burr XII starts from the log-normal
 fit), so a fit is a pure function of its data. BFGS stops at
-max|gradient| <= 1e-5, or where rounding noise in the NLL fails its line
-search; the fit counts as converged when max|gradient| <= 1e-6 n. On
-some samples the Burr XII likelihood keeps rising as c grows without
-bound; that fit raises ConvergenceError naming the final c and gradient.
+max|gradient| <= 1e-5, where the slope g.p is within one ulp of the NLL
+(no line search could see that decrease), or where rounding noise in the
+NLL fails its line search; the fit counts as converged when
+max|gradient| <= 1e-6 n. On some samples the Burr XII likelihood keeps
+rising as c grows without bound; that fit raises ConvergenceError naming
+the final c and gradient.
 
-Model selection scores each fitted density against the empirical PDF
-with a sum of squared errors at the histogram bin centers and ranks
-families by one sort key: failed fits last, then ascending SSE (NaN
-last), then an exact SSE tie to the family with fewer parameters. So the
-ranking does not depend on the order the families are given in.
+Model selection sorts and checks the samples once, makes one histogram
+and one log-normal fit (which Burr XII starts from) for all families,
+and scores each fitted density against that empirical PDF with a sum of
+squared errors at the histogram bin centers. It ranks families by one
+sort key: failed fits last, then ascending SSE (NaN last), then an exact
+SSE tie to the family with fewer parameters. So the ranking does not
+depend on the order the families are given in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -102,8 +107,10 @@ def minimize(func, theta0, args=()):
     point, its value and gradient, and the number of evaluations. The
     inverse Hessian h starts as I, scaled by s'y / y'y after the first step;
     its update is skipped when s'y <= 0. The first trial step is
-    min(1, 1 / max|g|), later ones 1. Stops at max|g| <= _BFGS_GTOL, when a
-    line search fails, or after 200 iterations per dimension."""
+    min(1, 1 / max|g|), later ones 1. Stops at max|g| <= _BFGS_GTOL, when
+    -g.p <= one ulp of f (a decrease f cannot show, whose line search would
+    fail after 20 trials), when a line search fails, or after 200
+    iterations per dimension."""
 
     def trial(a):
         nonlocal nfev
@@ -118,7 +125,10 @@ def minimize(func, theta0, args=()):
         if np.abs(g).max() <= _BFGS_GTOL:
             break
         p = -(h @ g)
-        step = _wolfe_step(trial, f, float(g @ p), alpha)
+        slope = float(g @ p)
+        if -slope <= abs(f) * 2.0**-52:
+            break
+        step = _wolfe_step(trial, f, slope, alpha)
         if step is None:
             break
         s, y = step[0] * p, step[2] - g
@@ -210,15 +220,20 @@ def _burr12_terms(theta, data, mu_bound):
 
 @_guarded
 def _burr12_profile(theta, data, mu_bound):
-    """Burr XII NLL in (t, log sigma, log c) with d at its MLE, and its gradient."""
+    """Burr XII NLL in (t, log sigma, log c) with d at its MLE, and its gradient.
+    Infinite where (c - 1) sum(log z) exceeds 2^32 times both |NLL| and n:
+    there it and sum(log(1 + z^c)) cancel to finite rounding noise."""
     t, log_sigma, log_c = theta
     n = data.size
     c, d, _, log_z, w, v, tail = _burr12_terms(theta, data, mu_bound)
+    sum_log_z = log_z.sum()
+    shape_term = (c - 1.0) * sum_log_z
+    nll = n * (log_sigma - log_c - math.log(d) + 1.0) - shape_term + tail.sum()
+    if abs(shape_term) > 2.0**32 * max(abs(nll), n):
+        return math.inf, np.zeros(3)
     v -= tail
     p = np.exp(v, out=v)  # z^c / (1 + z^c)
     k = (d + 1.0) * c
-    sum_log_z = log_z.sum()
-    nll = n * (log_sigma - log_c - math.log(d) + 1.0) - (c - 1.0) * sum_log_z + tail.sum()
     grad = np.array([
         math.exp(t) * (k * float(w @ p) - (c - 1.0) * w.sum()),
         n * c - k * p.sum(),
@@ -227,16 +242,44 @@ def _burr12_profile(theta, data, mu_bound):
     return float(nll), grad
 
 
-def _fit_shifted(family, data, mu_bound):
-    """One BFGS run on the log-normal profile and, for Burr XII, one more from
-    its fit; returns the fit, NLL, max|gradient| and evaluation count."""
-    mu0 = float(data[0]) - 0.05 * float(data[-1] - data[0])  # data arrives sorted
-    t0 = math.log(max(mu_bound - mu0, _LOCATION_MARGIN))
-    x, nll, grad, evals = minimize(_lognormal_profile, [t0], args=(data, mu_bound))
-    y, _ = _log_shifted(x[0], data, mu_bound)
-    dist = LogNormal(s=float(y.std()), mu=mu_bound - math.exp(x[0]), sigma=math.exp(y.mean()))
+class _Sample:
+    """Samples sorted and checked once, with what every family's fit of them
+    shares: std, the location bound, the histogram and the log-normal fit."""
+
+    def __init__(self, data, bins: int):
+        data = np.sort(np.asarray(data, dtype=float).ravel())
+        if data.size < 2:
+            raise DataError("need at least two data points to fit")
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = float(data.std())  # NaN, ±inf and overflow all leave it non-finite
+        if not math.isfinite(std):
+            raise DataError("samples must be finite and their spread must not overflow, "
+                            f"got {data[0]} to {data[-1]}")
+        if data[-1] == data[0]:
+            raise DataError("degenerate data: all values are equal, no scale can be fitted")
+        self.data, self.std = data, std
+        self.mu_bound = float(data[0]) - _LOCATION_MARGIN
+        self.epdf = empirical_pdf(data, bins)
+
+    @cached_property
+    def lognormal(self):
+        """The log-normal profile fit, run on first use: t, fit, NLL, gradient, evaluations."""
+        data, mu_bound = self.data, self.mu_bound
+        mu0 = float(data[0]) - 0.05 * float(data[-1] - data[0])
+        t0 = math.log(max(mu_bound - mu0, _LOCATION_MARGIN))
+        x, nll, grad, evals = minimize(_lognormal_profile, [t0], args=(data, mu_bound))
+        y, _ = _log_shifted(x[0], data, mu_bound)
+        dist = LogNormal(s=float(y.std()), mu=mu_bound - math.exp(x[0]), sigma=math.exp(y.mean()))
+        return x[0], dist, nll, grad, evals
+
+
+def _fit_shifted(family, sample):
+    """The sample's log-normal fit and, for Burr XII, one BFGS run from it; returns
+    the fit, NLL, max|gradient| and evaluations, the log-normal fit's included."""
+    data, mu_bound = sample.data, sample.mu_bound
+    t, dist, nll, grad, evals = sample.lognormal
     if family == "burr12":
-        theta0 = [x[0], math.log(dist.sigma), math.log(1.5 / dist.s)]
+        theta0 = [t, math.log(dist.sigma), math.log(1.5 / dist.s)]
         x, nll, grad, nfev = minimize(_burr12_profile, theta0, args=(data, mu_bound))
         c, d, sigma, *_ = _burr12_terms(x, data, mu_bound)
         dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
@@ -258,30 +301,20 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
-    data = np.sort(np.asarray(data, dtype=float).ravel())
-    if data.size < 2:
-        raise DataError("need at least two data points to fit")
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = float(data.std())  # NaN, ±inf and overflow all leave it non-finite
-    if not math.isfinite(std):
-        raise DataError("samples must be finite and their spread must not overflow, "
-                        f"got {data[0]} to {data[-1]}")
-    if data[-1] == data[0]:
-        raise DataError("degenerate data: all values are equal, no scale can be fitted")
-
+    sample = data if isinstance(data, _Sample) else _Sample(data, bins)
+    data = sample.data
     if family == "gaussian":
-        dist = Gaussian(mu=float(data.mean()), sigma=std)
+        dist = Gaussian(mu=float(data.mean()), sigma=sample.std)
         nll, grad, evals = data.size * (math.log(dist.sigma) + _LOG_SQRT2PI + 0.5), 0.0, 0
     else:
-        mu_bound = float(data[0]) - _LOCATION_MARGIN
-        dist, nll, grad, evals = _fit_shifted(family, data, mu_bound)
+        dist, nll, grad, evals = _fit_shifted(family, sample)
 
     converged = math.isfinite(nll) and grad <= _GRAD_TOL * data.size
     fit = FitResult(
         family=family,
         params=dist,
         nll=nll,
-        sse=sse_against(empirical_pdf(data, bins), dist),
+        sse=sse_against(sample.epdf, dist),
         converged=converged,
         iterations=evals,
     )
@@ -296,8 +329,9 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
 
 
 def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
-    """Fit every family and rank by SSE against one shared empirical PDF
-    (each fit_mle scores against the histogram of the same data and bins).
+    """Fit every family and rank by SSE against one shared empirical PDF.
+    The families share one ``_Sample``: one sort, one histogram and one
+    log-normal fit, which Burr XII starts from.
 
     Non-finite samples raise DataError before any fit. Families whose fit
     fails are ranked last with the failure recorded on the result instead
@@ -306,10 +340,11 @@ def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
     families = list(families)
     if not families:
         raise ParameterError("at least one family is required")
+    sample = _Sample(data, bins)
     results = []
     for family in families:
         try:
-            results.append(fit_mle(family, data, bins=bins))
+            results.append(fit_mle(family, sample, bins=bins))
         except ConvergenceError as exc:
             results.append(replace(exc.best, error=str(exc)))
     return sorted(results, key=lambda fit: (fit.error is not None, math.isnan(fit.sse),
