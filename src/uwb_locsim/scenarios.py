@@ -59,7 +59,7 @@ from .energy import PowerProfile
 from .errors import DataError, ParameterError
 from .geometry import SEVERITY_TO_CONDITION, Anchor, Point3, Wall
 from .simulator import DiversityConfig, Scenario
-from .solver import SolverConfig
+from .solver import SolverConfig, check_anchors
 
 PRESETS = ("paper-los", "paper-drywall", "paper-concrete")
 CONDITIONS = (*SEVERITY_TO_CONDITION, "human")  # the keys a model table may hold
@@ -225,19 +225,11 @@ def read_profile(spec) -> PowerProfile:
     return _build(PowerProfile, "profile", **_object(spec, "profile", readers, ("e_transition",)))
 
 
-_SOLVER = {"delta": number, "k_max": _integer, "c": number, "x_r": read_point, "x_r_mode": _text,
-           "weights": _array, "x0": read_point}
-
-
-def solver_config_from_dict(spec, n_anchors: int, context: str = "solver") -> SolverConfig:
-    """SolverConfig from its JSON form for ``n_anchors`` anchors; every field
-    is optional, and a value that cannot be read raises DataError naming
-    it as ``<context>.<key>``."""
-    config = _build(SolverConfig, context, **_object(spec, context, _SOLVER, _SOLVER))
-    if config.weights is not None and len(config.weights) != n_anchors:
-        raise ParameterError(f"{context}.weights: one weight per anchor required, "
-                             f"got {len(config.weights)} for {n_anchors} anchors")
-    return config
+def _solver(spec, name: str) -> SolverConfig:
+    """A SolverConfig from a JSON object named ``name`` of its fields, each optional."""
+    readers = {"delta": number, "k_max": _integer, "c": number, "x_r": read_point, "x_r_mode": _text,
+               "weights": _array, "x0": read_point}
+    return _build(SolverConfig, name, **_object(spec, name, readers, readers))
 
 
 def solve_input_from_dict(payload) -> tuple[tuple[Anchor, ...], tuple[float, ...], SolverConfig]:
@@ -246,9 +238,10 @@ def solve_input_from_dict(payload) -> tuple[tuple[Anchor, ...], tuple[float, ...
     values = _object(payload, "solve input", {
         "anchors": lambda specs, _: _anchors(_array(specs, "anchors", anchor)),
         "distances": lambda values, _: _array(values, "distances"),
-        "config": _as_is,
+        "config": lambda spec, _: _solver(spec, "config"),
     }, ("config",))
-    config = solver_config_from_dict(values.pop("config", {}), len(values["anchors"]), "config")
+    config = values.pop("config", SolverConfig())
+    check_anchors(len(values["anchors"]), config.weights, "config.weights")
     return values["anchors"], values["distances"], config
 
 
@@ -261,13 +254,11 @@ def scenario_from_dict(config) -> Scenario:
         "grid_step": number, "tag_height": number, "runs": _integer, "seed": _integer,
         "models": lambda spec, _: _object(spec, "models", dict.fromkeys(CONDITIONS, read_model),
                                           CONDITIONS, "condition"),
-        "solver": _as_is,
+        "solver": lambda spec, _: _solver(spec, "solver"),
         "diversity": lambda spec, _: _build(DiversityConfig, "diversity", **_object(
             spec, "diversity", {"channels": _integer, "strategy": _text})),
     }, ("walls", "solver", "diversity"))
-    return Scenario(walls=values.pop("walls", ()), model_table=values.pop("models"),
-                    solver=solver_config_from_dict(values.pop("solver", {}), len(values["anchors"])),
-                    **values)
+    return Scenario(walls=values.pop("walls", ()), model_table=values.pop("models"), **values)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

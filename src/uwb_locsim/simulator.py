@@ -33,7 +33,7 @@ from .errors import DataError, ParameterError, SingularGeometryError, check_arra
 from .geometry import SEVERITY_TO_CONDITION, Anchor, Wall, classify_links_bulk
 from .randomness import cell_uniform_array
 from .ranging import DIVERSITY_STRATEGIES, diversity_select
-from .solver import SolverConfig, anchor_positions, solve_batch, start_points
+from .solver import SolverConfig, anchor_positions, check_anchors, solve_batch, start_points
 
 _CHUNK = 4096  # (run, point) cells per pass; bounds draws and solver temporaries
 _MAX_GRID_POINTS = 10**7  # tag lattice cap; the presets have 2,997 points
@@ -76,8 +76,7 @@ class Scenario:
             raise ParameterError(f"tag_height must be finite, got {self.tag_height}")
         if self.runs < 1:
             raise ParameterError("runs must be >= 1")
-        if len(self.anchors) < 3:
-            raise ParameterError("a scenario needs at least three anchors")
+        check_anchors(len(self.anchors), self.solver.weights, "solver.weights")
         ids = [a.id for a in self.anchors]
         if len(set(ids)) != len(ids):
             repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
@@ -210,6 +209,10 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     tag or anchor is so far off that its distances overflow.
     """
     grid = build_grid(scenario.area, scenario.grid_step, scenario.tag_height)
+    diversity = scenario.diversity or DiversityConfig(channels=1, strategy="min")
+    n_runs, n_points = scenario.runs, len(grid)
+    n_cells = n_runs * n_points
+    check_array_size(max(n_cells * 3, diversity.channels))  # estimates, channel_keys
     anchors = list(scenario.anchors)
     positions = anchor_positions(anchors)
     severity = np.column_stack(  # (P, A) indices into SEVERITY_TO_CONDITION
@@ -222,10 +225,6 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
         level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
         for level in np.unique(severity)
     }
-    diversity = scenario.diversity or DiversityConfig(channels=1, strategy="min")
-    n_runs, n_points = scenario.runs, len(grid)
-    n_cells = n_runs * n_points
-    check_array_size(max(n_cells * 3, diversity.channels))  # estimates, channel_keys
     estimates = np.empty((n_runs, n_points, 3))
     err2d, err3d = np.empty((n_runs, n_points)), np.empty((n_runs, n_points))
     flat_estimates, flat_err2d, flat_err3d = estimates.reshape(-1, 3), err2d.ravel(), err3d.ravel()

@@ -20,9 +20,11 @@ below ``delta`` or after ``k_max`` iterations.
 The batched entry point runs many independent solves at once with the
 same per-point arithmetic; the single-point API is a thin wrapper over
 a batch of one, so the two can never drift apart. ``solve_batch`` states
-the input contract once: (B, N) distances with N >= 3, (N, 3) anchors,
-one weight per anchor and a (3,) or (B, 3) ``x0``, each rule a
-ParameterError naming the shapes.
+the input contract once: (B, N) distances, (N, 3) anchors and a (3,) or
+(B, 3) ``x0``, each rule a ParameterError naming the shapes. The two
+rules on the anchors themselves, at least three and one weight per
+anchor, are ``check_anchors``, which ``solve_batch``, ``Scenario`` and
+the ``solve`` input reader all call, so each has one wording.
 
 A batch is held anchor-major: iterates and steps are (3, B) arrays,
 ranges, residuals and unit-vector components (N, B), so every
@@ -90,6 +92,15 @@ class SolverConfig:
             raise ParameterError("x_r_mode must be 'median' or 'mean'")
         if self.weights is not None and not all(np.isfinite(w) and w > 0.0 for w in self.weights):
             raise ParameterError(f"anchor weights must all be finite and > 0, got {self.weights}")
+
+
+def check_anchors(n_anchors: int, weights, name: str = "weights") -> None:
+    """ParameterError unless there are at least three anchors and ``weights``
+    (named ``name``) is None or holds one weight per anchor."""
+    if n_anchors < 3:
+        raise ParameterError("at least three anchors are required")
+    if weights is not None and len(weights) != n_anchors:
+        raise ParameterError(f"{name}: one weight per anchor required, got {len(weights)} for {n_anchors} anchors")
 
 
 @dataclass(frozen=True)
@@ -227,10 +238,7 @@ def solve_batch(
     n_points, n_anchors = distances.shape
     if positions.shape != (n_anchors, 3):
         raise ParameterError(f"got {n_anchors} distances per point for anchors of shape {positions.shape}")
-    if n_anchors < 3:
-        raise ParameterError("at least three anchors are required")
-    if config.weights is not None and len(config.weights) != n_anchors:
-        raise ParameterError(f"one weight per anchor required, got {len(config.weights)} for {n_anchors}")
+    check_anchors(n_anchors, config.weights)
     if x0.shape not in ((3,), (n_points, 3)):
         raise ParameterError(f"x0 must have shape (3,) or ({n_points}, 3), got {x0.shape}")
 

@@ -884,7 +884,7 @@ def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
     (lambda c: c["anchors"][3].update(id="a2"), "anchors: id 'a2' is repeated"),
     (lambda c: c["models"].update(drywal=c["models"]["los"]), "models: unknown condition 'drywal'"),
     (lambda c: c["walls"][0].update(bx=0.0), "walls[0]: wall endpoints must differ"),
-    (lambda c: c.update(anchors=c["anchors"][:2]), "a scenario needs at least three anchors"),
+    (lambda c: c.update(anchors=c["anchors"][:2]), "at least three anchors are required"),
 ], ids=["no-los-model", "no-wall-model", "repeated-anchor-id", "misspelt-condition",
         "wall-without-length", "two-anchors"])
 def test_scenario_errors_name_their_json_key(tmp_path, edit, message):

@@ -16,6 +16,8 @@ def test_wall_validation():
         Wall(a=(1.0, 1.0), b=(1.0, 1.0), material="concrete")
     with pytest.raises(ParameterError):
         Wall(a=(0.0, 0.0), b=(1.0, 0.0), material="brick")
+    with pytest.raises(ParameterError, match="wall endpoints must be finite"):
+        Wall(a=(0.0, float("nan")), b=(1.0, 0.0), material="concrete")
 
 
 WALL = Wall(a=(4.0, 0.0), b=(4.0, 3.0), material="concrete")

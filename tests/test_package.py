@@ -69,3 +69,21 @@ def test_outputs_formats_floats_only_in_its_formatter():
                and (b".6f" if isinstance(node.value, bytes) else ".6f") in node.value]
     assert len(formats) >= 1
     assert [f"{path.name}:{node.lineno}" for node in formats if id(node) not in inside] == []
+
+
+def test_the_anchor_rules_are_worded_once_in_the_solver():
+    # solver.check_anchors states both rules on a solve's anchors; a copy of
+    # either text in another module is a second check that can drift from it
+    rules = ("at least three anchors", "one weight per anchor")
+    places, raised = set(), []
+    for path in sorted(Path(uwb_locsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_raise = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
+                    for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            for rule in rules:
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and rule in node.value:
+                    places.add(path.name)
+                    raised += [rule] if id(node) in in_raise else []
+    assert places == {"solver.py"}
+    assert sorted(raised) == sorted(rules)

@@ -169,6 +169,11 @@ def test_scenario_validation():
         _mini_scenario(runs=0)
     with pytest.raises(ParameterError):
         _mini_scenario(walls=(Wall((0.0, 2.0), (4.0, 2.0), "concrete"),), model_table={"los": Gaussian(0, 0.1)})
+    with pytest.raises(ParameterError, match="tag_height must be finite, got nan"):
+        _mini_scenario(tag_height=math.nan)
+    # checked when the Scenario is built, not partway into run_scenario
+    with pytest.raises(ParameterError, match="solver.weights: one weight per anchor required, got 2 for 4"):
+        _mini_scenario(solver=SolverConfig(weights=(1.0, 1.0)))
 
 
 def test_run_shapes_and_counts():
@@ -386,6 +391,14 @@ def test_draws_are_made_chunk_by_chunk(monkeypatch):
     points = len(build_grid(scenario.area, scenario.grid_step, scenario.tag_height))
     assert max(sizes) <= 7 * 4 * 3
     assert sum(sizes) == 3 * points * 4 * 3
+
+
+def test_a_study_too_large_to_allocate_fails_before_classifying_links(monkeypatch):
+    classified = mock.Mock(wraps=simulator.classify_links_bulk)
+    monkeypatch.setattr(simulator, "classify_links_bulk", classified)
+    with pytest.raises(MemoryError):
+        run_scenario(dataclasses.replace(preset_scenario("paper-concrete"), runs=10**18))
+    assert classified.call_count == 0
 
 
 def test_diversity_validation():
