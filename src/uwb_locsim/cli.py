@@ -24,7 +24,7 @@ from .outputs import json_text, write_outputs
 from .randomness import RandomStream
 from .scenarios import (
     PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, read_model, read_profile,
-    solve_input_from_dict,
+    read_text, solve_input_from_dict,
 )
 from .simulator import aggregate, run_scenario
 from .solver import solve
@@ -51,11 +51,7 @@ def _read_table(path: str, names: list[str] | None) -> tuple[list[str], list[tup
     """Column names and ``(line number, {column: text})`` rows of a CSV file.
     The header is the first non-blank line unless ``names`` are given; blank
     lines are skipped, and line numbers count every physical line."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [(i, line.split(",")) for i, line in enumerate(handle, 1) if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [(i, line.split(",")) for i, line in enumerate(read_text(path).split("\n"), 1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: file is empty")
     if names is None:
@@ -219,7 +215,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit error models to a CSV of ranging errors")
-    p_fit.add_argument("--input", required=True, help="one-column CSV of errors in meters")
+    p_fit.add_argument("--input", required=True, help="one-column CSV ('-' for stdin) of errors in meters")
     p_fit.add_argument("--families", default="gaussian,burr12,lognormal",
                        help="comma-separated families to fit (gaussian, burr12, lognormal)")
     p_fit.add_argument("--bins", type=int, default=200,
@@ -267,8 +263,8 @@ def build_parser() -> _Parser:
     p_stats = sub.add_parser("range-stats",
                              help="error statistics per group from measurement CSVs")
     p_stats.add_argument("--input", required=True,
-                         help="CSV with columns true_m, measured_m (meters) and optional "
-                              "channel, condition")
+                         help="CSV ('-' for stdin) with columns true_m, measured_m (meters) "
+                              "and optional channel, condition")
     p_stats.add_argument("--no-header", action="store_true",
                          help="input CSV has no header; column order is "
                               "true_m, measured_m[, channel[, condition]]")

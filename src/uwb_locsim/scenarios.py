@@ -1,6 +1,7 @@
 """The one reader of outside JSON input, and the built-in presets.
 
-``read_json`` loads a file (``-`` is stdin) and ``parse_json`` inline
+``read_text`` is the one place an input file (``-`` is stdin) is
+opened; ``read_json`` decodes what it reads and ``parse_json`` inline
 text. Every JSON object is read by one reader, ``_object``, with four
 rules: the value must be a JSON object; a key it does not know raises
 DataError naming the object, such as ``solver: unknown key 'kmax'`` (a
@@ -36,12 +37,13 @@ A scenario file::
     }
 
 All lengths are meters. The presets ``paper-los``, ``paper-drywall``
-and ``paper-concrete`` describe a 9 x 20 m floor with four ceiling
-anchors (two opposing corners at 3.0 m, the others at 2.7 m) and, for
-the NLOS variants, a dividing wall at y = 13 m that splits the floor
-into 9 x 13 m and 9 x 7 m rooms. The tag grid default of 1.2 m above
-the floor approximates a hand-held device; the grid height affects the
-vertical dilution of precision, so override it when modeling other
+and ``paper-concrete`` are ``_PAPER_FLOOR``, a scenario in this shape
+read by ``scenario_from_dict`` like any file: a 9 x 20 m floor with four
+ceiling anchors (two opposing corners at 3.0 m, the others at 2.7 m)
+and, for the NLOS variants, a dividing wall at y = 13 m that splits the
+floor into 9 x 13 m and 9 x 7 m rooms. The tag grid default of 1.2 m
+above the floor approximates a hand-held device; the grid height affects
+the vertical dilution of precision, so override it when modeling other
 carry positions.
 """
 
@@ -54,7 +56,7 @@ from dataclasses import asdict, fields
 from functools import partial
 
 from . import distributions
-from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian
+from .distributions import FAMILIES, ErrorDistribution
 from .energy import PowerProfile
 from .errors import DataError, ParameterError
 from .geometry import SEVERITY_TO_CONDITION, Anchor, Point3, Wall
@@ -64,51 +66,45 @@ from .solver import SolverConfig, check_anchors
 PRESETS = ("paper-los", "paper-drywall", "paper-concrete")
 CONDITIONS = (*SEVERITY_TO_CONDITION, "human")  # the keys a model table may hold
 
-_DEFAULT_MODELS = {
-    "los": Gaussian(mu=0.004, sigma=0.071),
-    "drywall": Gaussian(mu=-0.043, sigma=0.092),
-    "concrete": BurrXII(c=9.64, d=0.98, mu=-0.46, sigma=0.72),
-    "human": BurrXII(c=32.84, d=0.24, mu=-1.63, sigma=1.66),
+_PAPER_FLOOR = {  # the presets' floor and models as a scenario file; see the module docstring
+    "area": {"w": 9.0, "h": 20.0},
+    "anchors": [{"id": "a1", "x": 0.0, "y": 0.0, "z": 3.0}, {"id": "a2", "x": 9.0, "y": 0.0, "z": 2.7},
+                {"id": "a3", "x": 9.0, "y": 20.0, "z": 3.0}, {"id": "a4", "x": 0.0, "y": 20.0, "z": 2.7}],
+    "grid_step": 0.25, "tag_height": 1.2, "runs": 5, "seed": 42,
+    "models": {
+        "los": {"family": "gaussian", "params": {"mu": 0.004, "sigma": 0.071}},
+        "drywall": {"family": "gaussian", "params": {"mu": -0.043, "sigma": 0.092}},
+        "concrete": {"family": "burr12", "params": {"c": 9.64, "d": 0.98, "mu": -0.46, "sigma": 0.72}},
+        "human": {"family": "burr12", "params": {"c": 32.84, "d": 0.24, "mu": -1.63, "sigma": 1.66}},
+    },
 }
 
 
 def preset_scenario(name: str) -> Scenario:
-    """One of the built-in floor deployments; see the module docstring."""
+    """One of the built-in floor deployments: ``_PAPER_FLOOR``, and for the
+    NLOS ones a wall of the preset's material; see the module docstring."""
     if name not in PRESETS:
         raise DataError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
-    walls: tuple[Wall, ...] = ()
-    if name == "paper-drywall":
-        walls = (Wall(a=(0.0, 13.0), b=(9.0, 13.0), material="drywall"),)
-    elif name == "paper-concrete":
-        walls = (Wall(a=(0.0, 13.0), b=(9.0, 13.0), material="concrete"),)
-    return Scenario(
-        area=(9.0, 20.0),
-        anchors=(
-            Anchor("a1", Point3(0.0, 0.0, 3.0)),
-            Anchor("a2", Point3(9.0, 0.0, 2.7)),
-            Anchor("a3", Point3(9.0, 20.0, 3.0)),
-            Anchor("a4", Point3(0.0, 20.0, 2.7)),
-        ),
-        walls=walls,
-        grid_step=0.25,
-        tag_height=1.2,
-        runs=5,
-        seed=42,
-        model_table=dict(_DEFAULT_MODELS),
-        solver=SolverConfig(),
-        diversity=None,
-    )
+    material = name.removeprefix("paper-")
+    wall = {"ax": 0.0, "ay": 13.0, "bx": 9.0, "by": 13.0, "material": material}
+    return scenario_from_dict({**_PAPER_FLOOR, "walls": [] if material == "los" else [wall]})
+
+
+def read_text(path: str) -> str:
+    """The text of a file, or of stdin for ``-``; DataError if it cannot be
+    read. Every input file is opened here."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def read_json(path: str):
     """Decode a JSON file, or stdin for ``-``; DataError if it cannot be read."""
-    try:
-        if path == "-":
-            return parse_json(sys.stdin.read(), path)
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_json(handle.read(), path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    return parse_json(read_text(path), path)
 
 
 def parse_json(text: str, name: str):

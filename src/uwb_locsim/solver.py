@@ -300,13 +300,15 @@ def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEst
     """Estimate a position from anchor distances.
 
     Its one rule: distances not all finite and positive are the caller's
-    ParameterError, not a failed solve; ``solve_batch`` checks the shapes
-    and the anchor count. SingularGeometryError when the geometry is rank
-    deficient (only possible with c = 0) or the iterate stops being finite.
+    ParameterError, not a failed solve; ``check_anchors`` runs before the
+    start points need an anchor, and ``solve_batch`` checks the shapes.
+    SingularGeometryError when the geometry is rank deficient (only
+    possible with c = 0) or the iterate stops being finite.
     """
     distances = np.asarray(distances, dtype=float)
     if not np.all(np.isfinite(distances) & (distances > 0.0)):
         raise ParameterError("distances must all be finite and > 0")
+    check_anchors(len(anchors), config.weights)
     result = solve_batch(config, anchor_positions(anchors), distances[None], *start_points(config, anchors))
     if result.failed[0]:
         raise SingularGeometryError("rank-deficient anchor geometry or non-finite iterate")

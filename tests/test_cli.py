@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from uwb_locsim import Gaussian, RandomStream, SolverConfig
 from uwb_locsim.cli import main
-from uwb_locsim.scenarios import preset_scenario, scenario_to_dict
+from uwb_locsim.scenarios import PRESETS, preset_scenario, scenario_to_dict
 
 
 def _run(capsys, *argv):
@@ -1172,3 +1172,31 @@ def test_stdout_on_good_input_is_pinned(tmp_path, monkeypatch, argv, expected):
     code, out, err = _main_quiet(argv)
     assert code == 0, err
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+_STDIN_GOLDEN = [(argv, expected) for argv, expected in _GOLDEN if argv[0] in ("fit", "range-stats", "solve")]
+
+
+@pytest.mark.parametrize("argv, expected", _STDIN_GOLDEN, ids=[argv[2] for argv, _ in _STDIN_GOLDEN])
+def test_input_dash_reads_stdin(monkeypatch, argv, expected):
+    # "--input -" prints what the file path prints, but for the echoed input name
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_GOLDEN_INPUTS[argv[2]]))
+    code, out, err = _main_quiet([*argv[:2], "-", *argv[3:]])
+    assert code == 0, err
+    if "input" in expected:
+        expected = {**expected, "input": "-"}
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_a_preset_echo_reproduces_its_run(tmp_path, preset):
+    # report.json echoes a scenario that, given to --config, writes the same files
+    code, _, err = _main_quiet(["simulate", "--preset", preset, "--out", str(tmp_path / "preset")])
+    assert code == 0, err
+    echo = json.loads((tmp_path / "preset" / "report.json").read_text())["scenario"]
+    (tmp_path / "echo.json").write_text(json.dumps(echo))
+    code, _, err = _main_quiet(["simulate", "--config", str(tmp_path / "echo.json"),
+                                "--out", str(tmp_path / "config")])
+    assert code == 0, err
+    for name in ("points.csv", "ecdf.csv", "report.json"):
+        assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes(), name

@@ -87,3 +87,25 @@ def test_the_anchor_rules_are_worded_once_in_the_solver():
                     raised += [rule] if id(node) in in_raise else []
     assert places == {"solver.py"}
     assert sorted(raised) == sorted(rules)
+
+
+def test_input_is_opened_and_read_only_by_the_scenario_reader():
+    # scenarios.read_text opens every input file and reads stdin; another
+    # open() for reading or use of sys.stdin would be a second file reader
+    opens, found, readers = 0, [], []
+    for path in sorted(Path(uwb_locsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = [node for node in tree.body if path.name == "scenarios.py"
+                  and isinstance(node, ast.FunctionDef) and node.name == "read_text"]
+        inside = {id(node) for function in reader for node in ast.walk(function)}
+        readers += reader
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                opens += 1
+                mode = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]
+                writes = mode and isinstance(mode[0], ast.Constant) and mode[0].value in ("w", "wb")
+                found += [] if writes or id(node) in inside else [f"{path.name}:{node.lineno} open"]
+            if isinstance(node, ast.Attribute) and node.attr == "stdin" and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno} stdin")
+    assert found == []
+    assert len(readers) == 1 and opens >= 5

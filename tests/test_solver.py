@@ -111,6 +111,8 @@ def test_solve_input_validation():
         solve(SolverConfig(), SQUARE, [1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ParameterError, match="at least three anchors are required"):
         solve(SolverConfig(), SQUARE[:2], [1.0, 2.0])
+    with pytest.raises(ParameterError, match="at least three anchors are required"):
+        solve(SolverConfig(), [], [])  # not start_points' "a reference point needs at least one anchor"
     with pytest.raises(ParameterError, match=r"got 2 distances per point for anchors of shape \(3, 3\)"):
         solve(SolverConfig(), SQUARE[:3], [1.0, 2.0])  # a count mismatch, not too few anchors
     for distances in (5.0, [[5.0] * 4]):  # 0-D and 2-D reach solve_batch's shape rule
