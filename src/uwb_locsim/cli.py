@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import os
 import sys
 import time
 
@@ -73,12 +72,8 @@ def _cmd_energy(args) -> int:
         raise _UsageError("uwb-locsim energy: --sleep needs --period")
     if args.profile in BUILTIN_PROFILES:
         profile = BUILTIN_PROFILES[args.profile]
-    elif os.path.exists(args.profile):
-        profile = read_profile(read_json(args.profile))
     else:
-        raise DataError(
-            f"unknown profile {args.profile!r}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
-        )
+        profile = read_profile(read_json(args.profile))
     payload = {
         "profile": profile.name,
         "t_packet_us": profile.t_packet,
@@ -274,7 +269,7 @@ def build_parser() -> _Parser:
     p_energy = sub.add_parser("energy", help="energy per ranging and average power")
     p_energy.add_argument("--profile", required=True,
                           help="built-in profile name (3db, dw1000, dwm1001) or a JSON "
-                               "profile file (powers in mW, packet duration in us)")
+                               "profile file ('-' for stdin; powers in mW, packet duration in us)")
     p_energy.add_argument("--period", type=float, default=None,
                           help="location update period in seconds (enables average power)")
     p_energy.add_argument("--sleep", action="store_true",

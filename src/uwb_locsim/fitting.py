@@ -31,7 +31,8 @@ max|gradient| <= 1e-5, where the slope g.p is within one ulp of the NLL
 NLL fails its line search; the fit counts as converged when
 max|gradient| <= 1e-6 n. On some samples the Burr XII likelihood keeps
 rising as c grows without bound; that fit raises ConvergenceError naming
-the final c and gradient.
+the final c and gradient. The error's ``best`` result carries that message
+as its ``error``, and a FitResult's ``converged`` is ``error is None``.
 
 Model selection sorts and checks the samples once, makes one histogram
 and one log-normal fit (which Burr XII starts from) for all families,
@@ -45,7 +46,7 @@ depend on the order the families are given in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -79,9 +80,12 @@ class FitResult:
     params: ErrorDistribution
     nll: float  # negative log-likelihood
     sse: float  # squared-error score vs the empirical PDF, 1/meters^2
-    converged: bool
     iterations: int  # NLL+gradient evaluations used; 0 for the Gaussian
-    error: str | None = None  # set when the fit did not converge
+    error: str | None = None  # why the fit did not converge; None when it did
+
+    @property
+    def converged(self) -> bool:
+        return self.error is None
 
 
 def empirical_pdf(data, bins: int) -> EmpiricalPdf:
@@ -273,20 +277,6 @@ class _Sample:
         return x[0], dist, nll, grad, evals
 
 
-def _fit_shifted(family, sample):
-    """The sample's log-normal fit and, for Burr XII, one BFGS run from it; returns
-    the fit, NLL, max|gradient| and evaluations, the log-normal fit's included."""
-    data, mu_bound = sample.data, sample.mu_bound
-    t, dist, nll, grad, evals = sample.lognormal
-    if family == "burr12":
-        theta0 = [t, math.log(dist.sigma), math.log(1.5 / dist.s)]
-        x, nll, grad, nfev = minimize(_burr12_profile, theta0, args=(data, mu_bound))
-        c, d, sigma, *_ = _burr12_terms(x, data, mu_bound)
-        dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
-        evals += nfev
-    return dist, float(nll), float(np.abs(grad).max()), evals
-
-
 def sse_against(epdf: EmpiricalPdf, dist: ErrorDistribution) -> float:
     """Sum of squared density errors at the histogram bin centers."""
     diff = dist.pdf(epdf.bin_centers) - epdf.densities
@@ -296,35 +286,36 @@ def sse_against(epdf: EmpiricalPdf, dist: ErrorDistribution) -> float:
 def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     """Maximum-likelihood fit of one family; deterministic for fixed data.
 
-    Raises ConvergenceError (carrying the best-so-far FitResult) when
-    the profile NLL's gradient is not within tolerance of zero.
+    Raises ConvergenceError when the profile NLL's gradient is not within
+    tolerance of zero. Its ``best`` is the best-so-far FitResult, whose
+    ``error`` is the exception's message, so its ``converged`` is False.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     sample = data if isinstance(data, _Sample) else _Sample(data, bins)
-    data = sample.data
+    data, mu_bound = sample.data, sample.mu_bound
     if family == "gaussian":
         dist = Gaussian(mu=float(data.mean()), sigma=sample.std)
         nll, grad, evals = data.size * (math.log(dist.sigma) + _LOG_SQRT2PI + 0.5), 0.0, 0
-    else:
-        dist, nll, grad, evals = _fit_shifted(family, sample)
+    else:  # the sample's log-normal fit and, for Burr XII, one BFGS run from it
+        t, dist, nll, grad, evals = sample.lognormal
+        if family == "burr12":
+            theta0 = [t, math.log(dist.sigma), math.log(1.5 / dist.s)]
+            x, nll, grad, nfev = minimize(_burr12_profile, theta0, args=(data, mu_bound))
+            c, d, sigma, *_ = _burr12_terms(x, data, mu_bound)
+            dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
+            evals += nfev
+        nll, grad = float(nll), float(np.abs(grad).max())
 
-    converged = math.isfinite(nll) and grad <= _GRAD_TOL * data.size
-    fit = FitResult(
-        family=family,
-        params=dist,
-        nll=nll,
-        sse=sse_against(sample.epdf, dist),
-        converged=converged,
-        iterations=evals,
-    )
-    if not converged:
+    error = None
+    if not (math.isfinite(nll) and grad <= _GRAD_TOL * data.size):
         shape = f"c = {dist.c:.4g}, " if family == "burr12" else ""
-        raise ConvergenceError(
-            f"{family} fit stopped after {evals} evaluations with {shape}"
-            f"max|gradient| = {grad:.3g} > {_GRAD_TOL * data.size:.3g}",
-            best=fit,
-        )
+        error = (f"{family} fit stopped after {evals} evaluations with {shape}"
+                 f"max|gradient| = {grad:.3g} > {_GRAD_TOL * data.size:.3g}")
+    fit = FitResult(family=family, params=dist, nll=nll, sse=sse_against(sample.epdf, dist),
+                    iterations=evals, error=error)
+    if error is not None:
+        raise ConvergenceError(error, best=fit)
     return fit
 
 
@@ -333,9 +324,9 @@ def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
     The families share one ``_Sample``: one sort, one histogram and one
     log-normal fit, which Burr XII starts from.
 
-    Non-finite samples raise DataError before any fit. Families whose fit
-    fails are ranked last with the failure recorded on the result instead
-    of aborting the ranking.
+    Non-finite samples raise DataError before any fit. A family whose fit
+    fails is ranked last as its ConvergenceError's ``best``, with the
+    failure in ``error``, instead of aborting the ranking.
     """
     families = list(families)
     if not families:
@@ -346,7 +337,7 @@ def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
         try:
             results.append(fit_mle(family, sample, bins=bins))
         except ConvergenceError as exc:
-            results.append(replace(exc.best, error=str(exc)))
+            results.append(exc.best)
     return sorted(results, key=lambda fit: (fit.error is not None, math.isnan(fit.sse),
                                             0.0 if math.isnan(fit.sse) else fit.sse,
                                             len(fields(fit.params))))

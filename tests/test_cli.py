@@ -1174,7 +1174,7 @@ def test_stdout_on_good_input_is_pinned(tmp_path, monkeypatch, argv, expected):
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
-_STDIN_GOLDEN = [(argv, expected) for argv, expected in _GOLDEN if argv[0] in ("fit", "range-stats", "solve")]
+_STDIN_GOLDEN = [(argv, expected) for argv, expected in _GOLDEN if argv[2] in _GOLDEN_INPUTS]
 
 
 @pytest.mark.parametrize("argv, expected", _STDIN_GOLDEN, ids=[argv[2] for argv, _ in _STDIN_GOLDEN])

@@ -183,6 +183,7 @@ def test_burr_fit_without_interior_optimum_raises():
     with pytest.raises(ConvergenceError, match=r"c = \d+.*max\|gradient\|") as excinfo:
         fit_mle("burr12", data)
     assert not excinfo.value.best.converged
+    assert excinfo.value.best.error == str(excinfo.value)
     assert excinfo.value.best.params.c > 100.0
     ranking = select_best_model(data, ["gaussian", "burr12", "lognormal"])
     assert ranking[-1].family == "burr12"
@@ -298,7 +299,7 @@ def test_select_ranking_does_not_depend_on_family_order():
 
 
 def _fit(family, params, sse, error=None):
-    return FitResult(family, params, nll=0.0, sse=sse, converged=error is None, iterations=0, error=error)
+    return FitResult(family, params, nll=0.0, sse=sse, iterations=0, error=error)
 
 
 @pytest.mark.parametrize("fits, expected", [

@@ -109,3 +109,20 @@ def test_input_is_opened_and_read_only_by_the_scenario_reader():
                 found.append(f"{path.name}:{node.lineno} stdin")
     assert found == []
     assert len(readers) == 1 and opens >= 5
+
+
+def test_every_imported_name_is_used():
+    # No linter runs on the package, so an import left behind by a refactor
+    # (dataclasses.replace, os) would stay unnoticed; __init__ imports to export
+    found = []
+    for path in sorted(Path(uwb_locsim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                found += [f"{path.name}:{node.lineno} {name}" for name in bound
+                          if name not in used and name != "annotations"]
+    assert found == []
