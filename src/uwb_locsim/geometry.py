@@ -14,6 +14,7 @@ tables that no wall produces, so it has no severity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.x, self.y, self.z)):
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
             raise ParameterError("point coordinates must be finite")
 
     def as_array(self) -> np.ndarray:

@@ -20,7 +20,8 @@ writes it. Digits come three at a time from 1,000-entry tables of
 4-byte words, and a minus sign is written only where the micrometres
 are not zero. Only NaN, infinities and |x| >= 2**33 m, whose
 micrometres are not exact in a double, are formatted one at a time by
-``"%.6f"``. A file is the matrix's non-zero bytes.
+``"%.6f"``. A file is the matrix's non-zero bytes, which
+``bytes.translate`` picks out.
 
 ``points.csv`` is written run by run in blocks of ``_BLOCK`` grid
 points: the run number, the ``px,py,pz`` text, the five value fields
@@ -137,7 +138,7 @@ def write_points_csv(stats: RunStatistics, path: str) -> None:
                     (stats.estimates[run, block], stats.err2d[run, block], stats.err3d[run, block]))
                 text = np.concatenate((np.broadcast_to(prefix, (len(position), prefix.size)),
                                        position, _fixed6(values), conditions[block]), axis=1)
-                out.write(text[text != 0].tobytes())
+                out.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_ecdf_csv(stats: RunStatistics, path: str) -> None:
@@ -146,7 +147,7 @@ def write_ecdf_csv(stats: RunStatistics, path: str) -> None:
     text[:, -1] = ord("\n")
     with open(path, "wb") as out:
         out.write(b"err2d_m,cum_prob\n")
-        out.write(text[text != 0].tobytes())
+        out.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> str:

@@ -220,7 +220,7 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     )
     with np.errstate(over="ignore"):  # an overflow to inf fails that point's solves
         true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
-    x_r, x0 = start_points(scenario.solver, anchors)
+    x_r, x0 = start_points(scenario.solver, positions)
     models = {
         level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
         for level in np.unique(severity)

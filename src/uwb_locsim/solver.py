@@ -18,27 +18,34 @@ their last finite iterate. Iteration stops when the step norm drops
 below ``delta`` or after ``k_max`` iterations.
 
 The batched entry point runs many independent solves at once with the
-same per-point arithmetic; the single-point API is a thin wrapper over
-a batch of one, so the two can never drift apart. ``solve_batch`` states
-the input contract once: (B, N) distances, (N, 3) anchors and a (3,) or
-(B, 3) ``x0``, each rule a ParameterError naming the shapes. The two
-rules on the anchors themselves, at least three and one weight per
-anchor, are ``check_anchors``, which ``solve_batch``, ``Scenario`` and
-the ``solve`` input reader all call, so each has one wording.
+same per-point arithmetic; the single-point API runs a batch of one, so
+the two can never drift apart. Around that call ``solve`` adds only its
+distance rule, one (N, 3) anchor array, the start points taken from
+it, and the unpacking of row 0 into a ``LocationEstimate``. At a batch
+of one, numpy's per-call cost outweighs its arithmetic, so reductions
+call the ufuncs (``np.add.reduce``, ``np.logical_or.reduce``) and not
+the ndarray methods that wrap them in Python (``.sum``, ``.any``),
+with the same bits. ``solve_batch`` states the input contract once:
+(B, N) distances, (N, 3) anchors and a (3,) or (B, 3) ``x0``, each rule
+a ParameterError naming the shapes. The two rules on the anchors
+themselves, at least three and one weight per anchor, are
+``check_anchors``, which ``solve_batch``, ``Scenario`` and the
+``solve`` input reader all call, so each has one wording.
 
 A batch is held anchor-major: iterates and steps are (3, B) arrays,
 ranges, residuals and unit-vector components (N, B), so every
 per-point sum (the six entries of J^T W^2 J + c^2 I, the three of the
 right-hand side, the step norm) is a reduction over axis 0, a few
-whole-row adds instead of a short loop per point. ``_anchor_sum`` adds
-the anchors in the order numpy adds the rows of a (B, N) array: left
-to right below eight anchors, pairwise from eight on. So the results
-are bit-identical to those of a point-major (B, N) kernel whatever the
-anchor count, and do not depend on how a batch is split.
+whole-row adds instead of a short loop per point. ``_anchor_reducer``
+picks, once per batch, the sum that adds the anchors in the order numpy
+adds the rows of a (B, N) array: left to right below eight anchors,
+pairwise from eight on. So the results are bit-identical to those of a
+point-major (B, N) kernel whatever the anchor count, and do not depend
+on how a batch is split.
 
 The points still iterating form an active set: their iterates, ranges
 and last step norms are held in compacted working arrays, which shrink
-(``np.compress``) only on an iteration where some point leaves. A point's
+(``compress``) only on an iteration where some point leaves. A point's
 results are written once, when it leaves: converged at iteration k with
 k iterations; unsolvable at iteration k with k - 1 iterations, its last
 finite iterate and the norm of the step before; still active after
@@ -112,33 +119,43 @@ class LocationEstimate:
 
 
 def anchor_positions(anchors: list[Anchor]) -> np.ndarray:
-    return np.array([a.position.as_array() for a in anchors], dtype=float).reshape(-1, 3)
+    return np.array([(a.position.x, a.position.y, a.position.z) for a in anchors], dtype=float).reshape(-1, 3)
 
 
 def reference_point(anchors: list[Anchor], mode: str = "median") -> np.ndarray:
-    """Component-wise median (or mean) of the anchor coordinates."""
+    """Component-wise median (or mean) of the anchor coordinates; the median
+    has the bits of ``np.median(positions, axis=0)``."""
     if not anchors:
         raise ParameterError("a reference point needs at least one anchor")
-    positions = anchor_positions(anchors)
-    if mode == "median":
-        return np.median(positions, axis=0)
+    if mode not in ("median", "mean"):
+        raise ParameterError("mode must be 'median' or 'mean'")
+    return _reference(anchor_positions(anchors), mode)
+
+
+def _reference(positions: np.ndarray, mode: str) -> np.ndarray:
     if mode == "mean":
         return positions.mean(axis=0)
-    raise ParameterError("mode must be 'median' or 'mean'")
+    # np.median's own arithmetic: the mean of the middle one or two values,
+    # whose sum starts at +0.0, so the order of tied zeros cannot matter
+    ordered = np.sort(positions, axis=0)
+    middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
+    return np.add.reduce(middle) / len(middle)
 
 
-def start_points(config: SolverConfig, anchors: list[Anchor]) -> tuple[np.ndarray, np.ndarray]:
+def start_points(config: SolverConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regularization point x_r and first iterate x0: the configured points,
-    else x_r from the anchors by ``x_r_mode`` and x0 = x_r."""
-    x_r = config.x_r.as_array() if config.x_r is not None else reference_point(anchors, config.x_r_mode)
+    else x_r from the (N, 3) anchor ``positions`` by ``x_r_mode`` and x0 = x_r."""
+    x_r = config.x_r.as_array() if config.x_r is not None else _reference(positions, config.x_r_mode)
     return x_r, (config.x0.as_array() if config.x0 is not None else x_r)
 
 
-def _anchor_sum(a: np.ndarray) -> np.ndarray:
-    """Sums over the anchors (axis 0) of an (N, B) array, added in the order
-    numpy adds the rows of its (B, N) transpose: left to right below eight
-    anchors, pairwise from eight on."""
-    return np.add.reduce(a, 0) if len(a) < 8 else np.add.reduce(np.ascontiguousarray(a.T), 1)
+def _anchor_reducer(n_anchors: int):
+    """The function that sums (N, B) arrays over their N anchors (axis 0) in
+    the order numpy adds the rows of their (B, N) transposes: ``np.add.reduce``
+    itself, left to right, below eight anchors, pairwise from eight on."""
+    if n_anchors < 8:
+        return np.add.reduce
+    return lambda a: np.add.reduce(np.ascontiguousarray(a.T), 1)
 
 
 def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
@@ -151,12 +168,12 @@ def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
         ey = positions[:, 1, None] - x[1]
         ez = positions[:, 2, None] - x[2]
         dist = np.sqrt(ex * ex + ey * ey + ez * ez)
-        if not dist.min(initial=np.inf) < _ANCHOR_COINCIDENCE:
+        if not np.minimum.reduce(dist, None, initial=np.inf) < _ANCHOR_COINCIDENCE:
             break
         if not nudge:
             raise SingularGeometryError("position coincides with an anchor")
         x = x.copy()
-        x[2, (dist < _ANCHOR_COINCIDENCE).any(axis=0)] += _PERTURB_Z
+        x[2, np.logical_or.reduce(dist < _ANCHOR_COINCIDENCE)] += _PERTURB_Z
     return ex / dist, ey / dist, ez / dist, dist, x
 
 
@@ -176,24 +193,25 @@ class BatchSolveResult:
     failed: np.ndarray  # (B,) bool, unsolvable points; positions keep their last finite iterate
 
 
-def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
+def _gauss_newton_step(positions, w2, c2, x_r, xk, d, total):
     """The iterates the step starts from (``xk``, nudged off any anchor), the
     steps (3, B) and a (B,) mask of unsolvable points (singular normal matrix,
     or a non-finite pivot or step), for iterates ``xk`` (3, B), or one (3, 1)
-    iterate shared by all, and ranges ``d`` (N, B)."""
+    iterate shared by all, ranges ``d`` (N, B) and the anchor sum ``total``
+    from ``_anchor_reducer``."""
     ux, uy, uz, dist, xk = _unit_rows(positions, xk, nudge=True)
     wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
     resid = dist - d
-    a11 = _anchor_sum(wx * ux) + c2
-    a12 = _anchor_sum(wx * uy)
-    a13 = _anchor_sum(wx * uz)
-    a22 = _anchor_sum(wy * uy) + c2
-    a23 = _anchor_sum(wy * uz)
-    a33 = _anchor_sum(wz * uz) + c2
+    a11 = total(wx * ux) + c2
+    a12 = total(wx * uy)
+    a13 = total(wx * uz)
+    a22 = total(wy * uy) + c2
+    a23 = total(wy * uz)
+    a33 = total(wz * uz) + c2
     pull = c2 * (x_r - xk)
-    b1 = _anchor_sum(wx * resid) + pull[0]
-    b2 = _anchor_sum(wy * resid) + pull[1]
-    b3 = _anchor_sum(wz * resid) + pull[2]
+    b1 = total(wx * resid) + pull[0]
+    b2 = total(wy * resid) + pull[1]
+    b3 = total(wz * resid) + pull[2]
 
     # A = L L^T, then L y = b and L^T dx = y.
     l11 = np.sqrt(a11)
@@ -211,7 +229,7 @@ def _gauss_newton_step(positions, w2, c2, x_r, xk, d):
 
     # NaN or infinite pivots fail the comparison and count as singular.
     low, high = np.minimum(np.minimum(l11, l22), l33), np.maximum(np.maximum(l11, l22), l33)
-    unsolvable = ~(low > _RANK_TOL * high) | ~np.isfinite(step).all(axis=0)
+    unsolvable = ~((low > _RANK_TOL * high) & np.logical_and.reduce(np.isfinite(step)))
     return xk, step, unsolvable
 
 
@@ -242,19 +260,20 @@ def solve_batch(
     if x0.shape not in ((3,), (n_points, 3)):
         raise ParameterError(f"x0 must have shape (3,) or ({n_points}, 3), got {x0.shape}")
 
+    total = _anchor_reducer(n_anchors)
     w2 = None if config.weights is None else 1.0 / np.asarray(config.weights, dtype=float)[:, None] ** 2
     c2 = config.c * config.c
     x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
     # Anchor-major first, so the test and the gather run along whole rows.
     ranges = distances.T.copy()
-    solvable = (np.isfinite(ranges) & (ranges > 0.0)).all(axis=0)
+    solvable = np.logical_and.reduce(np.isfinite(ranges) & (ranges > 0.0))
     failed = ~solvable
-    idx = np.flatnonzero(solvable)  # the points still iterating
-    ranges = np.compress(solvable, ranges, axis=1)  # (N, m) for the m points in idx
+    idx = solvable.nonzero()[0]  # the points still iterating
+    ranges = ranges.compress(solvable, axis=1)  # (N, m) for the m points in idx
     if x0.shape == (3,):  # one start shared by the batch: the first step broadcasts it
-        out = np.repeat(x0[:, None], n_points, axis=1)
         x = x0[:, None]
+        out = x.repeat(n_points, axis=1)
     else:
         out = np.array(x0.T, order="C")  # (3, B)
         x = out[:, idx]
@@ -268,18 +287,18 @@ def solve_batch(
         for k in range(1, config.k_max + 1):
             if idx.size == 0:
                 break
-            xk, step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, x, ranges)
-            norms = np.sqrt((step * step).sum(axis=0))
+            xk, step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, x, ranges, total)
+            norms = np.sqrt(np.add.reduce(step * step))
             x_next = xk + step
             done = leave = norms < config.delta
-            if unsolvable.any():  # these keep their last finite iterate and step
+            if np.logical_or.reduce(unsolvable):  # these keep their last finite iterate and step
                 gone = idx[unsolvable]
                 out[:, gone] = np.broadcast_to(x, step.shape)[:, unsolvable]
                 iterations[gone] = k - 1
                 failed[gone] = True
                 step_norms[gone] = last[unsolvable]
                 done, leave = done & ~unsolvable, done | unsolvable
-            if leave.any():
+            if np.logical_or.reduce(leave):
                 gone = idx[done]
                 out[:, gone] = x_next[:, done]
                 iterations[gone] = k
@@ -287,11 +306,12 @@ def solve_batch(
                 step_norms[gone] = norms[done]
                 stay = ~leave
                 idx, norms = idx[stay], norms[stay]
-                x_next, ranges = np.compress(stay, x_next, axis=1), np.compress(stay, ranges, axis=1)
+                x_next, ranges = x_next.compress(stay, axis=1), ranges.compress(stay, axis=1)
             x, last = x_next, norms
-    out[:, idx] = x
-    iterations[idx] = config.k_max
-    step_norms[idx] = last
+        else:  # no break: these points were still iterating after k_max
+            out[:, idx] = x
+            iterations[idx] = config.k_max
+            step_norms[idx] = last
 
     return BatchSolveResult(out.T, iterations, converged, step_norms, failed)
 
@@ -306,10 +326,11 @@ def solve(config: SolverConfig, anchors: list[Anchor], distances) -> LocationEst
     possible with c = 0) or the iterate stops being finite.
     """
     distances = np.asarray(distances, dtype=float)
-    if not np.all(np.isfinite(distances) & (distances > 0.0)):
+    if not np.logical_and.reduce(np.isfinite(distances) & (distances > 0.0), axis=None):
         raise ParameterError("distances must all be finite and > 0")
     check_anchors(len(anchors), config.weights)
-    result = solve_batch(config, anchor_positions(anchors), distances[None], *start_points(config, anchors))
+    positions = anchor_positions(anchors)
+    result = solve_batch(config, positions, distances[None], *start_points(config, positions))
     if result.failed[0]:
         raise SingularGeometryError("rank-deficient anchor geometry or non-finite iterate")
     return LocationEstimate(

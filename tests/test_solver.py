@@ -25,7 +25,7 @@ from uwb_locsim import simulator
 from uwb_locsim.geometry import SEVERITY_TO_CONDITION, classify_links_bulk
 from uwb_locsim.scenarios import PRESETS, preset_scenario
 from uwb_locsim.solver import (
-    _anchor_sum,
+    _anchor_reducer,
     anchor_positions,
     reference_point,
     solve_batch,
@@ -202,6 +202,24 @@ def test_reference_point_median_and_mean():
     np.testing.assert_allclose(reference_point(SQUARE, "mean"), [5.0, 5.0, 0.75])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    positions=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.just(3)),
+        elements=st.sampled_from([-0.0, 0.0, 1.5, -2.0])
+        | st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    )
+)
+def test_start_point_median_has_the_bits_of_np_median(positions):
+    # ties and zeros of either sign included; np.median's mean turns -0.0 into 0.0
+    expected = np.median(positions, axis=0).tobytes()
+    x_r, x0 = start_points(SolverConfig(), positions)
+    assert x_r.tobytes() == x0.tobytes() == expected
+    anchors = [_anchor(i, *p) for i, p in enumerate(positions)]
+    assert reference_point(anchors).tobytes() == expected
+
+
 def test_default_start_is_reference_point():
     # one iteration from the median reference point, both paths agree
     distances = _exact_distances(SQUARE, np.array([5.0, 5.0, 1.0]))
@@ -213,19 +231,32 @@ def test_default_start_is_reference_point():
 
 
 def test_batch_matches_scalar():
-    rng = np.random.default_rng(77)
-    positions = anchor_positions(SQUARE)
-    truths = rng.uniform(1, 9, size=(40, 3)) * np.array([1.0, 1.0, 0.25])
-    distances = np.linalg.norm(positions[None, :, :] - truths[:, None, :], axis=2)
-    distances += rng.normal(0, 0.07, distances.shape)
-    config = SolverConfig(delta=1e-6, k_max=15, c=0.1)
-    x_r = reference_point(SQUARE, "median")
-    batch = solve_batch(config, positions, distances, x_r, np.broadcast_to(x_r, (40, 3)))
-    for i in range(40):
-        single = solve(config, SQUARE, distances[i])
-        np.testing.assert_array_equal(single.position.as_array(), batch.positions[i])
-        assert single.iterations == batch.iterations[i]
-        assert single.converged == batch.converged[i]
+    # solve() is its row of solve_batch, bit for bit, whatever the anchor
+    # count and config; the x0 config starts on anchor 1 (the nudge)
+    outcomes = set()
+    for n_anchors in (3, 4, 8, 9, 16):
+        positions, distances, _, _ = _random_problem(n_anchors, n_points=30)
+        distances = distances[4:]  # rows 1-3 are not finite and positive
+        anchors = [_anchor(i, *p) for i, p in enumerate(positions)]
+        configs = [
+            *(_config(name, n_anchors) for name in ("default", "weights", "c0")),
+            SolverConfig(x_r_mode="mean"),
+            SolverConfig(x0=Point3(*positions[1]), x_r=Point3(3.0, 4.0, 1.0)),
+            SolverConfig(delta=1e-6, k_max=3),
+        ]
+        for config in configs:
+            x_r = reference_point(anchors, config.x_r_mode) if config.x_r is None else config.x_r.as_array()
+            x0 = x_r if config.x0 is None else config.x0.as_array()
+            batch = solve_batch(config, positions, distances, x_r, x0)
+            assert not batch.failed.any()
+            for i, row in enumerate(distances):
+                single = solve(config, anchors, row)
+                assert single.position.as_array().tobytes() == batch.positions[i].tobytes()
+                assert single.iterations == batch.iterations[i]
+                assert single.converged == batch.converged[i]
+                assert np.float64(single.final_step_norm).tobytes() == batch.step_norms[i].tobytes()
+            outcomes.update(batch.converged.tolist())
+    assert outcomes == {True, False}
 
 
 def test_batch_flags_nonpositive_distances_as_failed():
@@ -460,7 +491,7 @@ def _concrete_floor_batches(draw):
     config=st.sampled_from([SolverConfig(), _WEIGHTED, SolverConfig(c=0.0)]),
 )
 def test_solve_batch_does_not_depend_on_how_the_batch_is_split(distances, config):
-    x_r, x0 = start_points(config, list(_CONCRETE.anchors))
+    x_r, x0 = start_points(config, _CONCRETE_POSITIONS)
     starts = np.broadcast_to(x0, (len(distances), 3))
     whole = solve_batch(config, _CONCRETE_POSITIONS, distances, x_r, starts)
     for size in (1, 7, len(distances)):
@@ -653,4 +684,4 @@ def test_a_shared_start_gives_the_results_of_per_point_starts(n_anchors, config)
 def test_anchor_sum_adds_in_the_order_of_row_sums(rows):
     # rows is (B, N); the kernel holds its transpose
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _anchor_sum(rows.T.copy()).tobytes() == rows.sum(axis=1).tobytes()
+        assert _anchor_reducer(rows.shape[1])(rows.T.copy()).tobytes() == rows.sum(axis=1).tobytes()
