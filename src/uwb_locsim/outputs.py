@@ -13,15 +13,14 @@ result of the toolkit, the report included, is encoded by
 Both CSVs are written through one formatter, ``_fixed6``, which turns
 an (m, k) float array into an (m, W) ``uint8`` matrix of text in which
 byte 0 marks an absent byte. A value's micrometres are
-``rint(|x| * 1e6)``, half to even; where that product was rounded onto
-a half, Dekker's two-product error decides, so every field is the
-correctly rounded decimal of the exact binary value, as ``"%.6f"``
-writes it. Digits come three at a time from 1,000-entry tables of
-4-byte words, and a minus sign is written only where the micrometres
-are not zero. Only NaN, infinities and |x| >= 2**33 m, whose
-micrometres are not exact in a double, are formatted one at a time by
-``"%.6f"``. A file is the matrix's non-zero bytes, which
-``bytes.translate`` picks out.
+``rint(|x| * 1e6)``, half to even. Digits come three at a time from
+1,000-entry tables of 4-byte words, and a minus sign is written only
+where the micrometres are not zero. The rest are formatted one at a
+time by ``"%.6f"``, which writes the correctly rounded decimal of the
+exact binary value: NaN, infinities, |x| >= 2**33 m, whose micrometres
+are not exact in a double, and the rare ties, values whose product was
+rounded onto a half and so may lie on either side of it. A file is the
+matrix's non-zero bytes, which ``bytes.translate`` picks out.
 
 ``points.csv`` is written run by run in blocks of ``_BLOCK`` grid
 points: the run number, the ``px,py,pz`` text, the five value fields
@@ -88,17 +87,11 @@ def _fixed6(values: np.ndarray) -> np.ndarray:
     a = np.abs(x)
     wild = ~(a < _EXACT)  # nan, inf, and values whose micrometres are not exact
     a[wild] = 0.0
-    text = np.array([b"%.6f" % v for v in x[wild].tolist()], dtype="S")
     p = a * 1e6
-    n = np.rint(p)  # the micrometres, half to even, unless the product was rounded
-    tie = np.abs(p - n) == 0.5
-    if tie.any():
-        # the product rounded onto a half; Dekker's error term tells whether it is one
-        h, q = a[tie], p[tie]
-        hi = 134217729.0 * h
-        hi -= hi - h  # Veltkamp split: hi and h - hi have 26 bits each
-        err = (hi * 1e6 - q) + (h - hi) * 1e6  # h * 1e6 == q + err exactly
-        n[tie] = np.where(err == 0.0, n[tie], np.floor(q) + (err > 0.0))
+    n = np.rint(p)  # the micrometres, half to even
+    wild |= np.abs(p - n) == 0.5  # a product rounded onto a half may not be a tie
+    text = np.array([b"%.6f" % v for v in x[wild].tolist()], dtype="S")
+    text[text == b"-0.000000"] = b"0.000000"
     micro = n.astype(np.int64)
     whole = micro // 1_000_000
     frac = micro - whole * 1_000_000

@@ -82,9 +82,15 @@ def calibrate_apply(coef: CalibrationCoefficients, x_m):
     return float(corrected) if np.ndim(x_m) == 0 else corrected
 
 
+def check_strategy(strategy: str) -> None:
+    """ParameterError unless ``strategy`` is one of DIVERSITY_STRATEGIES."""
+    if strategy not in DIVERSITY_STRATEGIES:
+        raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}, got {strategy!r}")
+
+
 def diversity_select(values, strategy: str, axis: int | None = None):
-    """Collapse per-channel measurements into one value, or, with ``axis``,
-    into an array with that axis removed.
+    """Collapse the per-channel measurements along ``axis`` into an array
+    with that axis removed or, without ``axis``, all values into one float.
 
     ``median`` returns the lower-middle element for even counts so the
     result is always a member of the input set.
@@ -92,16 +98,15 @@ def diversity_select(values, strategy: str, axis: int | None = None):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DataError("diversity selection needs at least one value")
-    if strategy == "min" and axis is None:
-        out = arr.min()
-    elif strategy == "min":  # one np.minimum per channel slice, not one inner loop per row
+    check_strategy(strategy)
+    flat = axis is None
+    if flat:  # the values as one axis of channels
+        arr, axis = arr.ravel(), 0
+    if strategy == "min":  # one np.minimum per channel slice, not one inner loop per row
         channels = np.moveaxis(arr, axis, 0)
         out = functools.reduce(np.minimum, channels[1:], channels[0].copy())
     elif strategy == "mean":
         out = arr.mean(axis=axis)
-    elif strategy == "median":
-        middle = ((arr.size if axis is None else arr.shape[axis]) - 1) // 2
-        out = np.take(np.sort(arr, axis=axis), middle, axis=axis)
     else:
-        raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}, got {strategy!r}")
-    return float(out) if axis is None else out
+        out = np.take(np.sort(arr, axis=axis), (arr.shape[axis] - 1) // 2, axis=axis)
+    return float(out) if flat else out

@@ -32,7 +32,7 @@ from .distributions import ErrorDistribution
 from .errors import DataError, ParameterError, SingularGeometryError, check_array_size
 from .geometry import SEVERITY_TO_CONDITION, Anchor, Wall, classify_links_bulk
 from .randomness import cell_uniform_array
-from .ranging import DIVERSITY_STRATEGIES, diversity_select
+from .ranging import check_strategy, diversity_select
 from .solver import SolverConfig, anchor_positions, check_anchors, solve_batch, start_points
 
 _CHUNK = 4096  # (run, point) cells per pass; bounds draws and solver temporaries
@@ -50,8 +50,7 @@ class DiversityConfig:
     def __post_init__(self):
         if self.channels < 1:
             raise ParameterError(f"channels must be >= 1, got {self.channels}")
-        if self.strategy not in DIVERSITY_STRATEGIES:
-            raise ParameterError(f"strategy must be one of {DIVERSITY_STRATEGIES}, got {self.strategy!r}")
+        check_strategy(self.strategy)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     diversity = scenario.diversity or DiversityConfig(channels=1, strategy="min")
     n_runs, n_points = scenario.runs, len(grid)
     n_cells = n_runs * n_points
-    check_array_size(max(n_cells * 3, diversity.channels))  # estimates, channel_keys
+    check_array_size(max(n_cells * 3, diversity.channels))  # (R, P, 3) estimates, channel index array
     anchors = list(scenario.anchors)
     positions = anchor_positions(anchors)
     severity = np.column_stack(  # (P, A) indices into SEVERITY_TO_CONDITION

@@ -123,29 +123,27 @@ def anchor_positions(anchors: list[Anchor]) -> np.ndarray:
 
 
 def reference_point(anchors: list[Anchor], mode: str = "median") -> np.ndarray:
-    """Component-wise median (or mean) of the anchor coordinates; the median
-    has the bits of ``np.median(positions, axis=0)``."""
+    """The x_r that ``start_points`` derives from ``anchors`` under
+    ``x_r_mode=mode``: their component-wise median, with the bits of
+    ``np.median(positions, axis=0)``, or mean."""
     if not anchors:
         raise ParameterError("a reference point needs at least one anchor")
-    if mode not in ("median", "mean"):
-        raise ParameterError("mode must be 'median' or 'mean'")
-    return _reference(anchor_positions(anchors), mode)
-
-
-def _reference(positions: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "mean":
-        return positions.mean(axis=0)
-    # np.median's own arithmetic: the mean of the middle one or two values,
-    # whose sum starts at +0.0, so the order of tied zeros cannot matter
-    ordered = np.sort(positions, axis=0)
-    middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
-    return np.add.reduce(middle) / len(middle)
+    return start_points(SolverConfig(x_r_mode=mode), anchor_positions(anchors))[0]
 
 
 def start_points(config: SolverConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regularization point x_r and first iterate x0: the configured points,
     else x_r from the (N, 3) anchor ``positions`` by ``x_r_mode`` and x0 = x_r."""
-    x_r = config.x_r.as_array() if config.x_r is not None else _reference(positions, config.x_r_mode)
+    if config.x_r is not None:
+        x_r = config.x_r.as_array()
+    elif config.x_r_mode == "mean":
+        x_r = positions.mean(axis=0)
+    else:
+        # np.median's own arithmetic: the mean of the middle one or two values,
+        # whose sum starts at +0.0, so the order of tied zeros cannot matter
+        ordered = np.sort(positions, axis=0)
+        middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
+        x_r = np.add.reduce(middle) / len(middle)
     return x_r, (config.x0.as_array() if config.x0 is not None else x_r)
 
 

@@ -89,6 +89,20 @@ def test_the_anchor_rules_are_worded_once_in_the_solver():
     assert sorted(raised) == sorted(rules)
 
 
+def test_the_strategy_and_x_r_mode_rules_are_each_raised_from_one_place():
+    # ranging.check_strategy and SolverConfig state these rules; a second
+    # raise of either text is a second check that can drift from it
+    rules = {"strategy must be one of": "ranging.py", "must be 'median' or 'mean'": "solver.py"}
+    raised = {rule: [] for rule in rules}
+    for path in sorted(Path(uwb_locsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in (node for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise) for node in ast.walk(stmt)):
+            for rule in rules:
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and rule in node.value:
+                    raised[rule].append(path.name)
+    assert raised == {rule: [module] for rule, module in rules.items()}
+
+
 def test_input_is_opened_and_read_only_by_the_scenario_reader():
     # scenarios.read_text opens every input file and reads stdin; another
     # open() for reading or use of sys.stdin would be a second file reader

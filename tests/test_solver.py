@@ -659,6 +659,21 @@ def test_points_failing_mid_loop_match_the_row_major_kernel(n_anchors):
     assert late >= 10
 
 
+def test_a_small_step_from_a_singular_start_fails_and_does_not_converge():
+    # Exact ranges from a start 1e-13 m above four anchors at z = 0, at c = 0:
+    # the first step is zero, below delta, but the z pivot fails the rank
+    # test. The point leaves failed with its start, not also converged.
+    positions = np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0], [9.0, 20.0, 0.0], [0.0, 20.0, 0.0]])
+    start = np.array([3.0, 4.0, 1e-13])
+    ex, ey, ez = (positions - start).T
+    distances = np.sqrt(ex * ex + ey * ey + ez * ez)[None]  # the solver's own ranges at the start
+    result = solve_batch(SolverConfig(c=0.0), positions, distances, start, start)
+    assert result.failed.tolist() == [True]
+    assert result.converged.tolist() == [False]
+    assert result.iterations.tolist() == [0]
+    assert result.positions.tobytes() == start.tobytes()
+
+
 @pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
 @pytest.mark.parametrize("config", ["default", "weights", "c0"])
 def test_a_shared_start_gives_the_results_of_per_point_starts(n_anchors, config):
