@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: fit, sample, solve, simulate, range-stats, energy.
-Machine-readable results go to stdout (or --out); diagnostics go to
-stderr. Exit codes: 0 success, 1 usage error, 2 data or config error,
-3 numerical failure.
+Each ``_cmd_*`` handler returns its result as text, which ``main`` writes
+to stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
+1 usage error, 2 data or config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .scenarios import (
     PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, read_model, read_profile,
     read_text, solve_input_from_dict,
 )
-from .simulator import aggregate, run_scenario
+from .simulator import QUARTILES, aggregate, run_scenario
 from .solver import solve
 
 
@@ -36,14 +36,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read_table(path: str, names: list[str] | None) -> tuple[list[str], list[tuple[int, dict]]]:
@@ -67,7 +59,7 @@ def _cell_number(path: str, line_no: int, row: dict, column: str) -> float:
 
 # ---------------------------------------------------------------- energy
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args) -> str:
     if args.sleep and args.period is None:
         raise _UsageError("uwb-locsim energy: --sleep needs --period")
     if args.profile in BUILTIN_PROFILES:
@@ -83,13 +75,12 @@ def _cmd_energy(args) -> int:
         payload["update_period_s"] = args.period
         payload["rest_state"] = "sleep" if args.sleep else "idle"
         payload["average_power_mW"] = average_power(profile, args.period, args.sleep)
-    _write_text(json_text(payload), args.out)
-    return 0
+    return json_text(payload)
 
 
 # ------------------------------------------------------------------- fit
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> str:
     names, rows = _read_table(args.input, ["column 1"] if args.no_header else None)
     data = [_cell_number(args.input, line_no, row, names[0]) for line_no, row in rows]
     families = [name.strip() for name in args.families.split(",") if name.strip()]
@@ -111,25 +102,23 @@ def _cmd_fit(args) -> int:
             for fit in ranking
         ],
     }
-    _write_text(json_text(payload), args.out)
-    return 0
+    return json_text(payload)
 
 
 # ---------------------------------------------------------------- sample
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> str:
     inline = args.model.lstrip().startswith("{")
     spec = parse_json(args.model, "--model") if inline else read_json(args.model)
     dist = read_model(spec, "model")
     draws = dist.sample(RandomStream(args.seed), args.count)
     lines = ["error_m"] + [str(float(v)) for v in draws]
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------- solve
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
     anchors, distances, config = solve_input_from_dict(read_json(args.input))
     estimate = solve(config, anchors, distances)
     payload = {
@@ -140,8 +129,7 @@ def _cmd_solve(args) -> int:
         "converged": estimate.converged,
         "final_step_norm_m": estimate.final_step_norm,
     }
-    _write_text(json_text(payload), args.out)
-    return 0
+    return json_text(payload)
 
 
 # -------------------------------------------------------------- simulate
@@ -154,7 +142,7 @@ def _stage_timer(stage: str):
     print(f"timing: {stage} {time.perf_counter() - start:.3f} s", file=sys.stderr)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     timed = _stage_timer if args.timings else contextlib.nullcontext
     with timed("scenario build"):
         scenario = preset_scenario(args.preset) if args.preset else load_scenario(args.config)
@@ -162,19 +150,19 @@ def _cmd_simulate(args) -> int:
             scenario = dataclasses.replace(scenario, seed=args.seed)
     with timed("run_scenario"):
         stats = run_scenario(scenario)
-    sys.stdout.write(write_outputs(stats, scenario, args.out, timed))
-    print(f"wrote points.csv, ecdf.csv, report.json to {args.out}", file=sys.stderr)
+    report = write_outputs(stats, scenario, args.outdir, timed)
+    print(f"wrote points.csv, ecdf.csv, report.json to {args.outdir}", file=sys.stderr)
     if args.timings:
         import resource  # POSIX only, so imported on request
 
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
         print(f"timing: peak RSS {peak_mb:.1f} MB", file=sys.stderr)
-    return 0
+    return report
 
 
 # ----------------------------------------------------------- range-stats
 
-def _cmd_range_stats(args) -> int:
+def _cmd_range_stats(args) -> str:
     names, rows = _read_table(
         args.input, ["true_m", "measured_m", "channel", "condition"] if args.no_header else None
     )
@@ -189,14 +177,13 @@ def _cmd_range_stats(args) -> int:
     payload = {"input": args.input, "groups": []}
     by_label = sorted(groups.items(), key=lambda kv: tuple(map(str, kv[0])))
     for (condition, channel), errors in by_label:
-        agg = aggregate(errors)
+        agg = aggregate(errors, QUARTILES)
         labels = {"condition": condition, "channel": channel}
         payload["groups"].append({
             "count": agg.count, "mean_m": agg.mean, "std_m": agg.std, "iqr_m": agg.iqr,
             "median_m": agg.median, **{key: v for key, v in labels.items() if v is not None},
         })
-    _write_text(json_text(payload), args.out)
-    return 0
+    return json_text(payload)
 
 
 # ---------------------------------------------------------------- parser
@@ -244,7 +231,8 @@ def build_parser() -> _Parser:
     source.add_argument("--config", help="scenario config JSON (lengths in meters)")
     source.add_argument("--preset", choices=PRESETS,
                         help="built-in 9x20 m four-anchor deployment")
-    p_sim.add_argument("--out", required=True, help="output directory for result files")
+    p_sim.add_argument("--out", dest="outdir", metavar="OUT", required=True,
+                       help="output directory for result files")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed (64-bit integer)")
     p_sim.add_argument("--threads", type=int, default=1,
@@ -253,7 +241,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--timings", action="store_true",
                        help="print the wall time of each stage (seconds) and the peak "
                             "RSS (MB) to stderr; result files and stdout are unchanged")
-    p_sim.set_defaults(handler=_cmd_simulate)
+    p_sim.set_defaults(handler=_cmd_simulate, out=None)  # --out is outdir: the report goes to stdout
 
     p_stats = sub.add_parser("range-stats",
                              help="error statistics per group from measurement CSVs")
@@ -284,7 +272,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except _UsageError as exc:  # from the parser, or a flag that needs another
         print(str(exc), file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ math testable in isolation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -102,9 +101,8 @@ def diversity_select(values, strategy: str, axis: int | None = None):
     flat = axis is None
     if flat:  # the values as one axis of channels
         arr, axis = arr.ravel(), 0
-    if strategy == "min":  # one np.minimum per channel slice, not one inner loop per row
-        channels = np.moveaxis(arr, axis, 0)
-        out = functools.reduce(np.minimum, channels[1:], channels[0].copy())
+    if strategy == "min":  # one reduction over channel-major rows: no inner loop per row
+        out = np.minimum.reduce(np.ascontiguousarray(np.moveaxis(arr, axis, 0)))
     elif strategy == "mean":
         out = arr.mean(axis=axis)
     else:

@@ -53,6 +53,12 @@ class DiversityConfig:
         check_strategy(self.strategy)
 
 
+def _check_grid_step(grid_step: float) -> None:
+    """ParameterError unless the tag lattice step is > 0 (NaN is not)."""
+    if not grid_step > 0.0:
+        raise ParameterError("grid_step must be > 0")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Floor plan, error models, and run plan for one deployment study."""
@@ -69,8 +75,7 @@ class Scenario:
     diversity: DiversityConfig | None = None
 
     def __post_init__(self):
-        if not self.grid_step > 0.0:
-            raise ParameterError("grid_step must be > 0")
+        _check_grid_step(self.grid_step)
         if not math.isfinite(self.tag_height):
             raise ParameterError(f"tag_height must be finite, got {self.tag_height}")
         if self.runs < 1:
@@ -139,8 +144,7 @@ def build_grid(area: tuple[float, float], grid_step: float, tag_height: float) -
     Points are ordered x-major: index = ix * ny + iy.
     """
     width, depth = float(area[0]), float(area[1])
-    if not grid_step > 0.0:
-        raise ParameterError("grid_step must be > 0")
+    _check_grid_step(grid_step)
     if not (0.0 <= width < math.inf and 0.0 <= depth < math.inf):
         raise ParameterError(f"area dimensions must be finite and >= 0, got {area}")
     if grid_step > width and grid_step > depth:

@@ -156,11 +156,11 @@ def _anchor_reducer(n_anchors: int):
     return lambda a: np.add.reduce(np.ascontiguousarray(a.T), 1)
 
 
-def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
+def _unit_rows(positions: np.ndarray, x: np.ndarray):
     """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (N, B), from
     iterates ``x`` (3, B) toward the anchors, and the iterates they were taken
-    from. An iterate on an anchor raises SingularGeometryError or, with
-    ``nudge``, moves along +z in a copy; ``x`` itself is never written."""
+    from: an iterate on an anchor moves along +z in a copy, so ``x`` itself is
+    never written."""
     for _attempt in range(3):
         ex = positions[:, 0, None] - x[0]
         ey = positions[:, 1, None] - x[1]
@@ -168,18 +168,21 @@ def _unit_rows(positions: np.ndarray, x: np.ndarray, nudge: bool):
         dist = np.sqrt(ex * ex + ey * ey + ez * ez)
         if not np.minimum.reduce(dist, None, initial=np.inf) < _ANCHOR_COINCIDENCE:
             break
-        if not nudge:
-            raise SingularGeometryError("position coincides with an anchor")
         x = x.copy()
         x[2, np.logical_or.reduce(dist < _ANCHOR_COINCIDENCE)] += _PERTURB_Z
     return ex / dist, ey / dist, ez / dist, dist, x
 
 
 def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
-    """Unit-row direction matrix from position x toward every anchor."""
-    point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float)
-    ux, uy, uz, _, _ = _unit_rows(anchor_positions(anchors), point.reshape(3, 1), nudge=False)
-    return np.column_stack([ux[:, 0], uy[:, 0], uz[:, 0]])
+    """Unit-row direction matrix (N, 3) from position x toward every anchor,
+    with the bits of ``_unit_rows``; a position on an anchor raises
+    SingularGeometryError instead of being nudged."""
+    point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float).reshape(3)
+    diff = anchor_positions(anchors) - point
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1, keepdims=True))
+    if np.logical_or.reduce(dist < _ANCHOR_COINCIDENCE, None):
+        raise SingularGeometryError("position coincides with an anchor")
+    return diff / dist
 
 
 @dataclass
@@ -197,7 +200,7 @@ def _gauss_newton_step(positions, w2, c2, x_r, xk, d, total):
     or a non-finite pivot or step), for iterates ``xk`` (3, B), or one (3, 1)
     iterate shared by all, ranges ``d`` (N, B) and the anchor sum ``total``
     from ``_anchor_reducer``."""
-    ux, uy, uz, dist, xk = _unit_rows(positions, xk, nudge=True)
+    ux, uy, uz, dist, xk = _unit_rows(positions, xk)
     wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
     resid = dist - d
     a11 = total(wx * ux) + c2

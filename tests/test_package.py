@@ -103,6 +103,43 @@ def test_the_strategy_and_x_r_mode_rules_are_each_raised_from_one_place():
     assert raised == {rule: [module] for rule, module in rules.items()}
 
 
+def test_no_plain_error_message_is_raised_from_two_places():
+    # A rule whose text is raised twice is checked twice and can drift; one
+    # check function (like check_anchors) raises it once for every caller
+    places = {}
+    for path in sorted(Path(uwb_locsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = node.exc.args[0]
+                if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                    places.setdefault(message.value, []).append(f"{path.name}:{node.lineno}")
+    assert len(places) > 20
+    assert {text: where for text, where in places.items() if len(where) > 1} == {}
+
+
+def test_only_main_writes_a_commands_result():
+    # Each _cmd_* handler returns its text and cli.main writes it, to --out or
+    # stdout; a handler that opens a file, writes stdout or prints there is a
+    # second writer (print(..., file=sys.stderr) for diagnostics is allowed)
+    path = Path(uwb_locsim.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    found = []
+    for handler in handlers:
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 0:
+                found.append(f"{handler.name}:{node.lineno} return 0")
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                to = next((ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"), "sys.stdout")
+                if name in ("open", "sys.stdout.write") or name == "print" and to != "sys.stderr":
+                    found.append(f"{handler.name}:{node.lineno} {name}")
+    assert len(handlers) == 6
+    assert found == []
+
+
 def test_input_is_opened_and_read_only_by_the_scenario_reader():
     # scenarios.read_text opens every input file and reads stdin; another
     # open() for reading or use of sys.stdin would be a second file reader

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +142,33 @@ def test_diversity_select_along_axis_equals_each_row(values, strategy):
     selected = diversity_select(values, strategy, axis=-1)
     assert selected.shape == values.shape[:-1]
     assert np.array_equal(selected.ravel().view(np.int64), expected.view(np.int64))  # bit for bit
+
+
+def test_a_flat_min_has_the_bits_of_the_array_min():
+    # 100,000 values whose minimum is held as both +0.0 and -0.0: which zero
+    # comes back depends on the reduction order, and must be arr.min()'s
+    values = np.random.default_rng(11).uniform(0.0, 5.0, 100_000)
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        values[::997], values[::1999] = first, second
+        selected = diversity_select(values, "min")
+        assert isinstance(selected, float)
+        assert np.float64(selected).tobytes() == values.min().tobytes(), (first, second)
+
+
+def test_an_axis_min_on_a_study_chunk_has_the_bits_of_the_channel_fold():
+    # (cells, anchors, channels) as the simulator passes them; the reference
+    # folds np.minimum over the channel slices one by one
+    rng = np.random.default_rng(12)
+    values = rng.normal(0.1, 0.2, (4096, 4, 3))
+    values[rng.random(values.shape) < 0.05] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    values[rng.random(values.shape) < 0.01] = np.nan
+    for axis in range(-3, 3):
+        channels = np.moveaxis(values, axis, 0)
+        expected = functools.reduce(np.minimum, channels[1:], channels[0].copy())
+        selected = diversity_select(values, "min", axis=axis)
+        assert selected.shape == expected.shape
+        assert selected.tobytes() == expected.tobytes(), axis
 
 
 def test_diversity_select_along_an_axis_returns_a_new_array():
