@@ -291,8 +291,8 @@ def main(argv=None) -> int:
         print("error: the input asks for more memory than is available", file=sys.stderr)
         return 2
     except OSError as exc:  # the readers raise DataError, so this is a write: --out or stdout
-        print(f"error: cannot write {exc.filename or args.out or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
+        target = exc.filename or args.out or getattr(args, "outdir", None) or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -101,7 +101,8 @@ def diversity_select(values, strategy: str, axis: int | None = None):
     flat = axis is None
     if flat:  # the values as one axis of channels
         arr, axis = arr.ravel(), 0
-    if strategy == "min":  # one reduction over channel-major rows: no inner loop per row
+    if strategy == "min":  # one reduction over channel-major rows: no inner loop per row;
+        # a single row is reduced as arr.min() reduces it
         out = np.minimum.reduce(np.ascontiguousarray(np.moveaxis(arr, axis, 0)))
     elif strategy == "mean":
         out = arr.mean(axis=axis)

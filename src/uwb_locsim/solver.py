@@ -160,7 +160,7 @@ def _unit_rows(positions: np.ndarray, x: np.ndarray):
     """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (N, B), from
     iterates ``x`` (3, B) toward the anchors, and the iterates they were taken
     from: an iterate on an anchor moves along +z in a copy, so ``x`` itself is
-    never written."""
+    never written and comes back only when no iterate moved."""
     for _attempt in range(3):
         ex = positions[:, 0, None] - x[0]
         ey = positions[:, 1, None] - x[1]
@@ -174,15 +174,14 @@ def _unit_rows(positions: np.ndarray, x: np.ndarray):
 
 
 def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
-    """Unit-row direction matrix (N, 3) from position x toward every anchor,
-    with the bits of ``_unit_rows``; a position on an anchor raises
+    """Unit-row direction matrix (N, 3) from position x toward every anchor:
+    the solver's ``_unit_rows``, except that a position on an anchor raises
     SingularGeometryError instead of being nudged."""
-    point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float).reshape(3)
-    diff = anchor_positions(anchors) - point
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=1, keepdims=True))
-    if np.logical_or.reduce(dist < _ANCHOR_COINCIDENCE, None):
+    point = np.asarray(x.as_array() if isinstance(x, Point3) else x, dtype=float).reshape(3, 1)
+    ux, uy, uz, _, moved = _unit_rows(anchor_positions(anchors), point)
+    if moved is not point:
         raise SingularGeometryError("position coincides with an anchor")
-    return diff / dist
+    return np.column_stack([ux[:, 0], uy[:, 0], uz[:, 0]])
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import functools
 import io
 import json
@@ -977,6 +978,30 @@ def test_an_unwritable_out_is_a_data_error_naming_the_path(tmp_path, monkeypatch
     for argv, out in cases:
         err = _assert_exits_cleanly([*argv, "--out", out], 2, (argv[0], out))
         assert err.startswith(f"error: cannot write {out}: "), err
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_write_error_without_a_filename_names_the_target(tmp_path, monkeypatch):
+    # ENOSPC or EIO from write() carries no filename: the message names the
+    # simulate output directory, the --out file or stdout
+    from uwb_locsim import cli, outputs
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
+    monkeypatch.setattr(outputs, "write_points_csv", lambda stats, path: _FullDisk().write(""))
+    err = _assert_exits_cleanly(["simulate", "--config", "scenario.json", "--out", "results"], 2, "simulate")
+    assert err == f"error: cannot write results: {os.strerror(errno.ENOSPC)}\n", err
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullDisk(), raising=False)
+    err = _assert_exits_cleanly(["energy", "--profile", "3db", "--out", "x.json"], 2, "--out")
+    assert err == f"error: cannot write x.json: {os.strerror(errno.ENOSPC)}\n", err
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullDisk()), contextlib.redirect_stderr(err):
+        assert main(["energy", "--profile", "3db"]) == 2
+    assert err.getvalue() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 _MODEL = {"family": "burr12", "params": {"c": 9.64, "d": 0.98, "mu": -0.46, "sigma": 0.72}}

@@ -171,6 +171,20 @@ def test_an_axis_min_on_a_study_chunk_has_the_bits_of_the_channel_fold():
         assert selected.tobytes() == expected.tobytes(), axis
 
 
+def test_an_axis_min_over_one_row_has_the_bits_of_the_row_min():
+    # with one element outside the channel axis numpy reduces the channels as
+    # one contiguous row, as arr.min() does: from nine channels on, a zero
+    # held with both signs may come back with the other sign than the fold's
+    rng = np.random.default_rng(13)
+    for n_channels in range(9, 17):
+        for _ in range(50):
+            row = rng.choice([0.0, -0.0, 1.0], n_channels)
+            for values, axis in ((row, 0), (row[None, :], -1), (row[:, None], 0), (row[None, :, None], 1)):
+                selected = diversity_select(values, "min", axis=axis)
+                assert selected.size == 1
+                assert selected.tobytes() == row.min().tobytes(), (n_channels, axis)
+
+
 def test_diversity_select_along_an_axis_returns_a_new_array():
     values = np.array([[[0.4], [0.2]], [[0.1], [0.3]]])
     for strategy in DIVERSITY_STRATEGIES:
