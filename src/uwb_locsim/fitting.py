@@ -15,20 +15,19 @@ closed-form MLE given the others profiled out:
   is the full NLL's gradient at that d.
 
 Burr XII's log(1 + z^c), in the profile as in ``BurrXII.pdf`` and
-``cdf``, is ``distributions._softplus(c log z)``, not np.logaddexp(0.0,
-c log z): numpy runs logaddexp as a scalar libm loop, which took about
-120 of the 185 us of one profile evaluation on 10k samples (2-vCPU
-x86-64). The two differ by a few ulp, which moved fitted Burr XII
-parameters by at most 7.6e-7 relative on 1,200 10k-sample sets.
+``cdf``, is ``distributions._softplus(c log z)``, a few ulp from
+np.logaddexp(0.0, c log z) but without its scalar libm loop.
 
-Each profile gets one run of ``minimize``, an in-house BFGS with a
-strong-Wolfe line search (J. Nocedal and S. J. Wright, "Numerical
-Optimization", 2006, Algorithms 3.5 and 3.6), from a deterministic start
-(mu0 = min(x) - 5% of the range; Burr XII starts from the log-normal
-fit), so a fit is a pure function of its data. BFGS stops at
-max|gradient| <= 1e-5, where the slope g.p is within one ulp of the NLL
-(no line search could see that decrease), or where rounding noise in the
-NLL fails its line search; the fit counts as converged when
+Each profile gets one run of ``minimize``, an in-house trust-region
+Newton method (J. Nocedal and S. J. Wright, "Numerical Optimization",
+2006, chapter 4) on the profile's analytic Hessian, from a deterministic
+start (mu0 = min(x) - 5% of the range; Burr XII starts from the
+log-normal fit), so a fit is a pure function of its data. Burr XII's
+Hessian is the full NLL's Schur complement over d, and each step solves
+its trust-region subproblem exactly, so an indefinite Hessian in the
+heavy-tail basin still gives a descent step. It stops at max|gradient|
+<= 1e-5, where the model's decrease is within one ulp of the NLL, or
+where the trust radius collapses; the fit counts as converged when
 max|gradient| <= 1e-6 n. On some samples the Burr XII likelihood keeps
 rising as c grows without bound; that fit raises ConvergenceError naming
 the final c and gradient. The error's ``best`` result carries that message
@@ -55,8 +54,7 @@ from .distributions import FAMILIES, BurrXII, ErrorDistribution, Gaussian, LogNo
 from .errors import ConvergenceError, DataError, ParameterError, check_array_size
 
 _GRAD_TOL = 1e-6  # converged when max|gradient of the profile NLL| <= this * n
-_BFGS_GTOL = 1e-5  # BFGS stops at max|gradient| <= this
-_C1, _C2 = 1e-4, 0.9  # strong Wolfe sufficient-decrease and curvature constants
+_GTOL = 1e-5  # minimize stops at max|gradient| <= this
 _LOCATION_MARGIN = 1e-6  # meters kept between mu and min(data)
 
 _LOG_SQRT2PI = 0.5 * math.log(2.0 * math.pi)
@@ -80,7 +78,7 @@ class FitResult:
     params: ErrorDistribution
     nll: float  # negative log-likelihood
     sse: float  # squared-error score vs the empirical PDF, 1/meters^2
-    iterations: int  # NLL+gradient evaluations used; 0 for the Gaussian
+    iterations: int  # NLL+gradient+Hessian evaluations used; 0 for the Gaussian
     error: str | None = None  # why the fit did not converge; None when it did
 
     @property
@@ -107,87 +105,74 @@ def empirical_pdf(data, bins: int) -> EmpiricalPdf:
 
 
 def minimize(func, theta0, args=()):
-    """BFGS on ``func(theta, *args) -> (value, gradient)``: the last accepted
-    point, its value and gradient, and the number of evaluations. The
-    inverse Hessian h starts as I, scaled by s'y / y'y after the first step;
-    its update is skipped when s'y <= 0. The first trial step is
-    min(1, 1 / max|g|), later ones 1. Stops at max|g| <= _BFGS_GTOL, when
-    -g.p <= one ulp of f (a decrease f cannot show, whose line search would
-    fail after 20 trials), when a line search fails, or after 200
-    iterations per dimension."""
-
-    def trial(a):
-        nonlocal nfev
+    """Trust-region Newton on ``func(theta, *args) -> (value, gradient,
+    Hessian)`` (Nocedal and Wright, Algorithm 4.1): the last accepted point,
+    its value and gradient, and the number of evaluations. Each step
+    minimizes the quadratic model within the radius exactly and is taken
+    when f falls. The radius starts at 1, shrinks to a quarter of a step
+    that gained less than a quarter of the model's decrease (an infinite f
+    gains -inf) and doubles after a step on its edge that gained over three
+    quarters. Stops at max|g| <= _GTOL, where the model's decrease is within
+    one ulp of f, where the radius cannot move x, or after 200 iterations
+    per dimension."""
+    x, nfev, radius = np.array(theta0, dtype=float), 1, 1.0
+    f, g, h = func(x, *args)
+    for _ in range(200 * x.size):
+        if np.abs(g).max() <= _GTOL or radius <= 2.0**-52 * np.abs(x).max():
+            break
+        p = _trust_step(g, h, radius)
+        gain = -float(g @ p + 0.5 * (p @ h @ p))
+        if gain <= abs(f) * 2.0**-52:
+            break
+        trial = func(x + p, *args)
         nfev += 1
-        f, g = func(x + a * p, *args)
-        return a, f, g, float(g @ p)
-
-    x, h, nfev = np.array(theta0, dtype=float), np.eye(len(theta0)), 1
-    f, g = func(x, *args)
-    alpha = min(1.0, 1.0 / max(float(np.abs(g).max()), 1e-300))
-    for k in range(200 * x.size):
-        if np.abs(g).max() <= _BFGS_GTOL:
-            break
-        p = -(h @ g)
-        slope = float(g @ p)
-        if -slope <= abs(f) * 2.0**-52:
-            break
-        step = _wolfe_step(trial, f, slope, alpha)
-        if step is None:
-            break
-        s, y = step[0] * p, step[2] - g
-        x, f, g, alpha = x + s, step[1], step[2], 1.0
-        sy = float(s @ y)
-        if sy > 0.0:
-            h *= sy / float(y @ y) if k == 0 else 1.0
-            hy = h @ y
-            h += (np.outer(s, s) * (1.0 + float(y @ hy) / sy) - np.outer(s, hy) - np.outer(hy, s)) / sy
+        rho, size = (f - trial[0]) / gain, math.sqrt(p @ p)
+        if not rho >= 0.25:
+            radius = 0.25 * size
+        elif rho > 0.75 and size >= 0.99 * radius:
+            radius *= 2.0
+        if rho > 0.0:
+            x, (f, g, h) = x + p, trial
     return x, f, g, nfev
 
 
-def _wolfe_step(trial, f0, d0, alpha):
-    """A ``trial(alpha) -> (alpha, f, g, slope)`` meeting the strong Wolfe
-    conditions from slope d0 < 0 at f0, or None: Algorithm 3.5 doubles alpha
-    until [lo, hi] brackets one, 3.6 shrinks [lo, hi]; lo is lower in f."""
-    lo, hi = (0.0, f0, None, d0), None
-    for _ in range(20):
-        a, f, _, d = cur = trial(alpha if hi is None else _cubic_min(lo, hi))
-        if f > f0 + _C1 * a * d0 or f >= lo[1]:
-            hi = cur
-        elif abs(d) <= -_C2 * d0:
-            return cur
-        else:  # cur is the new lo; the old lo becomes hi if the slope points back at it
-            hi = lo if d * ((a if hi is None else hi[0]) - lo[0]) >= 0.0 else hi
-            lo, alpha = cur, 2.0 * a
-    return None
-
-
-def _cubic_min(lo, hi):
-    """Minimizer of the cubic matching f and slope at both ends (eq. 3.59),
-    or the midpoint if undefined or within a tenth of the bracket of an end."""
-    (a0, f0, _, d0), (a1, f1, _, d1) = lo, hi
-    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
-    disc = e1 * e1 - d0 * d1  # NaN or inf after an infinite f
-    e2 = math.copysign(math.sqrt(disc), a1 - a0) if 0.0 <= disc < math.inf else math.nan
-    denom = d1 - d0 + 2.0 * e2
-    a = a1 - (a1 - a0) * (d1 + e2 - e1) / denom if denom else math.nan
-    margin = 0.1 * abs(a1 - a0)
-    return a if min(a0, a1) + margin <= a <= max(a0, a1) - margin else 0.5 * (a0 + a1)
+def _trust_step(g, h, radius):
+    """The p minimizing g.p + p.h.p / 2 over |p| <= radius (Nocedal and
+    Wright, section 4.3), from h's eigenvalues lam: p = -(h + (sigma - lam_1)
+    I)^-1 g at sigma = lam_1 > 0 if that fits, else at the sigma >= 0 that
+    puts p on the edge, found from the left by Newton's method on 1/|p|. In
+    the hard case (g orthogonal to the lowest eigenvector and p short of the
+    edge at sigma = 0) the lowest eigenvector fills the rest of the radius."""
+    lam, vec = np.linalg.eigh(h)
+    lam, gam = lam.tolist(), (g @ vec).tolist()  # floats: cheaper than numpy for 1 to 3 items
+    # each |gam_i| / (lam_i - lam_1 + sigma) <= radius on the edge: a lower bound for sigma
+    sigma = max(lam[0], *(abs(a) / radius - (l - lam[0]) for a, l in zip(gam, lam)))
+    for _ in range(50):
+        shifted = [l - lam[0] + sigma for l in lam]
+        p = [a / s if s > 0.0 else 0.0 for a, s in zip(gam, shifted)]
+        size = math.hypot(*p)
+        if size <= radius * (1.0 + 1e-9):
+            break
+        sigma += (size / radius - 1.0) * size * size / sum(x * x / s for x, s in zip(p, shifted) if s > 0.0)
+    if sigma <= 0.0 and size < radius:
+        p[0] = math.sqrt(radius * radius - size * size)  # the hard case
+    return -(vec @ p)
 
 
 def _guarded(profile):
-    """``profile`` returning an infinite NLL, which BFGS's line search backs
-    off from, wherever its arithmetic leaves the floats."""
+    """``profile`` returning an infinite NLL, which fails minimize's ratio
+    test and so shrinks its trust radius, wherever its arithmetic leaves
+    the floats. The Hessian of an infinite NLL is None."""
 
     def guarded(theta, data, mu_bound):
         try:
             with np.errstate(all="ignore"):
-                nll, grad = profile(theta, data, mu_bound)
-            if math.isfinite(nll) and np.isfinite(grad).all():
-                return nll, grad
+                nll, grad, hess = profile(theta, data, mu_bound)
+            if math.isfinite(nll) and np.isfinite(grad).all() and np.isfinite(hess).all():
+                return nll, grad, hess
         except (ArithmeticError, ValueError):  # math.exp overflow, math.log(0), n / 0
             pass
-        return math.inf, np.zeros(len(theta))
+        return math.inf, np.zeros(len(theta)), None
 
     return guarded
 
@@ -200,20 +185,22 @@ def _log_shifted(t, data, mu_bound):
 
 @_guarded
 def _lognormal_profile(theta, data, mu_bound):
-    """Log-normal NLL in t with sigma and s at their MLEs, and its derivative."""
+    """Log-normal NLL in t with sigma and s at their MLEs, and its two derivatives."""
     n = data.size
     y, w = _log_shifted(theta[0], data, mu_bound)
     dev = y - y.mean()
     var = float(dev @ dev) / n
     nll = 0.5 * n * (math.log(var) + 1.0) + n * _LOG_SQRT2PI + y.sum()
-    return float(nll), np.array([math.exp(theta[0]) * (float(dev @ w) / var + w.sum())])
+    e, dev_w, sum_w, w_w = math.exp(theta[0]), float(dev @ w), w.sum(), float(w @ w)
+    grad = e * (dev_w / var + sum_w)
+    hess = grad + e * e * ((w_w - sum_w * sum_w / n - float(np.multiply(dev, w, out=dev) @ w)) / var
+                           - 2.0 * dev_w * dev_w / (n * var * var) - w_w)
+    return float(nll), np.array([grad]), np.array([[hess]])
 
 
 def _burr12_terms(theta, data, mu_bound):
     """c, the MLE of d, sigma, log z, 1/(x - mu), v = c log z and
-    log(1 + z^c) at theta. log(1 + z^c) is ``_softplus(v)``, not
-    np.logaddexp(0.0, v), whose scalar libm loop took two thirds of a
-    profile evaluation."""
+    log(1 + z^c) = ``_softplus(v)`` at theta."""
     y, w = _log_shifted(theta[0], data, mu_bound)
     log_z = np.subtract(y, theta[1], out=y)  # in place: one array fewer alive in _softplus
     c, sigma = math.exp(theta[2]), math.exp(theta[1])
@@ -224,9 +211,10 @@ def _burr12_terms(theta, data, mu_bound):
 
 @_guarded
 def _burr12_profile(theta, data, mu_bound):
-    """Burr XII NLL in (t, log sigma, log c) with d at its MLE, and its gradient.
-    Infinite where (c - 1) sum(log z) exceeds 2^32 times both |NLL| and n:
-    there it and sum(log(1 + z^c)) cancel to finite rounding noise."""
+    """Burr XII NLL in (t, log sigma, log c) with d at its MLE, its gradient
+    and its Hessian: the full NLL's Hessian in (theta, d), Schur-complemented
+    over d. Infinite where (c - 1) sum(log z) exceeds 2^32 times both |NLL|
+    and n: there it and sum(log(1 + z^c)) cancel to finite rounding noise."""
     t, log_sigma, log_c = theta
     n = data.size
     c, d, _, log_z, w, v, tail = _burr12_terms(theta, data, mu_bound)
@@ -234,16 +222,23 @@ def _burr12_profile(theta, data, mu_bound):
     shape_term = (c - 1.0) * sum_log_z
     nll = n * (log_sigma - log_c - math.log(d) + 1.0) - shape_term + tail.sum()
     if abs(shape_term) > 2.0**32 * max(abs(nll), n):
-        return math.inf, np.zeros(3)
+        return math.inf, None, None
     v -= tail
     p = np.exp(v, out=v)  # z^c / (1 + z^c)
-    k = (d + 1.0) * c
-    grad = np.array([
-        math.exp(t) * (k * float(w @ p) - (c - 1.0) * w.sum()),
-        n * c - k * p.sum(),
-        k * float(log_z @ p) - c * sum_log_z - n,
-    ])
-    return float(nll), grad
+    e, k, sum_w, sum_p, wp, zp = math.exp(t), (d + 1.0) * c, w.sum(), p.sum(), float(w @ p), float(log_z @ p)
+    grad = np.array([e * (k * wp - (c - 1.0) * sum_w), n * c - k * sum_p, k * zp - c * sum_log_z - n])
+    # the Hessian's sums, made in the buffers of tail and p: a new 10k array
+    # costs more in page faults than its arithmetic. q = dp / d(c log z).
+    q = np.subtract(p, np.multiply(p, p, out=tail), out=tail)
+    sum_q, q_w, q_z, p_w2 = q.sum(), float(q @ w), float(q @ log_z), float(np.multiply(p, w, out=p) @ w)
+    qz = np.multiply(q, log_z, out=p)
+    qz_w, qz_z, q_w2 = float(qz @ w), float(qz @ log_z), float(np.multiply(q, w, out=q) @ w)
+    h_tt = e * (k * (c * e * q_w2 + wp - e * p_w2) - (c - 1.0) * (sum_w - e * float(w @ w)))
+    h_ts, h_tc = -k * c * e * q_w, e * (k * (c * qz_w + wp) - c * sum_w)
+    h_sc, h_cc = c * n - k * (c * q_z + sum_p), k * (c * qz_z + zp) - c * sum_log_z
+    hess = np.array([[h_tt, h_ts, h_tc], [h_ts, k * c * sum_q, h_sc], [h_tc, h_sc, h_cc]])
+    tail_grad = c * np.array([e * wp, -sum_p, zp])  # of sum(log(1 + z^c)) in theta
+    return float(nll), grad, hess - np.outer(tail_grad, tail_grad) * (d * d / n)
 
 
 class _Sample:
@@ -261,6 +256,9 @@ class _Sample:
                             f"got {data[0]} to {data[-1]}")
         if data[-1] == data[0]:
             raise DataError("degenerate data: all values are equal, no scale can be fitted")
+        span = float(data[-1] - data[0])
+        if span < bins * 2.0**-512:  # (bins / span)^2, a bound on the squared densities, overflows
+            raise DataError(f"samples span {span!r}, too little for {bins} bins with finite squared densities")
         self.data, self.std = data, std
         self.mu_bound = float(data[0]) - _LOCATION_MARGIN
         self.epdf = empirical_pdf(data, bins)
@@ -297,7 +295,7 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     if family == "gaussian":
         dist = Gaussian(mu=float(data.mean()), sigma=sample.std)
         nll, grad, evals = data.size * (math.log(dist.sigma) + _LOG_SQRT2PI + 0.5), 0.0, 0
-    else:  # the sample's log-normal fit and, for Burr XII, one BFGS run from it
+    else:  # the sample's log-normal fit and, for Burr XII, one minimize run from it
         t, dist, nll, grad, evals = sample.lognormal
         if family == "burr12":
             theta0 = [t, math.log(dist.sigma), math.log(1.5 / dist.s)]

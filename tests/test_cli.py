@@ -429,7 +429,7 @@ _FIT_NO_SCIPY_SCRIPT = textwrap.dedent(
 
 
 def test_fit_process_never_imports_scipy(tmp_path):
-    # Fits run on the in-house BFGS and math.erfc: numpy is the only dependency.
+    # Fits run on the in-house minimizer and math.erfc: numpy is the only dependency.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
