@@ -19,7 +19,7 @@ from . import distributions
 from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
 from .fitting import select_best_model
-from .outputs import json_text, write_outputs
+from .outputs import json_text, new_file, write_outputs
 from .randomness import RandomStream
 from .scenarios import (
     PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, read_model, read_profile,
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         text = args.handler(args)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            with open(new_file(args.out), "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)

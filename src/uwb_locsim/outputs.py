@@ -30,12 +30,21 @@ per study, the latter by gathering a table of one line per link
 signature (``RunStatistics.labels``) by each point's ``signature_of``;
 apart from it the writer's memory is bounded by the block, not by the
 number of runs.
+
+Every file the toolkit writes, these three and a command's ``--out``, is
+a new file (``new_file``): a writable regular file at the path is removed
+first, so the new one takes default permissions, not the old file's. A
+symlink is written through; a FIFO, a device or a file we may not write
+is left to ``open``. Truncating a file in place makes ext4 flush it at
+close, 40-90 ms a file on a 2-vCPU cloud VM. The report is encoded
+before anything is removed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from contextlib import nullcontext
 
 import numpy as np
@@ -74,6 +83,18 @@ def json_text(payload) -> str:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise DataError("a result is not finite and cannot be written as JSON") from exc
+
+
+def new_file(path: str) -> str:
+    """``path``, after removing the writable regular file there, if any, so
+    that ``open(path, "w")`` creates a file instead of truncating one. Any
+    other file, or one that cannot be removed, is left for ``open``."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:
+        pass  # nothing there, or not ours to remove: open() writes it or says why not
+    return path
 
 
 def _fixed6(values: np.ndarray) -> np.ndarray:
@@ -122,7 +143,7 @@ def write_points_csv(stats: RunStatistics, path: str) -> None:
     lines = np.array([label.encode() + b"\n" for label in stats.labels])
     conditions = lines.view(np.uint8).reshape(len(lines), -1)[stats.signature_of]
     positions = [_fixed6(stats.grid[block]) for block in blocks]
-    with open(path, "wb") as out:
+    with open(new_file(path), "wb") as out:
         out.write(_POINTS_HEADER)
         for run in range(n_runs):
             prefix = np.frombuffer(b"%d," % run, np.uint8)
@@ -138,7 +159,7 @@ def write_ecdf_csv(stats: RunStatistics, path: str) -> None:
     agg = stats.aggregate_2d
     text = _fixed6(np.column_stack((agg.ecdf_values, agg.ecdf_probs)))
     text[:, -1] = ord("\n")
-    with open(path, "wb") as out:
+    with open(new_file(path), "wb") as out:
         out.write(b"err2d_m,cum_prob\n")
         out.write(text.tobytes().translate(None, b"\0"))
 
@@ -155,7 +176,7 @@ def write_report_json(stats: RunStatistics, scenario: Scenario, path: str) -> st
         "error_2d_m": stats.aggregate_2d.to_dict(),
         "error_3d_m": stats.aggregate_3d.to_dict(),
     })
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+    with open(new_file(path), "w", encoding="utf-8", newline="\n") as out:
         out.write(text)
     return text
 
@@ -164,9 +185,9 @@ def write_outputs(stats: RunStatistics, scenario: Scenario, outdir: str, timed=n
     """Write all three artifacts into ``outdir``; returns the report's text.
 
     The report goes first, so a report that cannot be encoded leaves no
-    artifact behind. ``timed(stage)`` is entered around each artifact's
-    writer: the CLI's ``--timings`` passes a stopwatch, and the default
-    does nothing.
+    artifact behind and a previous study's files as they were.
+    ``timed(stage)`` is entered around each artifact's writer: the CLI's
+    ``--timings`` passes a stopwatch, and the default does nothing.
     """
     os.makedirs(outdir, exist_ok=True)
     with timed("report"):

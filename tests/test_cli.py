@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1002,6 +1003,84 @@ def test_a_write_error_without_a_filename_names_the_target(tmp_path, monkeypatch
     with contextlib.redirect_stdout(_FullDisk()), contextlib.redirect_stderr(err):
         assert main(["energy", "--profile", "3db"]) == 2
     assert err.getvalue() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+# ------------------------------------------- rewriting existing files
+
+_ARTIFACTS = ("points.csv", "ecdf.csv", "report.json")
+
+
+def _simulate_into(tmp_path, out, seed):
+    (tmp_path / "scenario.json").write_text(json.dumps({**_small_scenario(), "seed": seed}))
+    code, _, err = _main_quiet(["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(out)])
+    assert code == 0, err
+    return {name: (out / name).read_bytes() for name in _ARTIFACTS}
+
+
+def test_simulate_over_a_previous_study_writes_new_files(tmp_path):
+    # The second study's bytes are those of a study into a fresh directory, and
+    # hard links to the first study's files keep its bytes: each file was
+    # replaced, not truncated and rewritten
+    expected = _simulate_into(tmp_path, tmp_path / "fresh", seed=11)
+    first = _simulate_into(tmp_path, tmp_path / "out", seed=12)
+    for name in _ARTIFACTS:
+        assert first[name] != expected[name]
+        os.link(tmp_path / "out" / name, tmp_path / f"first-{name}")
+    assert _simulate_into(tmp_path, tmp_path / "out", seed=11) == expected
+    assert {name: (tmp_path / f"first-{name}").read_bytes() for name in _ARTIFACTS} == first
+
+
+def test_a_symlinked_artifact_is_written_through(tmp_path):
+    expected = _simulate_into(tmp_path, tmp_path / "fresh", seed=11)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "target.csv").write_text("stale\n" * 5000)
+    (tmp_path / "out" / "ecdf.csv").symlink_to(tmp_path / "target.csv")
+    assert _simulate_into(tmp_path, tmp_path / "out", seed=11) == expected
+    assert (tmp_path / "out" / "ecdf.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_bytes() == expected["ecdf.csv"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file, so nothing is refused")
+def test_a_read_only_report_is_refused_and_the_previous_study_kept(tmp_path):
+    out = tmp_path / "out"
+    first = _simulate_into(tmp_path, out, seed=12)
+    (out / "report.json").chmod(0o444)
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
+    err = _assert_exits_cleanly(["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(out)],
+                                2, "read-only report")
+    assert err.startswith(f"error: cannot write {out / 'report.json'}: "), err
+    assert {name: (out / name).read_bytes() for name in _ARTIFACTS} == first
+
+
+def test_a_report_that_cannot_be_encoded_leaves_the_previous_study(tmp_path, monkeypatch):
+    from uwb_locsim import simulator
+
+    first = _simulate_into(tmp_path, tmp_path / "out", seed=12)
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
+    real = simulator.aggregate
+    monkeypatch.setattr(simulator, "aggregate",
+                        lambda errors, *levels: dataclasses.replace(real(errors, *levels), mean=math.inf))
+    err = _assert_exits_cleanly(["simulate", "--config", str(tmp_path / "scenario.json"),
+                                 "--out", str(tmp_path / "out")], 2, "infinite mean")
+    assert "not finite" in err
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in _ARTIFACTS} == first
+
+
+def test_an_existing_out_file_is_replaced(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, expected, err = _main_quiet(["energy", "--profile", "3db"])
+    assert code == 0, err
+    Path("result.json").write_text("x" * 100_000)
+    os.link("result.json", "old.json")
+    assert _main_quiet(["energy", "--profile", "3db", "--out", "result.json"]) == (0, "", "")
+    assert Path("result.json").read_text() == expected
+    assert Path("old.json").read_text() == "x" * 100_000
+
+
+def test_out_to_dev_null_writes_through_the_device():
+    model = json.dumps({"family": "gaussian", "params": {"mu": 0.0, "sigma": 0.071}})
+    assert _main_quiet(["sample", "--model", model, "-n", "3", "--out", "/dev/null"]) == (0, "", "")
+    assert stat.S_ISCHR(os.lstat("/dev/null").st_mode)
 
 
 _MODEL = {"family": "burr12", "params": {"c": 9.64, "d": 0.98, "mu": -0.46, "sigma": 0.72}}

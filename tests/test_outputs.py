@@ -6,6 +6,7 @@ is the 1,001-level quantile function of the 2D errors."""
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import replace
 
@@ -206,3 +207,18 @@ def test_ecdf_csv_is_the_quantile_function_at_1001_levels(tmp_path, runs):
     assert [values[250], values[500], values[750]] == [
         "%.6f" % report[key] for key in ("q1", "median", "q3")
     ]
+
+
+def test_new_file_removes_only_a_writable_regular_file(tmp_path):
+    # A regular file goes, so open() creates a new one (a hard link keeps the
+    # old bytes); a symlink, FIFO, directory or missing path is left for open()
+    regular, link, fifo = tmp_path / "regular", tmp_path / "link", tmp_path / "fifo"
+    regular.write_text("old")
+    os.link(regular, tmp_path / "kept")
+    link.symlink_to(tmp_path / "kept")
+    os.mkfifo(fifo)
+    for path in (regular, link, fifo, tmp_path, tmp_path / "missing", tmp_path / "kept" / "x"):
+        assert outputs.new_file(str(path)) == str(path)
+    assert not os.path.lexists(regular)
+    assert (tmp_path / "kept").read_text() == "old"
+    assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode) and tmp_path.is_dir()
