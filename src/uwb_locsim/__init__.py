@@ -12,10 +12,7 @@ from .fitting import EmpiricalPdf, FitResult, empirical_pdf, fit_mle, select_bes
 from .geometry import Anchor, Point3, Wall, classify_link, segment_crosses_wall
 from .randomness import RandomStream
 from .ranging import (
-    CalibrationCoefficients,
     TwrTiming,
-    calibrate_apply,
-    calibrate_fit,
     diversity_select,
     drift_error,
     propagation_time,
@@ -37,7 +34,6 @@ __all__ = [
     "Anchor",
     "BUILTIN_PROFILES",
     "BurrXII",
-    "CalibrationCoefficients",
     "ConvergenceError",
     "DataError",
     "DiversityConfig",
@@ -61,8 +57,6 @@ __all__ = [
     "aggregate",
     "average_power",
     "build_grid",
-    "calibrate_apply",
-    "calibrate_fit",
     "classify_link",
     "diversity_select",
     "drift_error",

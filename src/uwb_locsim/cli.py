@@ -139,7 +139,7 @@ def _stage_timer(stage: str):
     """Print a stage's wall time to stderr (``simulate --timings``)."""
     start = time.perf_counter()
     yield
-    print(f"timing: {stage} {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    print(f"timing: {stage} {time.perf_counter() - start:.6f} s", file=sys.stderr)
 
 
 def _cmd_simulate(args) -> str:

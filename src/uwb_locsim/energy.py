@@ -9,7 +9,7 @@ same fields, read by ``scenarios.read_profile``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -32,9 +32,6 @@ class PowerProfile:
                 raise ParameterError(f"{field} must be finite and >= 0, got {getattr(self, field)}")
         if not 0.0 < self.t_packet < math.inf:
             raise ParameterError(f"t_packet must be finite and > 0, got {self.t_packet}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Built-in device classes. The 3db transition constant makes one SS-TWR

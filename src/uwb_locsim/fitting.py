@@ -322,13 +322,17 @@ def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
     The families share one ``_Sample``: one sort, one histogram and one
     log-normal fit, which Burr XII starts from.
 
-    Non-finite samples raise DataError before any fit. A family whose fit
-    fails is ranked last as its ConvergenceError's ``best``, with the
-    failure in ``error``, instead of aborting the ranking.
+    Non-finite samples raise DataError and a repeated family ParameterError,
+    before any fit. A family whose fit fails is ranked last as its
+    ConvergenceError's ``best``, with the failure in ``error``, instead of
+    aborting the ranking.
     """
     families = list(families)
     if not families:
         raise ParameterError("at least one family is required")
+    for i, family in enumerate(families):
+        if family in families[:i]:
+            raise ParameterError(f"family {family!r} is listed more than once")
     sample = _Sample(data, bins)
     results = []
     for family in families:

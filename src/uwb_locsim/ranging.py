@@ -1,5 +1,4 @@
-"""Single-sided two-way ranging: timing math, linear calibration, and
-channel-diversity selection.
+"""Single-sided two-way ranging: timing math and channel-diversity selection.
 
 Clock-drift error is a separate additive term and is never folded into
 the sampled error models, which already include every real-world error
@@ -9,7 +8,6 @@ math testable in isolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +33,6 @@ class TwrTiming:
             raise ParameterError("clock drift magnitude must be <= 1e-3")
 
 
-@dataclass(frozen=True)
-class CalibrationCoefficients:
-    """Linear measurement model: measured ~ p0 * true + p1."""
-
-    p0: float  # slope, dimensionless
-    p1: float  # intercept, meters
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p0) and self.p0 > 0.0):
-            raise ParameterError("calibration slope p0 must be > 0")
-
-
 def propagation_time(t: TwrTiming) -> float:
     """One-way propagation time (t_round - t_proc) / 2, seconds."""
     return (t.t_round - t.t_proc) / 2.0
@@ -60,25 +46,6 @@ def drift_error(t: TwrTiming, t_p: float) -> float:
     if t_p < 0.0:
         raise ParameterError("propagation time must be >= 0")
     return t.e1 * t_p + 0.5 * t.t_proc * (t.e1 - t.e2)
-
-
-def calibrate_fit(pairs: list[tuple[float, float]]) -> CalibrationCoefficients:
-    """Ordinary least-squares line through (true, measured) pairs."""
-    if len(pairs) < 2:
-        raise DataError("calibration needs at least two measurement pairs")
-    true = np.asarray([p[0] for p in pairs], dtype=float)
-    measured = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.ptp(true) == 0.0:
-        raise DataError("calibration needs at least two distinct true distances")
-    design = np.column_stack([true, np.ones_like(true)])
-    (p0, p1), *_ = np.linalg.lstsq(design, measured, rcond=None)
-    return CalibrationCoefficients(p0=float(p0), p1=float(p1))
-
-
-def calibrate_apply(coef: CalibrationCoefficients, x_m):
-    """Correct raw measurement(s): (x_m - p1) / p0."""
-    corrected = (np.asarray(x_m, dtype=float) - coef.p1) / coef.p0
-    return float(corrected) if np.ndim(x_m) == 0 else corrected
 
 
 def check_strategy(strategy: str) -> None:

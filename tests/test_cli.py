@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -116,6 +117,15 @@ def test_fit_command(tmp_path, capsys):
     assert [r["family"] for r in payload["ranking"]][0] in ("gaussian", "lognormal")
     top = payload["ranking"][0]
     assert set(top) >= {"family", "params", "nll", "sse", "converged", "evaluations"}
+
+
+def test_fit_with_a_repeated_family_exits_2(tmp_path, capsys):
+    path = tmp_path / "errors.csv"
+    path.write_text("error_m\n" + "\n".join(str(0.01 * k) for k in range(100)) + "\n")
+    code, out, err = _run(capsys, "fit", "--input", str(path), "--families", "gaussian,gaussian")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'gaussian'" in err
 
 
 def test_fit_no_header_and_bad_value(tmp_path, capsys):
@@ -375,6 +385,9 @@ def test_simulate_timings_go_to_stderr_only(tmp_path, capsys):
     assert "timing:" not in err_a
     for stage in ("scenario build", "run_scenario", "points.csv", "ecdf.csv", "report", "peak RSS"):
         assert f"timing: {stage} " in err_b
+    for stage in ("scenario build", "run_scenario", "points.csv", "ecdf.csv", "report"):
+        seconds, = re.findall(rf"^timing: {stage} (\S+) s$", err_b, re.MULTILINE)
+        assert float(seconds) > 0.0, (stage, seconds)  # each stage takes a readable time
 
 
 _NO_SCIPY_SCRIPT = textwrap.dedent(

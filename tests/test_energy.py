@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -70,7 +71,7 @@ def test_profile_validation():
         PowerProfile("bad", -1.0, 1.0, 1.0, 0.0, 100.0)
     with pytest.raises(ParameterError):
         PowerProfile("bad", 1.0, 1.0, 1.0, 0.0, 0.0)
-    good = BUILTIN_PROFILES["3db"].to_dict()
+    good = dataclasses.asdict(BUILTIN_PROFILES["3db"])
     for field in ("p_tx", "p_rx", "p_idle", "p_sleep", "t_packet", "e_transition"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError, match=field):
@@ -84,7 +85,7 @@ def test_average_power_rejects_a_non_finite_period(period):
 
 
 def test_profile_from_dict_round_trip():
-    spec = BUILTIN_PROFILES["3db"].to_dict()
+    spec = dataclasses.asdict(BUILTIN_PROFILES["3db"])
     assert read_profile(spec) == BUILTIN_PROFILES["3db"]
     with pytest.raises(DataError):
         read_profile({"name": "x", "p_tx": 1.0})

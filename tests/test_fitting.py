@@ -308,6 +308,11 @@ def test_fit_unknown_family():
         fit_mle("weibull", [0.0, 0.1, 0.2])
 
 
+def test_select_best_model_rejects_a_repeated_family():
+    with pytest.raises(ParameterError, match="'lognormal' is listed more than once"):
+        select_best_model([0.0, 0.1, 0.2], ["lognormal", "gaussian", "lognormal"])
+
+
 def test_fit_is_permutation_invariant():
     data = BurrXII(9.64, 0.98, -0.46, 0.72).sample(RandomStream(31), 4000)
     shuffled = data.copy()

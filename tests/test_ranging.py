@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from uwb_locsim import (
-    CalibrationCoefficients,
     DataError,
     ParameterError,
     TwrTiming,
-    calibrate_apply,
-    calibrate_fit,
     diversity_select,
     drift_error,
     propagation_time,
@@ -57,61 +54,6 @@ def test_timing_validation():
         TwrTiming(t_round=2e-6, t_proc=1e-6, e1=2e-3)
     with pytest.raises(ParameterError):
         drift_error(TwrTiming(2e-6, 1e-6), -1.0)
-
-
-def test_calibrate_fit_exact_line():
-    coef = calibrate_fit([(2, 2.09), (5, 5.15), (10, 10.25)])
-    assert coef.p0 == pytest.approx(1.02, abs=1e-12)
-    assert coef.p1 == pytest.approx(0.05, abs=1e-12)
-
-
-def test_calibrate_fit_identity():
-    coef = calibrate_fit([(2, 2), (5, 5), (10, 10)])
-    assert coef.p0 == pytest.approx(1.0, abs=1e-12)
-    assert coef.p1 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_calibrate_fit_with_noise_recovers_identity():
-    rng = np.random.default_rng(99)
-    true = np.repeat([2.0, 5.0, 10.0], 1000)
-    measured = true + rng.normal(0.0, 0.0654, true.size)
-    coef = calibrate_fit(list(zip(true, measured)))
-    assert abs(coef.p0 - 1.0) < 0.01
-    assert abs(coef.p1) < 0.02
-
-
-def test_calibrate_fit_residuals_sum_to_zero():
-    rng = np.random.default_rng(4)
-    true = rng.uniform(1, 12, 500)
-    measured = 1.31 * true - 0.2 + rng.normal(0, 0.05, 500)
-    coef = calibrate_fit(list(zip(true, measured)))
-    residuals = measured - (coef.p0 * true + coef.p1)
-    assert abs(residuals.sum()) < 1e-9 * np.abs(measured).sum()
-
-
-def test_calibrate_fit_degenerate():
-    with pytest.raises(DataError):
-        calibrate_fit([(5.0, 5.1), (5.0, 5.2), (5.0, 4.9)])
-    with pytest.raises(DataError):
-        calibrate_fit([(5.0, 5.1)])
-
-
-def test_calibrate_apply_inverse():
-    coef = CalibrationCoefficients(1.02, 0.05)
-    assert calibrate_apply(coef, 10.25) == pytest.approx(10.0, abs=1e-12)
-    assert calibrate_apply(CalibrationCoefficients(1.0, 0.0), 7.7) == 7.7
-
-
-def test_calibration_round_trip_on_exact_data():
-    pairs = [(2.0, 2.09), (5.0, 5.15), (10.0, 10.25)]
-    coef = calibrate_fit(pairs)
-    for true, measured in pairs:
-        assert calibrate_apply(coef, measured) == pytest.approx(true, abs=1e-10)
-
-
-def test_calibration_requires_positive_slope():
-    with pytest.raises(ParameterError):
-        CalibrationCoefficients(0.0, 0.1)
 
 
 def test_diversity_select_examples():
@@ -209,11 +151,14 @@ def test_diversity_order_statistics():
         assert low <= diversity_select(values, "median")
 
 
-def test_calibration_commutes_with_min_select():
+def test_diversity_select_commutes_with_an_increasing_affine_map():
+    # for a > 0, fl(a * x + b) never reverses an order, so the selected value
+    # of the mapped channels is the mapped selected value, bit for bit
     rng = np.random.default_rng(18)
-    coef = CalibrationCoefficients(1.07, -0.12)
     for _ in range(100):
-        values = rng.uniform(0.5, 12.0, 5)
-        direct = calibrate_apply(coef, diversity_select(values, "min"))
-        elementwise = min(calibrate_apply(coef, v) for v in values)
-        assert direct == pytest.approx(elementwise, abs=1e-12)
+        values = rng.uniform(0.5, 12.0, rng.integers(1, 8))
+        a, b = rng.uniform(1e-3, 1e3), rng.uniform(-1e3, 1e3)
+        for strategy in ("min", "median"):
+            mapped = diversity_select(a * values + b, strategy)
+            expected = a * diversity_select(values, strategy) + b
+            assert np.float64(mapped).tobytes() == np.float64(expected).tobytes(), (strategy, a, b)
