@@ -15,6 +15,8 @@ import functools
 import sys
 import time
 
+import numpy as np
+
 from . import distributions
 from .energy import BUILTIN_PROFILES, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
@@ -27,6 +29,9 @@ from .scenarios import (
 )
 from .simulator import QUARTILES, aggregate, run_scenario
 from .solver import solve
+
+
+_HEAP_WARM_UP = 8 << 20  # bytes; glibc raises its thresholds to at most 32 MiB
 
 
 class _UsageError(Exception):
@@ -155,8 +160,9 @@ def _cmd_simulate(args) -> str:
     if args.timings:
         import resource  # POSIX only, so imported on request
 
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-        print(f"timing: peak RSS {peak_mb:.1f} MB", file=sys.stderr)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        print(f"timing: peak RSS {usage.ru_maxrss / 1024.0:.1f} MB", file=sys.stderr)  # KiB on Linux
+        print(f"timing: minor page faults {usage.ru_minflt}", file=sys.stderr)
     return report
 
 
@@ -268,7 +274,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache  # once per process
+def _warm_heap() -> None:
+    """Allocate and free one 8 MiB block. glibc maps a block that large and,
+    when it is freed, raises its mmap threshold to the block's size and its
+    trim threshold to twice that, the state a long-running process reaches
+    by itself. Arrays up to 8 MiB then come from the heap and reuse its free
+    space, and the heap keeps up to 16 MiB free at its top instead of
+    returning it each time the solver frees an iteration's temporaries,
+    which the next iteration would fault in again. Fixing the thresholds
+    with ``mallopt`` instead would stop glibc from adapting them, so any
+    larger array would be mapped and faulted in afresh every time.
+    Elsewhere the block is only allocated and freed."""
+    np.empty(_HEAP_WARM_UP, np.uint8)
+
+
 def main(argv=None) -> int:
+    _warm_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

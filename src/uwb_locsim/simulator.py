@@ -5,7 +5,9 @@ A study is one loop over fixed chunks of (run, point) cells. Each pass
 draws the chunk's uniforms, maps them through the error model of each
 link's condition, collapses channels with ``ranging.diversity_select``
 and solves the chunk, so draws and solver temporaries stay bounded and
-only per-point results grow with the number of runs.
+only per-point results grow with the number of runs. A chunk holds 8,192
+cells; with four anchors the solver's transient peak is about 400 bytes
+a cell (3.3 MB a chunk), the largest of the pass.
 
 Every (run, point, anchor, channel) cell owns one uniform draw, derived
 by avalanche-mixing the cell indices into the master seed. Draws are
@@ -35,7 +37,7 @@ from .randomness import cell_uniform_array
 from .ranging import check_strategy, diversity_select
 from .solver import SolverConfig, anchor_positions, check_anchors, solve_batch, start_points
 
-_CHUNK = 4096  # (run, point) cells per pass; bounds draws and solver temporaries
+_CHUNK = 8192  # (run, point) cells per pass; solver temporaries ~400 B a cell at 4 anchors
 _MAX_GRID_POINTS = 10**7  # tag lattice cap; the presets have 2,997 points
 LEVELS = np.arange(1001) / 1000  # levels of the ecdf.csv quantile function, p = k/1000
 QUARTILES = LEVELS[[250, 500, 750]]
@@ -234,8 +236,10 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     for lo in range(0, n_cells, _CHUNK):
         hi = min(lo + _CHUNK, n_cells)
         run, point = np.divmod(np.arange(lo, hi), n_points)
-        measured = _measured_ranges(scenario.seed, diversity, models, severity, true_dist, run, point)
-        result = solve_batch(scenario.solver, positions, measured, x_r, x0)
+        # handed over unnamed, so solve_batch frees the (B, N) ranges once it holds its (N, B) copy
+        result = solve_batch(scenario.solver, positions,
+                             _measured_ranges(scenario.seed, diversity, models, severity, true_dist, run, point),
+                             x_r, x0)
         result.positions[result.failed] = np.nan  # the one mark of a failed solve; errors follow
         flat_estimates[lo:hi] = result.positions
         with np.errstate(over="ignore"):  # a far-off point's error overflows to inf

@@ -160,17 +160,24 @@ def _unit_rows(positions: np.ndarray, x: np.ndarray):
     """Per-axis unit vectors ``(ux, uy, uz)`` and distances, each (N, B), from
     iterates ``x`` (3, B) toward the anchors, and the iterates they were taken
     from: an iterate on an anchor moves along +z in a copy, so ``x`` itself is
-    never written and comes back only when no iterate moved."""
+    never written and comes back only when no iterate moved. The unit
+    vectors overwrite the differences they are divided from."""
     for _attempt in range(3):
         ex = positions[:, 0, None] - x[0]
         ey = positions[:, 1, None] - x[1]
         ez = positions[:, 2, None] - x[2]
-        dist = np.sqrt(ex * ex + ey * ey + ez * ez)
+        dist = ex * ex
+        dist += ey * ey
+        dist += ez * ez
+        np.sqrt(dist, out=dist)
         if not np.minimum.reduce(dist, None, initial=np.inf) < _ANCHOR_COINCIDENCE:
             break
         x = x.copy()
         x[2, np.logical_or.reduce(dist < _ANCHOR_COINCIDENCE)] += _PERTURB_Z
-    return ex / dist, ey / dist, ez / dist, dist, x
+    ex /= dist
+    ey /= dist
+    ez /= dist
+    return ex, ey, ez, dist, x
 
 
 def jacobian(x: Point3, anchors: list[Anchor]) -> np.ndarray:
@@ -198,20 +205,27 @@ def _gauss_newton_step(positions, w2, c2, x_r, xk, d, total):
     steps (3, B) and a (B,) mask of unsolvable points (singular normal matrix,
     or a non-finite pivot or step), for iterates ``xk`` (3, B), or one (3, 1)
     iterate shared by all, ranges ``d`` (N, B) and the anchor sum ``total``
-    from ``_anchor_reducer``."""
+    from ``_anchor_reducer``. To bound the (N, B) temporaries, the residuals
+    overwrite the distances (unless a shared iterate broadcasts them), the nine
+    anchor sums take their products in one buffer, the last in the residuals,
+    and all of them are freed before the per-point factorization."""
     ux, uy, uz, dist, xk = _unit_rows(positions, xk)
     wx, wy, wz = (ux, uy, uz) if w2 is None else (ux * w2, uy * w2, uz * w2)
-    resid = dist - d
-    a11 = total(wx * ux) + c2
-    a12 = total(wx * uy)
-    a13 = total(wx * uz)
-    a22 = total(wy * uy) + c2
-    a23 = total(wy * uz)
-    a33 = total(wz * uz) + c2
+    shared = dist.shape != d.shape
+    resid = np.subtract(dist, d, out=None if shared else dist)
+    prod = np.multiply(wx, ux)
+    a11 = total(prod) + c2
+    a12 = total(np.multiply(wx, uy, out=prod))
+    a13 = total(np.multiply(wx, uz, out=prod))
+    a22 = total(np.multiply(wy, uy, out=prod)) + c2
+    a23 = total(np.multiply(wy, uz, out=prod))
+    a33 = total(np.multiply(wz, uz, out=prod)) + c2
     pull = c2 * (x_r - xk)
-    b1 = total(wx * resid) + pull[0]
-    b2 = total(wy * resid) + pull[1]
-    b3 = total(wz * resid) + pull[2]
+    prod = np.multiply(wx, resid, out=None if shared else prod)
+    b1 = total(prod) + pull[0]
+    b2 = total(np.multiply(wy, resid, out=prod)) + pull[1]
+    b3 = total(np.multiply(wz, resid, out=resid)) + pull[2]
+    del ux, uy, uz, wx, wy, wz, dist, resid, prod
 
     # A = L L^T, then L y = b and L^T dx = y.
     l11 = np.sqrt(a11)
@@ -265,8 +279,10 @@ def solve_batch(
     c2 = config.c * config.c
     x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
-    # Anchor-major first, so the test and the gather run along whole rows.
+    # Anchor-major first, so the test and the gather run along whole rows. A
+    # caller that keeps no name for its (B, N) array frees it here.
     ranges = distances.T.copy()
+    del distances
     solvable = np.logical_and.reduce(np.isfinite(ranges) & (ranges > 0.0))
     failed = ~solvable
     idx = solvable.nonzero()[0]  # the points still iterating

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import ctypes
 import dataclasses
 import errno
 import functools
@@ -388,6 +389,54 @@ def test_simulate_timings_go_to_stderr_only(tmp_path, capsys):
     for stage in ("scenario build", "run_scenario", "points.csv", "ecdf.csv", "report"):
         seconds, = re.findall(rf"^timing: {stage} (\S+) s$", err_b, re.MULTILINE)
         assert float(seconds) > 0.0, (stage, seconds)  # each stage takes a readable time
+    faults, = re.findall(r"^timing: minor page faults (\d+)$", err_b, re.MULTILINE)
+    assert int(faults) > 0  # the process's own count: importing numpy alone faults pages in
+
+
+_HEAP_SCRIPT = textwrap.dedent(
+    """
+    import ctypes, json
+
+    from uwb_locsim import cli
+
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                                         "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+    libc = ctypes.CDLL("libc.so.6")
+    libc.mallinfo2.restype = MallInfo2
+    libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+    assert cli.main(["energy", "--profile", "3db"]) == 0
+    mapped = libc.mallinfo2().hblks
+    block = libc.malloc(6 << 20)
+    from_heap = libc.mallinfo2().hblks == mapped
+    libc.free(block)
+    print(json.dumps({"from_heap": from_heap, "kept_at_top": libc.mallinfo2().keepcost}))
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap")
+def test_the_cli_serves_a_6_mib_array_from_its_heap_and_keeps_it_there(tmp_path):
+    """After main's warm-up, glibc takes a 6 MiB block from the heap instead of
+    mapping it, and keeps it at the top of the heap once freed; in a fresh
+    interpreter without the warm-up both fail (mmap threshold about 300 kB)."""
+    try:
+        ctypes.CDLL("libc.so.6").mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc 2.33 or later")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items()  # no fixed malloc settings
+           if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _HEAP_SCRIPT], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, check=True, timeout=120)
+    heap = json.loads(done.stdout.splitlines()[-1])  # after the energy report
+    assert heap["from_heap"]
+    assert heap["kept_at_top"] >= 6 << 20
 
 
 _NO_SCIPY_SCRIPT = textwrap.dedent(
