@@ -15,7 +15,10 @@ an (m, k) float array into an (m, W) ``uint8`` matrix of text in which
 byte 0 marks an absent byte. A value's micrometres are
 ``rint(|x| * 1e6)``, half to even. Digits come three at a time from
 1,000-entry tables of 4-byte words, and a minus sign is written only
-where the micrometres are not zero. The rest are formatted one at a
+where the micrometres are not zero. When every integer part of the
+array is below 1,000, as in every field of the presets' files, the
+integer part is one word looked up directly, without the ``% 1000`` and
+``// 1000`` of the group loop. The rest are formatted one at a
 time by ``"%.6f"``, which writes the correctly rounded decimal of the
 exact binary value: NaN, infinities, |x| >= 2**33 m, whose micrometres
 are not exact in a double, and the rare ties, values whose product was
@@ -120,12 +123,15 @@ def _fixed6(values: np.ndarray) -> np.ndarray:
     # words per field: the integer groups, ".ddd" and "ddd,"; wide enough for the text too
     groups = max((len(str(whole.max(initial=0))) + 2) // 3, text.itemsize // 4 - 1)
     out = np.zeros((m, k, groups + 2), np.uint32)
-    rest = whole
-    for slot in range(groups - 1, -1, -1):  # units first; leading zero groups stay absent
-        group, shown = rest % 1000, rest > 0
-        rest = rest // 1000
-        word = np.where(rest > 0, _GROUP[group], _LEAD[group]) if slot else _LEAD[group]
-        out[..., slot] = word if slot == groups - 1 else word * shown
+    if groups == 1:  # every integer part below 1,000: one word, no division
+        out[..., 0] = _LEAD[whole]
+    else:
+        rest = whole
+        for slot in range(groups - 1, -1, -1):  # units first; leading zero groups stay absent
+            group, shown = rest % 1000, rest > 0
+            rest = rest // 1000
+            word = np.where(rest > 0, _GROUP[group], _LEAD[group]) if slot else _LEAD[group]
+            out[..., slot] = word if slot == groups - 1 else word * shown
     out[..., -2] = _MILLI[milli]
     out[..., -1] = _MICRO[frac - milli * 1000]
     out[..., 0] += np.where(np.copysign(n, x) < 0.0, _MINUS, np.uint32(0))  # into an absent byte

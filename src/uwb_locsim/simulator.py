@@ -167,16 +167,38 @@ def aggregate(errors, probs: np.ndarray = LEVELS) -> AggregateStats:
     """Summary statistics plus the quantile function at ``probs``, ascending
     levels that hold QUARTILES.
 
-    The quantiles use numpy's default linear interpolation; q1, median
-    and q3 are its levels 0.25, 0.5 and 0.75.
+    The levels are ``np.quantile``'s default linear interpolation, computed
+    from the sorted errors with numpy's own arithmetic: at the virtual index
+    (n - 1) * p, the fraction g past the lower neighbour a (past index -1 at
+    the top level, as in numpy) gives a + (b - a) * g, or b - (b - a) * (1 - g)
+    where g >= 0.5. A +inf error gives NaN at the levels it touches, and a
+    NaN error NaN at every level, as ``np.quantile`` does. Equal values are
+    taken in sorted order, so where zeros of both signs occur a zero level
+    may differ in sign from ``np.quantile``'s, which partitions its input.
+    q1, median and q3 are the levels 0.25, 0.5 and 0.75.
     """
     errors = np.asarray(errors, dtype=float).ravel()
-    if errors.size == 0:
+    n = errors.size
+    if n == 0:
         raise DataError("cannot aggregate an empty error list")
-    values = np.quantile(np.sort(errors), probs)  # sorted input: 6x faster than unsorted
+    ordered = np.sort(errors)
+    virtual = (n - 1) * np.asarray(probs, dtype=float)
+    lower = np.floor(virtual)
+    top = virtual >= n - 1
+    lower[top] = -1.0  # both neighbours are the last value
+    gamma = virtual - lower
+    lower = lower.astype(np.intp)
+    upper = lower + 1
+    upper[top] = -1
+    a, b = ordered.take(lower), ordered.take(upper)
+    diff = b - a
+    values = a + diff * gamma
+    np.subtract(b, diff * (1.0 - gamma), out=values, where=gamma >= 0.5)
+    if np.isnan(ordered[-1]):  # np.sort puts NaN last
+        values[:] = np.nan
     q1, median, q3 = values[np.searchsorted(probs, QUARTILES)]
     return AggregateStats(
-        count=int(errors.size),
+        count=n,
         mean=float(errors.mean()),
         std=float(errors.std()),
         median=float(median),

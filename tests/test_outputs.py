@@ -135,6 +135,23 @@ def test_formatter_writes_the_text_of_percent_format(values):
     assert _fields(outputs._fixed6(values)) == [[_fmt(v) for v in row] for row in values.tolist()]
 
 
+_ONE_WORD = [0.0, -0.0, 5e-7, -5e-7, 1.5, -2.25, 999.999999, -999.999999, 123.456789, 0.0078125]
+
+
+@pytest.mark.parametrize("extra, words", [
+    ([], 3),  # every integer part below 1,000: one word, then ".ddd" and "ddd,"
+    # micrometres that round up to 1000.000000 need two integer words: at a
+    # product rounded onto a half (written by "%.6f" as 999.999999) or above it
+    ([999.9999995, -999.9999995, 999.9999996, -999.9999996], 4),
+    ([math.nan, math.inf, -math.inf, 2.0**33], 5),  # "8589934592.000000" widens the fields
+])
+def test_formatter_integer_paths_write_the_text_of_percent_format(extra, words):
+    values = np.array(_ONE_WORD + extra).reshape(-1, 2)
+    text = outputs._fixed6(values)
+    assert text.shape == (len(values), 2 * 4 * words)
+    assert _fields(text) == [[_fmt(v) for v in row] for row in values.tolist()]  # _fmt drops "-0"
+
+
 @pytest.mark.parametrize("wild", [math.inf, -math.inf, math.nan, 2.0**33, -1e300])
 def test_a_wild_value_leaves_the_other_blocks_bytes_unchanged(wild):
     scenario = replace(preset_scenario("paper-concrete"), grid_step=1.0, runs=2)

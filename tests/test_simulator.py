@@ -120,6 +120,26 @@ def test_aggregate_ecdf_properties():
         assert quartiles == np.percentile(errors, [25, 50, 75]).tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), zero=st.sampled_from([0.0, -0.0]),
+       infs=st.integers(0, 3), probs=st.sampled_from([simulator.LEVELS, simulator.QUARTILES]))
+def test_aggregate_levels_are_numpys_linear_quantiles_bit_for_bit(n, seed, zero, infs, probs):
+    # Ties from a small pool, zeros and up to three +inf among continuous
+    # values. np.quantile partitions its input, which may reorder equal
+    # values, so the zeros of one sample share a sign: a sample with both
+    # signs may give a zero level of the other sign.
+    rng = np.random.default_rng(seed)
+    pool = np.array([zero, 0.125, 0.3, 1.0, 7.5])
+    x = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.gamma(2.0, 0.05, n))
+    x[rng.integers(0, n, infs)] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf at the levels an inf touches
+        agg = aggregate(x, probs)
+        expected = np.quantile(np.sort(x), probs)
+    assert agg.ecdf_values.tobytes() == expected.tobytes()
+    quartiles = agg.ecdf_values[np.searchsorted(probs, simulator.QUARTILES)]
+    assert np.array_equal([agg.q1, agg.median, agg.q3], quartiles, equal_nan=True)
+
+
 def test_aggregate_empty():
     with pytest.raises(DataError):
         aggregate([])
