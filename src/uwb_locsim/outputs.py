@@ -12,18 +12,17 @@ result of the toolkit, the report included, is encoded by
 
 Both CSVs are written through one formatter, ``_fixed6``, which turns
 an (m, k) float array into an (m, W) ``uint8`` matrix of text in which
-byte 0 marks an absent byte. A value's micrometres are
-``rint(|x| * 1e6)``, half to even. Digits come three at a time from
-1,000-entry tables of 4-byte words, and a minus sign is written only
-where the micrometres are not zero. When every integer part of the
-array is below 1,000, as in every field of the presets' files, the
-integer part is one word looked up directly, without the ``% 1000`` and
-``// 1000`` of the group loop. The rest are formatted one at a
-time by ``"%.6f"``, which writes the correctly rounded decimal of the
-exact binary value: NaN, infinities, |x| >= 2**33 m, whose micrometres
-are not exact in a double, and the rare ties, values whose product was
-rounded onto a half and so may lie on either side of it. A file is the
-matrix's non-zero bytes, which ``bytes.translate`` picks out.
+byte 0 marks an absent byte. A value below 1,000 in magnitude is three
+4-byte words from 1,000-entry tables: its integer part, ".ddd" and
+"ddd,", from its micrometres ``rint(|x| * 1e6)``, half to even, with a
+minus sign only where they are not zero. Every other value is formatted
+one at a time by ``"%.6f"``, which writes the correctly rounded decimal
+of the exact binary value: NaN, infinities, |x| >= 1,000, micrometres
+that round up to 10**9, and the rare ties, values whose product was
+rounded onto a half and so may lie on either side of it. The presets'
+files send no value there at c = 0.1, and 2-3% at c = 0, the diverged
+solves. A file is the matrix's non-zero bytes, which ``bytes.translate``
+picks out.
 
 ``points.csv`` is written run by run in blocks of ``_BLOCK`` grid
 points: the run number, the ``px,py,pz`` text, the five value fields
@@ -64,7 +63,6 @@ _POINTS_HEADER = b"run,px,py,pz,ex,ey,ez,err2d_m,err3d_m,conditions\n"
 # Grid points per block of points.csv. A block costs about 30 numpy calls; from
 # 256 to 4,096 points the writer's time and peak RSS stayed within noise.
 _BLOCK = 1024
-_EXACT = 2.0 ** 33  # below it a value's micrometres stay under 2**53, exact in a double
 
 
 def _words(template: bytes) -> np.ndarray:
@@ -72,9 +70,9 @@ def _words(template: bytes) -> np.ndarray:
     return np.frombuffer((template * 1000 % tuple(range(1000))).replace(b" ", b"\0"), np.uint32)
 
 
-# An integer part is one word per 3 digits: the first without leading zeros,
-# the rest zero-padded; byte 0 of a word is always absent, so a sign fits there
-_LEAD, _GROUP = _words(b"%4d"), _words(b" %03d")
+# An integer part below 1,000 is one word without leading zeros; its byte 0 is
+# always absent, so a sign fits there. Every larger one is "%.6f" text.
+_LEAD = _words(b"%4d")
 _MILLI, _MICRO = _words(b".%03d"), _words(b"%03d,")  # the six decimals and the comma
 _MINUS = np.frombuffer(b"-\0\0\0", np.uint32)[0]
 
@@ -109,32 +107,23 @@ def _fixed6(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     m, k = x.shape
     a = np.abs(x)
-    wild = ~(a < _EXACT)  # nan, inf, and values whose micrometres are not exact
+    wild = ~(a < 1000.0)  # nan, inf, and integer parts of 1,000 or more
     a[wild] = 0.0
     p = a * 1e6
     n = np.rint(p)  # the micrometres, half to even
-    wild |= np.abs(p - n) == 0.5  # a product rounded onto a half may not be a tie
+    wild |= (n == 1e9) | (np.abs(p - n) == 0.5)  # rounded up to 1,000, or onto a half
+    n[wild] = 0.0
     text = np.array([b"%.6f" % v for v in x[wild].tolist()], dtype="S")
     text[text == b"-0.000000"] = b"0.000000"
     micro = n.astype(np.int64)
     whole = micro // 1_000_000
     frac = micro - whole * 1_000_000
     milli = frac // 1000
-    # words per field: the integer groups, ".ddd" and "ddd,"; wide enough for the text too
-    groups = max((len(str(whole.max(initial=0))) + 2) // 3, text.itemsize // 4 - 1)
-    out = np.zeros((m, k, groups + 2), np.uint32)
-    if groups == 1:  # every integer part below 1,000: one word, no division
-        out[..., 0] = _LEAD[whole]
-    else:
-        rest = whole
-        for slot in range(groups - 1, -1, -1):  # units first; leading zero groups stay absent
-            group, shown = rest % 1000, rest > 0
-            rest = rest // 1000
-            word = np.where(rest > 0, _GROUP[group], _LEAD[group]) if slot else _LEAD[group]
-            out[..., slot] = word if slot == groups - 1 else word * shown
+    # the integer word, ".ddd" and "ddd," last; wide enough for the text and its comma
+    out = np.zeros((m, k, max(3, text.itemsize // 4 + 1)), np.uint32)
+    out[..., -3] = _LEAD[whole] + np.where(np.copysign(n, x) < 0.0, _MINUS, np.uint32(0))
     out[..., -2] = _MILLI[milli]
     out[..., -1] = _MICRO[frac - milli * 1000]
-    out[..., 0] += np.where(np.copysign(n, x) < 0.0, _MINUS, np.uint32(0))  # into an absent byte
     fields = out.view(np.uint8).reshape(m, k, -1)
     if text.size:
         fields[wild] = 0

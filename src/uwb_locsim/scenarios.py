@@ -1,22 +1,23 @@
 """The one reader of outside JSON input, and the built-in presets.
 
-``read_text`` is the one place an input file (``-`` is stdin) is
-opened; ``read_json`` decodes what it reads and ``parse_json`` inline
-text. Every JSON object is read by one reader, ``_object``, with four
-rules: the value must be a JSON object; a key it does not know raises
-DataError naming the object, such as ``solver: unknown key 'kmax'`` (a
-model table names it ``models: unknown condition 'drywal'``); a missing
-required key raises ``missing 'w' in area``; and an optional key that is
-absent or ``null`` is left out, so the object built from it takes its
-default. Each value is read by its key's leaf reader: ``number`` (which
-coerces numeric strings and rejects booleans, non-finite floats and
-fractions in integer fields), ``_text`` (JSON strings only), an array
-reader, or the reader of a nested object. A bad value raises DataError
-naming its JSON path, such as ``anchors[2].z``,
-``models.los.params.sigma`` or ``profile.p_tx``. A value that a
-constructor rejects as out of range raises its ParameterError prefixed
-with the path of the object it was read from, such as ``solver: k_max
-must be >= 1``.
+``read_text`` is the one place an input file (``-`` is stdin) is opened;
+``read_json`` decodes what it reads and ``parse_json`` inline text, and
+both refuse a key repeated in one object (``scenario.json: repeated key
+'runs'``), whose last value would otherwise win. Every JSON object is
+read by one reader, ``_object``, with four rules: the value must be a
+JSON object; a key it does not know raises DataError naming the object,
+such as ``solver: unknown key 'kmax'`` (a model table names it ``models:
+unknown condition 'drywal'``); a missing required key raises ``missing
+'w' in area``; and an optional key that is absent or ``null`` is left
+out, so the object built from it takes its default. Each value is read
+by its key's leaf reader: ``number`` (which coerces numeric strings and
+rejects booleans, non-finite floats and fractions in integer fields),
+``_text`` (JSON strings only), an array reader, or the reader of a
+nested object. A bad value raises DataError naming its JSON path, such
+as ``anchors[2].z``, ``models.los.params.sigma`` or ``profile.p_tx``. A
+value that a constructor rejects as out of range raises its
+ParameterError prefixed with the path of the object it was read from,
+such as ``solver: k_max must be >= 1``.
 
 A scenario file::
 
@@ -108,9 +109,18 @@ def read_json(path: str):
 
 
 def parse_json(text: str, name: str):
-    """Decode JSON text from the source ``name``; DataError if it is not JSON."""
+    """Decode JSON text from the source ``name``; DataError if it is not JSON
+    or an object repeats a key, whose last value would otherwise win."""
+    def unique(pairs: list) -> dict:
+        found = {}
+        for key, value in pairs:
+            if key in found:
+                raise DataError(f"{name}: repeated key {key!r}")
+            found[key] = value
+        return found
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise DataError(f"{name}: invalid JSON: {exc}") from exc
 

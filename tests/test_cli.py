@@ -979,6 +979,24 @@ def test_unreadable_inputs_are_a_data_error(tmp_path, monkeypatch, argv, content
     assert _assert_exits_cleanly([*argv, "input"], 2, argv[0]).startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["simulate", "--out", "out", "--config", "input"],
+     json.dumps(_small_scenario())[:-1] + ', "runs": 1}', "input: repeated key 'runs'"),
+    (["solve", "--input", "input"], json.dumps(_SOLVE_BASE).replace('"c": 0.05', '"c": 0.05, "c": 0'),
+     "input: repeated key 'c'"),
+    (["sample", "-n", "3", "--model", '{"family": "gaussian", "params": {"mu": 0, "sigma": 1, "sigma": 2}}'],
+     None, "--model: repeated key 'sigma'"),
+], ids=["scenario", "solve", "inline-model"])
+def test_a_repeated_json_key_is_a_data_error(tmp_path, monkeypatch, argv, text, message):
+    # json.loads would keep the last value of a repeated key and run with it
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+    code, out, err = _main_quiet(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 _MODULE_CASES = [  # (solve input on stdin, exit code, text stderr must hold)
     ({**_SOLVE_BASE, "anchors": _SOLVE_BASE["anchors"][:2], "distances": [10.2, 11.5],
       "config": {}}, 2, "at least three anchors are required"),

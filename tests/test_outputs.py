@@ -140,8 +140,8 @@ _ONE_WORD = [0.0, -0.0, 5e-7, -5e-7, 1.5, -2.25, 999.999999, -999.999999, 123.45
 
 @pytest.mark.parametrize("extra, words", [
     ([], 3),  # every integer part below 1,000: one word, then ".ddd" and "ddd,"
-    # micrometres that round up to 1000.000000 need two integer words: at a
-    # product rounded onto a half (written by "%.6f" as 999.999999) or above it
+    # "%.6f" writes a product rounded onto a half (999.999999) and micrometres
+    # that round up to 10**9: "-1000.000000," is 13 bytes, four words
     ([999.9999995, -999.9999995, 999.9999996, -999.9999996], 4),
     ([math.nan, math.inf, -math.inf, 2.0**33], 5),  # "8589934592.000000" widens the fields
 ])
@@ -166,10 +166,14 @@ def test_a_wild_value_leaves_the_other_blocks_bytes_unchanged(wild):
     assert wild_lines[row].split(",")[4] == _fmt(wild)
 
 
-@pytest.mark.parametrize("block", [7, 128, outputs._BLOCK])
-def test_study_files_match_row_by_row_reference(block):
+# at c = 0 diverged solves put estimates of 1,000 m or more, "%.6f" text, in most blocks
+@pytest.mark.parametrize("block, c", [pytest.param(block, c, id=f"{block}{tag}")
+                                      for c, tag in ((0.1, ""), (0.0, "-c0"))
+                                      for block in (7, 128, outputs._BLOCK)])
+def test_study_files_match_row_by_row_reference(block, c):
     scenario = replace(preset_scenario("paper-concrete"), grid_step=1.0, runs=3)
-    stats = run_scenario(scenario)
+    stats = run_scenario(replace(scenario, solver=replace(scenario.solver, c=c)))
+    assert (np.abs(stats.estimates) >= 1000.0).any() == (c == 0.0)
     points, ecdf = _written(stats, block)
     assert points == _reference_points_csv(stats)
     assert ecdf == _reference_ecdf_csv(stats)

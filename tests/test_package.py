@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import uwb_locsim
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -38,6 +40,28 @@ def test_every_name_the_benchmark_imports_or_wraps_exists(monkeypatch):
         tracer.restore()
     assert len(wrapped) >= 20
     assert [attr for owner, attr, original in wrapped if getattr(owner, attr) is not original] == []
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_benchmark_workload_passes_its_own_checks(monkeypatch, tmp_path, seed):
+    # The benchmark is frozen, so what it uses of the package (reference_point,
+    # solve_batch with (B, 3) starts, scenario_to_dict, the results recorded in
+    # bench/reference.json) must keep working: one smoke cycle of each workload
+    monkeypatch.syspath_prepend(str(_BENCH))
+    from workloads import WORKLOADS
+
+    problems = []
+    for name, workload in WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        wl = workload(seed, str(tmp_path / name), smoke=True)
+        wl.setup()
+        wl.prepare_checks()
+        problems += [(name, wl.label(k), wl.check(k, wl.op(k))) for k in range(wl.cycle)]
+        if wl.threaded:
+            problems.append((name, "threads=1", wl.single_thread_study()))
+        problems += [(name, what, problem) for what, problem in wl.final_checks()]
+    assert len(problems) > len(WORKLOADS)
+    assert [problem for problem in problems if problem[2] is not None] == []
 
 
 def test_scenarios_turns_no_json_value_into_text_or_a_default():
