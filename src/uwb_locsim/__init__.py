@@ -9,7 +9,7 @@ from .distributions import BurrXII, ErrorDistribution, Gaussian, LogNormal
 from .energy import BUILTIN_PROFILES, PowerProfile, average_power, energy_per_sstwr
 from .errors import ConvergenceError, DataError, ParameterError, SingularGeometryError
 from .fitting import EmpiricalPdf, FitResult, empirical_pdf, fit_mle, select_best_model
-from .geometry import Anchor, Point3, Wall, classify_link, segment_crosses_wall
+from .geometry import Anchor, Point3, Wall
 from .randomness import RandomStream
 from .ranging import (
     TwrTiming,
@@ -57,7 +57,6 @@ __all__ = [
     "aggregate",
     "average_power",
     "build_grid",
-    "classify_link",
     "diversity_select",
     "drift_error",
     "empirical_pdf",
@@ -69,7 +68,6 @@ __all__ = [
     "propagation_time",
     "run_scenario",
     "scenario_from_dict",
-    "segment_crosses_wall",
     "select_best_model",
     "solve",
 ]

@@ -27,7 +27,7 @@ from .scenarios import (
     PRESETS, load_scenario, number, parse_json, preset_scenario, read_json, read_model, read_profile,
     read_text, solve_input_from_dict,
 )
-from .simulator import QUARTILES, aggregate, run_scenario
+from .simulator import aggregate, run_scenario
 from .solver import solve
 
 
@@ -116,7 +116,11 @@ def _cmd_sample(args) -> str:
     inline = args.model.lstrip().startswith("{")
     spec = parse_json(args.model, "--model") if inline else read_json(args.model)
     dist = read_model(spec, "model")
-    draws = dist.sample(RandomStream(args.seed), args.count)
+    with np.errstate(over="ignore"):  # counted below
+        draws = dist.sample(RandomStream(args.seed), args.count)
+    overflows = np.count_nonzero(np.isinf(draws))
+    if overflows:
+        raise DataError(f"model: {overflows} of {args.count} draws overflow the float range")
     lines = ["error_m"] + [str(float(v)) for v in draws]
     return "\n".join(lines) + "\n"
 
@@ -177,13 +181,15 @@ def _cmd_range_stats(args) -> str:
     groups: dict[tuple, list[float]] = {}
     for line_no, row in rows:
         true = _cell_number(args.input, line_no, row, "true_m")
-        measured = _cell_number(args.input, line_no, row, "measured_m")
-        groups.setdefault((row.get("condition"), row.get("channel")), []).append(measured - true)
+        error = _cell_number(args.input, line_no, row, "measured_m") - true
+        if not np.isfinite(error):
+            raise DataError(f"{args.input}:{line_no}: measured_m - true_m overflows the float range")
+        groups.setdefault((row.get("condition"), row.get("channel")), []).append(error)
 
     payload = {"input": args.input, "groups": []}
     by_label = sorted(groups.items(), key=lambda kv: tuple(map(str, kv[0])))
     for (condition, channel), errors in by_label:
-        agg = aggregate(errors, QUARTILES)
+        agg = aggregate(errors)
         labels = {"condition": condition, "channel": channel}
         payload["groups"].append({
             "count": agg.count, "mean_m": agg.mean, "std_m": agg.std, "iqr_m": agg.iqr,

@@ -67,8 +67,10 @@ class Anchor:
 
 
 def _orient(ax, ay, bx, by, cx, cy):
-    """Sign of the cross product (b-a) x (c-a); 0 within the epsilon band."""
-    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    """Sign of the cross product (b-a) x (c-a); 0 within the epsilon band. A term
+    that overflows keeps its sign as an infinity; inf - inf is NaN, unequal to every sign."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return np.where(np.abs(cross) <= _ORIENT_EPS, 0, np.sign(cross))
 
 
@@ -91,18 +93,6 @@ def _segments_cross(px, py, qx, qy, ax, ay, bx, by):
     crossing |= (o3 == 0) & _on_segment(ax, ay, bx, by, px, py)
     crossing |= (o4 == 0) & _on_segment(ax, ay, bx, by, qx, qy)
     return crossing
-
-
-def segment_crosses_wall(p: tuple[float, float], q: tuple[float, float], wall: Wall) -> bool:
-    """Whether plan-view segment pq intersects or touches the wall segment."""
-    return bool(
-        _segments_cross(p[0], p[1], q[0], q[1], wall.a[0], wall.a[1], wall.b[0], wall.b[1])
-    )
-
-
-def classify_link(tag: Point3, anchor: Anchor, walls: list[Wall]) -> str:
-    """Condition of one tag-anchor link: :func:`classify_links_bulk` on a batch of one."""
-    return SEVERITY_TO_CONDITION[classify_links_bulk([tag.xy], anchor.position.xy, walls)[0]]
 
 
 def classify_links_bulk(points_xy: np.ndarray, anchor_xy: tuple[float, float], walls: list[Wall]) -> np.ndarray:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DataError
 from .scenarios import scenario_to_dict
-from .simulator import RunStatistics, Scenario
+from .simulator import LEVELS, RunStatistics, Scenario
 
 POINTS_CSV = "points.csv"
 ECDF_CSV = "ecdf.csv"
@@ -151,8 +151,7 @@ def write_points_csv(stats: RunStatistics, path: str) -> None:
 
 
 def write_ecdf_csv(stats: RunStatistics, path: str) -> None:
-    agg = stats.aggregate_2d
-    text = _fixed6(np.column_stack((agg.ecdf_values, agg.ecdf_probs)))
+    text = _fixed6(np.column_stack((stats.aggregate_2d.ecdf_values, LEVELS)))
     text[:, -1] = ord("\n")
     with open(new_file(path), "wb") as out:
         out.write(b"err2d_m,cum_prob\n")

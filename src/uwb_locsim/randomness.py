@@ -37,16 +37,11 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_array(values: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array: a bijective avalanche mix."""
-    return _mix64_inplace(np.array(values, dtype=np.uint64))
-
-
 def combine_array(seed: np.ndarray | int, keys: np.ndarray) -> np.ndarray:
     """Child seeds of parent seeds and index keys, broadcast together. For a
     fixed parent the map key -> child is injective: siblings never collide."""
     seed = np.asarray(seed, dtype=np.uint64)
-    mixed = mix64_array(keys)
+    mixed = _mix64_inplace(np.array(keys, dtype=np.uint64))
     mixed += _U_GOLDEN
     out = np.empty(np.broadcast_shapes(seed.shape, mixed.shape), dtype=np.uint64)
     width = out.shape[-1] if out.ndim else 1

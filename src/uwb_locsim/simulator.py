@@ -39,9 +39,8 @@ from .solver import SolverConfig, anchor_positions, check_anchors, solve_batch, 
 
 _CHUNK = 8192  # (run, point) cells per pass; solver temporaries ~400 B a cell at 4 anchors
 _MAX_GRID_POINTS = 10**7  # tag lattice cap; the presets have 2,997 points
-LEVELS = np.arange(1001) / 1000  # levels of the ecdf.csv quantile function, p = k/1000
-QUARTILES = LEVELS[[250, 500, 750]]
-LEVELS.flags.writeable = QUARTILES.flags.writeable = False  # shared by every AggregateStats
+LEVELS = np.arange(1001) / 1000  # levels of every aggregate's quantile function, p = k/1000
+LEVELS.flags.writeable = False  # shared by every study
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class AggregateStats:
+    """Statistics of a set of errors and its quantile function at the 1,001
+    ``LEVELS``, of which levels 250, 500 and 750 are q1, median and q3."""
+
     count: int
     mean: float
     std: float  # population standard deviation
@@ -102,8 +104,7 @@ class AggregateStats:
     q1: float
     q3: float
     iqr: float
-    ecdf_values: np.ndarray  # quantile function at ecdf_probs (non-decreasing), meters
-    ecdf_probs: np.ndarray  # its probability levels: LEVELS, or QUARTILES alone
+    ecdf_values: np.ndarray  # quantile function at LEVELS (non-decreasing), meters
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +129,7 @@ class RunStatistics:
     err2d: np.ndarray  # (R, P) meters; NaN exactly where the solve failed
     err3d: np.ndarray  # (R, P) meters; NaN exactly where the solve failed
     aggregate_2d: AggregateStats  # of the finite err2d; its ecdf_values fill ecdf.csv
-    aggregate_3d: AggregateStats  # of the finite err3d, at QUARTILES only
+    aggregate_3d: AggregateStats  # of the finite err3d
 
     @property
     def failed(self) -> np.ndarray:
@@ -163,9 +164,9 @@ def build_grid(area: tuple[float, float], grid_step: float, tag_height: float) -
     return points
 
 
-def aggregate(errors, probs: np.ndarray = LEVELS) -> AggregateStats:
-    """Summary statistics plus the quantile function at ``probs``, ascending
-    levels that hold QUARTILES.
+def aggregate(errors) -> AggregateStats:
+    """Summary statistics plus the quantile function at the 1,001 ``LEVELS``
+    p = k/1000, of which levels 250, 500 and 750 are q1, median and q3.
 
     The levels are ``np.quantile``'s default linear interpolation, computed
     from the sorted errors with numpy's own arithmetic: at the virtual index
@@ -175,14 +176,13 @@ def aggregate(errors, probs: np.ndarray = LEVELS) -> AggregateStats:
     NaN error NaN at every level, as ``np.quantile`` does. Equal values are
     taken in sorted order, so where zeros of both signs occur a zero level
     may differ in sign from ``np.quantile``'s, which partitions its input.
-    q1, median and q3 are the levels 0.25, 0.5 and 0.75.
     """
     errors = np.asarray(errors, dtype=float).ravel()
     n = errors.size
     if n == 0:
         raise DataError("cannot aggregate an empty error list")
     ordered = np.sort(errors)
-    virtual = (n - 1) * np.asarray(probs, dtype=float)
+    virtual = (n - 1) * LEVELS
     lower = np.floor(virtual)
     top = virtual >= n - 1
     lower[top] = -1.0  # both neighbours are the last value
@@ -191,23 +191,16 @@ def aggregate(errors, probs: np.ndarray = LEVELS) -> AggregateStats:
     upper = lower + 1
     upper[top] = -1
     a, b = ordered.take(lower), ordered.take(upper)
-    diff = b - a
-    values = a + diff * gamma
-    np.subtract(b, diff * (1.0 - gamma), out=values, where=gamma >= 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN result is refused where it is written
+        diff = b - a
+        values = a + diff * gamma
+        np.subtract(b, diff * (1.0 - gamma), out=values, where=gamma >= 0.5)
+        mean, std = float(errors.mean()), float(errors.std())
     if np.isnan(ordered[-1]):  # np.sort puts NaN last
         values[:] = np.nan
-    q1, median, q3 = values[np.searchsorted(probs, QUARTILES)]
-    return AggregateStats(
-        count=n,
-        mean=float(errors.mean()),
-        std=float(errors.std()),
-        median=float(median),
-        q1=float(q1),
-        q3=float(q3),
-        iqr=float(q3 - q1),
-        ecdf_values=values,
-        ecdf_probs=probs,
-    )
+    q1, median, q3 = values[[250, 500, 750]].tolist()
+    return AggregateStats(count=n, mean=mean, std=std, median=median, q1=q1, q3=q3, iqr=q3 - q1,
+                          ecdf_values=values)
 
 
 def _measured_ranges(seed, diversity, models, severity, true_dist, run, point) -> np.ndarray:
@@ -245,26 +238,25 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     severity = np.column_stack(  # (P, A) indices into SEVERITY_TO_CONDITION
         [classify_links_bulk(grid[:, :2], a.position.xy, scenario.walls) for a in anchors]
     )
-    with np.errstate(over="ignore"):  # an overflow to inf fails that point's solves
-        true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
     x_r, x0 = start_points(scenario.solver, positions)
-    models = {
-        level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
-        for level in np.unique(severity)
-    }
-    estimates = np.empty((n_runs, n_points, 3))
-    err2d, err3d = np.empty((n_runs, n_points)), np.empty((n_runs, n_points))
-    flat_estimates, flat_err2d, flat_err3d = estimates.reshape(-1, 3), err2d.ravel(), err3d.ravel()
-    for lo in range(0, n_cells, _CHUNK):
-        hi = min(lo + _CHUNK, n_cells)
-        run, point = np.divmod(np.arange(lo, hi), n_points)
-        # handed over unnamed, so solve_batch frees the (B, N) ranges once it holds its (N, B) copy
-        result = solve_batch(scenario.solver, positions,
-                             _measured_ranges(scenario.seed, diversity, models, severity, true_dist, run, point),
-                             x_r, x0)
-        result.positions[result.failed] = np.nan  # the one mark of a failed solve; errors follow
-        flat_estimates[lo:hi] = result.positions
-        with np.errstate(over="ignore"):  # a far-off point's error overflows to inf
+    # a true distance or a draw that overflows to inf fails its solve, as a far-off tag's does; an error is inf
+    with np.errstate(over="ignore"):
+        true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
+        models = {
+            level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
+            for level in np.unique(severity)
+        }
+        estimates = np.empty((n_runs, n_points, 3))
+        err2d, err3d = np.empty((n_runs, n_points)), np.empty((n_runs, n_points))
+        flat_estimates, flat_err2d, flat_err3d = estimates.reshape(-1, 3), err2d.ravel(), err3d.ravel()
+        for lo in range(0, n_cells, _CHUNK):
+            hi = min(lo + _CHUNK, n_cells)
+            run, point = np.divmod(np.arange(lo, hi), n_points)
+            # handed over unnamed, so solve_batch frees the (B, N) ranges once it holds its (N, B) copy
+            result = solve_batch(scenario.solver, positions, _measured_ranges(
+                scenario.seed, diversity, models, severity, true_dist, run, point), x_r, x0)
+            result.positions[result.failed] = np.nan  # the one mark of a failed solve; errors follow
+            flat_estimates[lo:hi] = result.positions
             dx, dy, dz = (result.positions - grid.take(point, axis=0)).T
             # np.linalg.norm's row sum, left to right: the same bits, without its temporaries
             square_2d = dx * dx + dy * dy
@@ -285,5 +277,5 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
         err2d=err2d,
         err3d=err3d,
         aggregate_2d=aggregate(err2d[ok]),
-        aggregate_3d=aggregate(err3d[ok], QUARTILES),  # report.json reads only its quartiles
+        aggregate_3d=aggregate(err3d[ok]),
     )

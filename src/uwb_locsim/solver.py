@@ -135,16 +135,17 @@ def reference_point(anchors: list[Anchor], mode: str = "median") -> np.ndarray:
 def start_points(config: SolverConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regularization point x_r and first iterate x0: the configured points,
     else x_r from the (N, 3) anchor ``positions`` by ``x_r_mode`` and x0 = x_r."""
-    if config.x_r is not None:
-        x_r = config.x_r.as_array()
-    elif config.x_r_mode == "mean":
-        x_r = positions.mean(axis=0)
-    else:
-        # np.median's own arithmetic: the mean of the middle one or two values,
-        # whose sum starts at +0.0, so the order of tied zeros cannot matter
-        ordered = np.sort(positions, axis=0)
-        middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
-        x_r = np.add.reduce(middle) / len(middle)
+    with np.errstate(over="ignore"):  # an x_r that overflows to inf fails every solve
+        if config.x_r is not None:
+            x_r = config.x_r.as_array()
+        elif config.x_r_mode == "mean":
+            x_r = positions.mean(axis=0)
+        else:
+            # np.median's own arithmetic: the mean of the middle one or two values,
+            # whose sum starts at +0.0, so the order of tied zeros cannot matter
+            ordered = np.sort(positions, axis=0)
+            middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
+            x_r = np.add.reduce(middle) / len(middle)
     return x_r, (config.x0.as_array() if config.x0 is not None else x_r)
 
 

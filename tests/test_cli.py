@@ -749,7 +749,6 @@ def test_fit_rejects_every_bad_cell(tmp_path, width, header, blanks):
     _assert_exits_cleanly(["fit", "--input", path, *flags], 0, (width, header, blanks))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_results_that_overflow_are_a_data_error(tmp_path):
     # Finite inputs whose errors or energies overflow would print Infinity
     ranges = tmp_path / "ranges.csv"
@@ -759,6 +758,58 @@ def test_results_that_overflow_are_a_data_error(tmp_path):
     profile.write_text(json.dumps({"name": "x", "p_tx": 1e308, "p_rx": 1e308, "p_idle": 1.0,
                                    "p_sleep": 0.0, "t_packet": 1.0}))
     _assert_exits_cleanly(["energy", "--profile", str(profile)], 2, "energy")
+
+
+def _overflow_case(tmp_path, case):
+    """``(argv, exit code, stderr)`` of an input whose numbers overflow in numpy."""
+    study = scenario_to_dict(dataclasses.replace(preset_scenario("paper-concrete"), runs=1))
+    out = str(tmp_path / "out")
+    if case == "heavy-tailed study":  # the concrete quantile overflows for most uniforms
+        study["models"]["concrete"]["params"].update(c=0.05, d=0.05)
+        (tmp_path / "study.json").write_text(json.dumps(study))
+        return ["simulate", "--config", str(tmp_path / "study.json"), "--out", out], 0, \
+            f"wrote points.csv, ecdf.csv, report.json to {out}\n"
+    for anchor in study["anchors"]:
+        anchor["x"] = 1.5e308  # the anchors' median x overflows
+    if case == "far-anchor study":
+        (tmp_path / "study.json").write_text(json.dumps(study))
+        return ["simulate", "--config", str(tmp_path / "study.json"), "--out", out], 3, \
+            "numerical failure: all 2997 solves failed\n"
+    if case == "far-anchor solve":
+        (tmp_path / "solve.json").write_text(json.dumps({"anchors": study["anchors"],
+                                                         "distances": [1.0, 2.0, 3.0, 4.0]}))
+        return ["solve", "--input", str(tmp_path / "solve.json")], 3, \
+            "numerical failure: rank-deficient anchor geometry or non-finite iterate\n"
+    if case == "sample":
+        model = '{"family": "gaussian", "params": {"mu": 0, "sigma": 1e308}}'
+        return ["sample", "-n", "5", "--model", model], 2, \
+            "error: model: 2 of 5 draws overflow the float range\n"
+    path = tmp_path / "ranges.csv"
+    if case == "range-stats mean":  # finite errors whose sum overflows
+        path.write_text("true_m,measured_m\n0.0,1e308\n0.0,1e308\n")
+        return ["range-stats", "--input", str(path)], 2, \
+            "error: a result is not finite and cannot be written as JSON\n"
+    path.write_text("true_m,measured_m\n0.0,1.0\n1e308,-1e308\n")
+    return ["range-stats", "--input", str(path)], 2, \
+        f"error: {path}:3: measured_m - true_m overflows the float range\n"
+
+
+@pytest.mark.parametrize("case", ["heavy-tailed study", "far-anchor study", "far-anchor solve", "sample",
+                                  "range-stats", "range-stats mean"])
+def test_overflows_exit_as_stated_without_a_numpy_warning(tmp_path, case):
+    # A draw, x_r or error beyond the float range fails its solves or is
+    # refused; numpy must not warn on the way, as python -W error and this
+    # suite's filterwarnings turn a warning into a traceback
+    argv, code, message = _overflow_case(tmp_path, case)
+    assert _assert_exits_cleanly(argv, code, case) == message
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "uwb_locsim.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (code, message)
+    if case == "heavy-tailed study":
+        report = _strict_json(done.stdout)
+        assert 0 < report["failed_solves"] < report["solves"]
 
 
 def test_fit_rejects_a_span_beyond_the_float_range(tmp_path):
@@ -931,7 +982,7 @@ def test_a_report_that_is_not_finite_is_a_data_error(tmp_path, monkeypatch):
 
     real = simulator.aggregate
     monkeypatch.setattr(simulator, "aggregate",
-                        lambda errors, *levels: dataclasses.replace(real(errors, *levels), mean=math.nan))
+                        lambda errors: dataclasses.replace(real(errors), mean=math.nan))
     (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
     argv = ["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out")]
     code, out, err = _main_quiet(argv)
@@ -1132,6 +1183,20 @@ def test_a_read_only_report_is_refused_and_the_previous_study_kept(tmp_path):
     assert {name: (out / name).read_bytes() for name in _ARTIFACTS} == first
 
 
+def test_a_report_path_that_is_a_directory_is_refused_and_the_previous_study_kept(tmp_path):
+    # The read-only report above refuses no one who runs as root; a directory does
+    out = tmp_path / "out"
+    first = _simulate_into(tmp_path, out, seed=12)
+    (out / "report.json").unlink()
+    (out / "report.json").mkdir()
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
+    err = _assert_exits_cleanly(["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(out)],
+                                2, "report is a directory")
+    assert err == f"error: cannot write {out / 'report.json'}: Is a directory\n"
+    assert {name: (out / name).read_bytes() for name in ("points.csv", "ecdf.csv")} == \
+        {name: first[name] for name in ("points.csv", "ecdf.csv")}
+
+
 def test_a_report_that_cannot_be_encoded_leaves_the_previous_study(tmp_path, monkeypatch):
     from uwb_locsim import simulator
 
@@ -1139,7 +1204,7 @@ def test_a_report_that_cannot_be_encoded_leaves_the_previous_study(tmp_path, mon
     (tmp_path / "scenario.json").write_text(json.dumps(_small_scenario()))
     real = simulator.aggregate
     monkeypatch.setattr(simulator, "aggregate",
-                        lambda errors, *levels: dataclasses.replace(real(errors, *levels), mean=math.inf))
+                        lambda errors: dataclasses.replace(real(errors), mean=math.inf))
     err = _assert_exits_cleanly(["simulate", "--config", str(tmp_path / "scenario.json"),
                                  "--out", str(tmp_path / "out")], 2, "infinite mean")
     assert "not finite" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwb_locsim import Anchor, ParameterError, Point3, Wall, classify_link, segment_crosses_wall
+from uwb_locsim import ParameterError, Point3, Wall
 from uwb_locsim.geometry import classify_links_bulk, SEVERITY_TO_CONDITION
 
 
@@ -24,23 +24,23 @@ WALL = Wall(a=(4.0, 0.0), b=(4.0, 3.0), material="concrete")
 
 
 def test_transversal_crossing():
-    assert segment_crosses_wall((1, 1), (8, 1), WALL)
+    assert classify_links_bulk([(1, 1)], (8, 1), [WALL]).tolist() == [2]
 
 
 def test_disjoint_segment():
-    assert not segment_crosses_wall((1, 1), (2, 1), WALL)
+    assert classify_links_bulk([(1, 1)], (2, 1), [WALL]).tolist() == [0]
 
 
 def test_endpoint_touch_counts_as_crossing():
-    assert segment_crosses_wall((1, 3), (8, 3), WALL)
+    assert classify_links_bulk([(1, 3)], (8, 3), [WALL]).tolist() == [2]
 
 
 def test_endpoint_on_wall_interior_counts():
-    assert segment_crosses_wall((4, 1.5), (9, 1.5), WALL)
+    assert classify_links_bulk([(4, 1.5)], (9, 1.5), [WALL]).tolist() == [2]
 
 
 def test_collinear_overlap_counts():
-    assert segment_crosses_wall((4, -1), (4, 1), WALL)
+    assert classify_links_bulk([(4, -1)], (4, 1), [WALL]).tolist() == [2]
 
 
 def test_crossing_invariant_under_swaps():
@@ -49,35 +49,34 @@ def test_crossing_invariant_under_swaps():
         p, q, a, b = (tuple(rng.uniform(0, 10, 2)) for _ in range(4))
         wall = Wall(a=a, b=b, material="drywall")
         wall_rev = Wall(a=b, b=a, material="drywall")
-        hit = segment_crosses_wall(p, q, wall)
-        assert hit == segment_crosses_wall(q, p, wall)
-        assert hit == segment_crosses_wall(p, q, wall_rev)
-        assert hit == segment_crosses_wall(q, p, wall_rev)
+        hit = classify_links_bulk([p], q, [wall]).tolist()
+        assert hit == classify_links_bulk([q], p, [wall]).tolist()
+        assert hit == classify_links_bulk([p], q, [wall_rev]).tolist()
+        assert hit == classify_links_bulk([q], p, [wall_rev]).tolist()
 
 
 def test_classify_no_walls_is_los():
-    tag, anchor = Point3(1, 1, 1.2), Anchor("a", Point3(8, 1, 3))
-    assert classify_link(tag, anchor, []) == "los"
+    assert SEVERITY_TO_CONDITION[classify_links_bulk([(1, 1)], (8, 1), [])[0]] == "los"
 
 
 def test_classify_concrete_wall():
-    tag, anchor = Point3(1, 1, 1.2), Anchor("a", Point3(8, 1, 3))
     wall = Wall(a=(4.0, 0.0), b=(4.0, 9.0), material="concrete")
-    assert classify_link(tag, anchor, [wall]) == "concrete"
+    assert SEVERITY_TO_CONDITION[classify_links_bulk([(1, 1)], (8, 1), [wall])[0]] == "concrete"
 
 
 def test_classify_severity_priority():
-    tag, anchor = Point3(1, 1, 1.2), Anchor("a", Point3(8, 1, 3))
     drywall = Wall(a=(3.0, 0.0), b=(3.0, 9.0), material="drywall")
     concrete = Wall(a=(4.0, 0.0), b=(4.0, 9.0), material="concrete")
-    assert classify_link(tag, anchor, [drywall, concrete]) == "concrete"
-    assert classify_link(tag, anchor, [concrete, drywall]) == "concrete"
-    assert classify_link(tag, anchor, [drywall]) == "drywall"
+    for walls, condition in [([drywall, concrete], "concrete"), ([concrete, drywall], "concrete"),
+                             ([drywall], "drywall")]:
+        assert SEVERITY_TO_CONDITION[classify_links_bulk([(1, 1)], (8, 1), walls)[0]] == condition
 
 
 def test_classification_ignores_z():
+    # Walls have unbounded height: a link is classified by its plan view alone
     wall = Wall(a=(4.0, 0.0), b=(4.0, 9.0), material="drywall")
-    assert classify_link(Point3(1, 1, 0.1), Anchor("a", Point3(8, 1, 25.0)), [wall]) == "drywall"
+    tag, anchor = Point3(1, 1, 0.1), Point3(8, 1, 25.0)
+    assert SEVERITY_TO_CONDITION[classify_links_bulk([tag.xy], anchor.xy, [wall])[0]] == "drywall"
 
 
 def test_classify_symmetry_random():
@@ -89,20 +88,17 @@ def test_classify_symmetry_random():
         Wall(a=tuple(rng.uniform(0, 10, 2)), b=tuple(rng.uniform(0, 10, 2)), material="concrete")
         for _ in range(2)
     ]
-    for _ in range(200):
-        p = Point3(*rng.uniform(0, 10, 2), 1.2)
-        q = Point3(*rng.uniform(0, 10, 2), 2.8)
-        forward = classify_link(p, Anchor("x", q), walls)
-        backward = classify_link(q, Anchor("x", p), walls)
-        assert forward == backward
+    tags, anchors = rng.uniform(0, 10, size=(2, 200, 2))
+    forward = [classify_links_bulk([p], q, walls)[0] for p, q in zip(tags, anchors)]
+    backward = [classify_links_bulk([q], p, walls)[0] for p, q in zip(tags, anchors)]
+    assert forward == backward
 
 
 def test_adding_walls_never_softens_severity():
     rng = np.random.default_rng(20)
-    order = {"los": 0, "drywall": 1, "concrete": 2}
     for _ in range(100):
-        p = Point3(*rng.uniform(0, 10, 2), 1.2)
-        q = Anchor("x", Point3(*rng.uniform(0, 10, 2), 2.8))
+        p = tuple(rng.uniform(0, 10, 2))
+        q = tuple(rng.uniform(0, 10, 2))
         walls = []
         last = 0
         for _ in range(4):
@@ -113,14 +109,15 @@ def test_adding_walls_never_softens_severity():
                     material=rng.choice(["drywall", "concrete"]),
                 )
             )
-            now = order[classify_link(p, q, walls)]
+            now = classify_links_bulk([p], q, walls)[0]
             assert now >= last
             last = now
 
 
 def _worst_crossed(p, q, walls):
-    """Oracle: severity of the most severe wall that segment pq crosses, 0 if none."""
-    return max((SEVERITY_TO_CONDITION.index(w.material) for w in walls if segment_crosses_wall(p, q, w)), default=0)
+    """Oracle: severity of the most severe wall that segment pq crosses, 0 if
+    none, from one classification per wall."""
+    return max((classify_links_bulk([p], q, [w])[0] for w in walls), default=0)
 
 
 def test_bulk_classification_matches_scalar():
@@ -154,6 +151,3 @@ def test_bulk_classification_equals_scalar_per_link(walls, anchor_xy, tags):
     bulk = classify_links_bulk(np.array(tags), anchor_xy, walls)
     assert bulk.dtype == np.int8
     assert bulk.tolist() == [_worst_crossed(tag, anchor_xy, walls) for tag in tags]
-    anchor = Anchor("a", Point3(anchor_xy[0], anchor_xy[1], 2.5))
-    for (x, y), severity in zip(tags, bulk):
-        assert classify_link(Point3(x, y, 1.0), anchor, walls) == SEVERITY_TO_CONDITION[severity]

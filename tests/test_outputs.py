@@ -44,9 +44,8 @@ def _reference_points_csv(stats) -> str:
 
 
 def _reference_ecdf_csv(stats) -> str:
-    agg = stats.aggregate_2d
     rows = ["err2d_m,cum_prob\n"]
-    rows += [f"{_fmt(v)},{_fmt(p)}\n" for v, p in zip(agg.ecdf_values, agg.ecdf_probs)]
+    rows += [f"{_fmt(v)},{_fmt(k / 1000)}\n" for k, v in enumerate(stats.aggregate_2d.ecdf_values)]
     return "".join(rows)
 
 
@@ -72,10 +71,8 @@ _LABELS = ["los|los|los", "drywall|los|concrete", "concrete|concrete|los"]
 
 
 def _ecdf(values) -> AggregateStats:
-    return AggregateStats(
-        count=len(values), mean=0.0, std=0.0, median=0.0, q1=0.0, q3=0.0, iqr=0.0,
-        ecdf_values=values, ecdf_probs=np.arange(1, len(values) + 1) / len(values),
-    )
+    return AggregateStats(count=len(values), mean=0.0, std=0.0, median=0.0, q1=0.0, q3=0.0, iqr=0.0,
+                          ecdf_values=values)
 
 
 @st.composite
@@ -89,7 +86,7 @@ def _statistics(draw):
     err3d = draw(arrays(np.float64, (n_runs, n_points), elements=_FLOATS))
     err2d[failed] = np.nan
     err3d[failed] = np.nan
-    ecdf_values = draw(arrays(np.float64, st.integers(1, 30), elements=_FLOATS))
+    ecdf_values = draw(arrays(np.float64, 1001, elements=_FLOATS))
     return RunStatistics(
         grid=draw(arrays(np.float64, (n_points, 3), elements=_FLOATS)),
         labels=_LABELS,
@@ -192,8 +189,8 @@ def test_special_values_have_fixed_text():
                              [math.inf, -math.inf, math.nextafter(0.0078125, 1.0)]]]),
         err2d=np.array([[math.nan, 2.5e-6, math.inf]]),
         err3d=np.array([[math.nan, 1.0000005, _BEYOND]]),
-        aggregate_2d=_ecdf(np.array([-0.0, 0.0078125, 0.25, math.inf])),
-        aggregate_3d=_ecdf(np.array([1.0000005])),
+        aggregate_2d=_ecdf(np.array([-0.0, 0.0078125, *[0.25] * 998, math.inf])),
+        aggregate_3d=_ecdf(np.array([1.0000005] * 1001)),
     )
     points, ecdf = _written(stats, outputs._BLOCK)
     assert points.splitlines()[1:] == [
@@ -203,8 +200,10 @@ def test_special_values_have_fixed_text():
         "0,0.007812,-0.023438,8589934592.000000,inf,-inf,0.007813,inf,17179869184.000011,"
         "los|los|drywall",
     ]
-    assert ecdf == ("err2d_m,cum_prob\n0.000000,0.250000\n0.007812,0.500000\n"
-                    "0.250000,0.750000\ninf,1.000000\n")
+    lines = ecdf.splitlines()
+    assert lines[:3] == ["err2d_m,cum_prob", "0.000000,0.000000", "0.007812,0.001000"]
+    assert lines[3:-1] == [f"0.250000,0.{k:03d}000" for k in range(2, 1000)]
+    assert lines[-1] == "inf,1.000000"
 
 
 @pytest.mark.parametrize("runs", [1, 3])

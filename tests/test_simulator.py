@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -106,10 +110,10 @@ def _linear_quantile(ordered, p):
 def test_aggregate_ecdf_properties():
     # ecdf_values is the quantile function at p = k/1000, k = 0..1000,
     # interpolated as the report's quartiles are.
+    assert np.array_equal(simulator.LEVELS, np.arange(1001) / 1000)
     for errors in ([0.3, 0.1, 0.3, 0.7, 0.1], [5.0], [2.0, 1.0], list(np.linspace(3, 0, 14))):
         agg = aggregate(errors)
         ordered = sorted(errors)
-        assert np.array_equal(agg.ecdf_probs, np.arange(1001) / 1000)
         assert len(agg.ecdf_values) == 1001
         assert np.all(np.diff(agg.ecdf_values) >= 0)
         assert (agg.ecdf_values[0], agg.ecdf_values[-1]) == (min(errors), max(errors))
@@ -122,8 +126,8 @@ def test_aggregate_ecdf_properties():
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), zero=st.sampled_from([0.0, -0.0]),
-       infs=st.integers(0, 3), probs=st.sampled_from([simulator.LEVELS, simulator.QUARTILES]))
-def test_aggregate_levels_are_numpys_linear_quantiles_bit_for_bit(n, seed, zero, infs, probs):
+       infs=st.integers(0, 3))
+def test_aggregate_levels_are_numpys_linear_quantiles_bit_for_bit(n, seed, zero, infs):
     # Ties from a small pool, zeros and up to three +inf among continuous
     # values. np.quantile partitions its input, which may reorder equal
     # values, so the zeros of one sample share a sign: a sample with both
@@ -133,10 +137,10 @@ def test_aggregate_levels_are_numpys_linear_quantiles_bit_for_bit(n, seed, zero,
     x = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.gamma(2.0, 0.05, n))
     x[rng.integers(0, n, infs)] = np.inf
     with np.errstate(invalid="ignore"):  # inf - inf at the levels an inf touches
-        agg = aggregate(x, probs)
-        expected = np.quantile(np.sort(x), probs)
+        agg = aggregate(x)
+        expected = np.quantile(np.sort(x), simulator.LEVELS)
     assert agg.ecdf_values.tobytes() == expected.tobytes()
-    quartiles = agg.ecdf_values[np.searchsorted(probs, simulator.QUARTILES)]
+    quartiles = agg.ecdf_values[[250, 500, 750]]
     assert np.array_equal([agg.q1, agg.median, agg.q3], quartiles, equal_nan=True)
 
 
@@ -350,6 +354,36 @@ def test_preset_study_artifacts_are_pinned(tmp_path, preset):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+try:  # the CPU features numpy 2 selects loops for at run time, above its build's baseline
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as _DISPATCHED
+except ImportError:
+    _DISPATCHED = []
+
+_AT_BASELINE = """
+import sys
+from numpy.lib.introspect import opt_func_info
+from uwb_locsim.cli import main
+loop = opt_func_info(func_name="exp")["exp"]["dd"]["current"]
+sys.exit(main(sys.argv[1:]) if loop.startswith("baseline") else f"exp still runs its {loop} loop")
+"""
+
+
+@pytest.mark.skipif(not _DISPATCHED, reason="this numpy build dispatches no CPU features")
+@pytest.mark.parametrize("preset", sorted(_PRESET_SHA256))
+def test_preset_digests_hold_at_numpys_baseline_cpu_level(tmp_path, preset):
+    # numpy picks its exp, log, log1p, expm1 and power loops by CPU feature.
+    # With every dispatched feature disabled, the process runs the loops of
+    # the oldest CPU the build supports; the presets' files must not move.
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_DISPATCHED),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _AT_BASELINE, "simulate", "--preset", preset, "--seed", "42",
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    for name, digest in _PRESET_SHA256[preset].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_partly_failing_study_artifacts_are_pinned(tmp_path):
     scenario = _biased_los_floor()
     stats = run_scenario(scenario)
@@ -361,7 +395,6 @@ def test_partly_failing_study_artifacts_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # aggregates of inf errors
 @pytest.mark.parametrize("chunk", [4096, 5])
 def test_error_norms_match_linalg_norm_bit_for_bit(monkeypatch, chunk):
     # Every tag at the origin, and a solver that returns these rows: each
