@@ -10,9 +10,15 @@ closed-form MLE given the others profiled out:
   leaving a 1-D search over t;
 - Burr XII: d = n / sum(log(1 + z^c)) for fixed (mu, sigma, c) (Q. Shao,
   "Notes on maximum likelihood estimation for the three-parameter Burr
-  XII distribution", CSDA 45, 2004), leaving a 3-D search over
-  (t, log sigma, log c). By the envelope theorem the profile's gradient
-  is the full NLL's gradient at that d.
+  XII distribution", CSDA 45, 2004), leaving a 3-D search. It runs in
+  bulk coordinates phi = (t, m, l), m = (sigma - e^t) / std(x) and
+  l = log sigma - log c: along the heavy-tail basin's curved valley mu,
+  sigma and c all move, but the bulk mu + sigma (where z = 1) and the
+  width sigma / c barely do, so in phi the valley is nearly straight.
+  Dividing by the sample std leaves m, and so the search, free of the
+  data's units. The profile is made in theta = (t, log sigma, log c)
+  and carried to phi by the chain rule; by the envelope theorem its
+  gradient is the full NLL's gradient at that d.
 
 Burr XII's log(1 + z^c), in the profile as in ``BurrXII.pdf`` and
 ``cdf``, is ``distributions._softplus(c log z)``, a few ulp from
@@ -28,9 +34,10 @@ its trust-region subproblem exactly, so an indefinite Hessian in the
 heavy-tail basin still gives a descent step. It stops at max|gradient|
 <= 1e-5, where the model's decrease is within one ulp of the NLL, or
 where the trust radius collapses; the fit counts as converged when
-max|gradient| <= 1e-6 n. On some samples the Burr XII likelihood keeps
-rising as c grows without bound; that fit raises ConvergenceError naming
-the final c and gradient. The error's ``best`` result carries that message
+max|gradient| <= 1e-6 n, for Burr XII in theta (J^-T times phi's
+gradient, with no further evaluation). On some samples the Burr XII
+likelihood keeps rising as c grows without bound; that fit raises
+ConvergenceError naming the final c and gradient. The error's ``best`` result carries that message
 as its ``error``, and a FitResult's ``converged`` is ``error is None``.
 
 Model selection sorts and checks the samples once, makes one histogram
@@ -164,10 +171,10 @@ def _guarded(profile):
     test and so shrinks its trust radius, wherever its arithmetic leaves
     the floats. The Hessian of an infinite NLL is None."""
 
-    def guarded(theta, data, mu_bound):
+    def guarded(theta, *args):
         try:
             with np.errstate(all="ignore"):
-                nll, grad, hess = profile(theta, data, mu_bound)
+                nll, grad, hess = profile(theta, *args)
             if math.isfinite(nll) and np.isfinite(grad).all() and np.isfinite(hess).all():
                 return nll, grad, hess
         except (ArithmeticError, ValueError):  # math.exp overflow, math.log(0), n / 0
@@ -198,34 +205,49 @@ def _lognormal_profile(theta, data, mu_bound):
     return float(nll), np.array([grad]), np.array([[hess]])
 
 
-def _burr12_terms(theta, data, mu_bound):
-    """c, the MLE of d, sigma, log z, 1/(x - mu), v = c log z and
-    log(1 + z^c) = ``_softplus(v)`` at theta."""
-    y, w = _log_shifted(theta[0], data, mu_bound)
-    log_z = np.subtract(y, theta[1], out=y)  # in place: one array fewer alive in _softplus
-    c, sigma = math.exp(theta[2]), math.exp(theta[1])
+def _burr12_scale(phi, std):
+    """sigma = std m + e^t at phi = (t, m, l), with d log sigma / d phi =
+    (r_t, r_m, 0): r_t = e^t / sigma and r_m = std / sigma."""
+    e = math.exp(phi[0])
+    sigma = std * float(phi[1]) + e
+    return sigma, e / sigma, std / sigma
+
+
+def _burr12_terms(phi, sigma, data, mu_bound):
+    """c, the MLE of d, log z, 1/(x - mu), v = c log z and log(1 + z^c) =
+    ``_softplus(v)`` at phi with scale sigma."""
+    y, w = _log_shifted(phi[0], data, mu_bound)
+    log_sigma = math.log(sigma)  # ValueError where sigma <= 0
+    log_z = np.subtract(y, log_sigma, out=y)  # in place: one array fewer alive in _softplus
+    c = math.exp(log_sigma - phi[2])
     v = c * log_z
     tail = _softplus(v)
-    return c, data.size / float(tail.sum()), sigma, log_z, w, v, tail
+    return c, data.size / float(tail.sum()), log_z, w, v, tail
 
 
 @_guarded
-def _burr12_profile(theta, data, mu_bound):
-    """Burr XII NLL in (t, log sigma, log c) with d at its MLE, its gradient
-    and its Hessian: the full NLL's Hessian in (theta, d), Schur-complemented
-    over d. Infinite where (c - 1) sum(log z) exceeds 2^32 times both |NLL|
-    and n: there it and sum(log(1 + z^c)) cancel to finite rounding noise."""
-    t, log_sigma, log_c = theta
+def _burr12_profile(phi, data, mu_bound, std):
+    """Burr XII NLL in phi = (t, m, l) with d at its MLE, its gradient and
+    its Hessian. They are made in theta = (t, log sigma, log c), where the
+    Hessian is the full NLL's Hessian in (theta, d) Schur-complemented over
+    d, and carried to phi by J = d theta / d phi (log c = log sigma - l):
+    J^T g and J^T H J + (g_sigma + g_c) C, with C the Hessian of log sigma
+    in phi. The value is the NLL less n log(std), the NLL in units of the
+    sample std, so its rounding, which decides where minimize stops, does
+    not depend on the data's units. Infinite where (c - 1) sum(log z)
+    exceeds 2^32 times both |value| and n: there it and sum(log(1 + z^c))
+    cancel to finite rounding noise."""
     n = data.size
-    c, d, _, log_z, w, v, tail = _burr12_terms(theta, data, mu_bound)
+    sigma, r_t, r_m = _burr12_scale(phi, std)
+    c, d, log_z, w, v, tail = _burr12_terms(phi, sigma, data, mu_bound)
     sum_log_z = log_z.sum()
     shape_term = (c - 1.0) * sum_log_z
-    nll = n * (log_sigma - log_c - math.log(d) + 1.0) - shape_term + tail.sum()
+    nll = n * (phi[2] - math.log(std * d) + 1.0) - shape_term + tail.sum()
     if abs(shape_term) > 2.0**32 * max(abs(nll), n):
         return math.inf, None, None
     v -= tail
     p = np.exp(v, out=v)  # z^c / (1 + z^c)
-    e, k, sum_w, sum_p, wp, zp = math.exp(t), (d + 1.0) * c, w.sum(), p.sum(), float(w @ p), float(log_z @ p)
+    e, k, sum_w, sum_p, wp, zp = math.exp(phi[0]), (d + 1.0) * c, w.sum(), p.sum(), float(w @ p), float(log_z @ p)
     grad = np.array([e * (k * wp - (c - 1.0) * sum_w), n * c - k * sum_p, k * zp - c * sum_log_z - n])
     # the Hessian's sums, made in the buffers of tail and p: a new 10k array
     # costs more in page faults than its arithmetic. q = dp / d(c log z).
@@ -238,7 +260,12 @@ def _burr12_profile(theta, data, mu_bound):
     h_sc, h_cc = c * n - k * (c * q_z + sum_p), k * (c * qz_z + zp) - c * sum_log_z
     hess = np.array([[h_tt, h_ts, h_tc], [h_ts, k * c * sum_q, h_sc], [h_tc, h_sc, h_cc]])
     tail_grad = c * np.array([e * wp, -sum_p, zp])  # of sum(log(1 + z^c)) in theta
-    return float(nll), grad, hess - np.outer(tail_grad, tail_grad) * (d * d / n)
+    hess -= np.outer(tail_grad, tail_grad) * (d * d / n)
+    jac = np.array([[1.0, 0.0, 0.0], [r_t, r_m, 0.0], [r_t, r_m, -1.0]])
+    curv = np.array([[r_t - r_t * r_t, -r_t * r_m, 0.0], [-r_t * r_m, -r_m * r_m, 0.0], [0.0, 0.0, 0.0]])  # C
+    # einsum, not two 3x3 matmuls: those call BLAS's gemm, which a fit runs
+    # nowhere else, and its code pages added 0.4 MB to a fit's peak RSS
+    return float(nll), grad @ jac, np.einsum("ji,jk,kl->il", jac, hess, jac) + (grad[1] + grad[2]) * curv
 
 
 class _Sample:
@@ -249,13 +276,15 @@ class _Sample:
         data = np.sort(np.asarray(data, dtype=float).ravel())
         if data.size < 2:
             raise DataError("need at least two data points to fit")
-        with np.errstate(over="ignore", invalid="ignore"):
-            std = float(data.std())  # NaN, ±inf and overflow all leave it non-finite
-        if not math.isfinite(std):
-            raise DataError("samples must be finite and their spread must not overflow, "
-                            f"got {data[0]} to {data[-1]}")
+        if not (math.isfinite(data[0]) and math.isfinite(data[-1])):  # sorted: NaN and ±inf at the ends
+            raise DataError(f"samples must be finite, got {data[0]} to {data[-1]}")
         if data[-1] == data[0]:
             raise DataError("degenerate data: all values are equal, no scale can be fitted")
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = float(data.std())  # an overflowing sum or square leaves it non-finite
+        if not math.isfinite(std):
+            raise DataError("samples must have a finite standard deviation: their spread must not overflow, "
+                            f"got {data[0]} to {data[-1]}")
         span = float(data[-1] - data[0])
         if span < bins * 2.0**-512:  # (bins / span)^2, a bound on the squared densities, overflows
             raise DataError(f"samples span {span!r}, too little for {bins} bins with finite squared densities")
@@ -298,11 +327,15 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
     else:  # the sample's log-normal fit and, for Burr XII, one minimize run from it
         t, dist, nll, grad, evals = sample.lognormal
         if family == "burr12":
-            theta0 = [t, math.log(dist.sigma), math.log(1.5 / dist.s)]
-            x, nll, grad, nfev = minimize(_burr12_profile, theta0, args=(data, mu_bound))
-            c, d, sigma, *_ = _burr12_terms(x, data, mu_bound)
+            # from the log-normal fit's t and sigma, with c = 1.5 / s
+            phi0 = [t, (dist.sigma - math.exp(t)) / sample.std, math.log(dist.sigma * dist.s / 1.5)]
+            x, nll, grad, nfev = minimize(_burr12_profile, phi0, args=(data, mu_bound, sample.std))
+            sigma, r_t, r_m = _burr12_scale(x, sample.std)
+            c, d, *_ = _burr12_terms(x, sigma, data, mu_bound)
             dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
-            evals += nfev
+            # converged is judged in (t, log sigma, log c): J^-T times phi's gradient
+            grad = np.array([grad[0] - r_t / r_m * grad[1], grad[1] / r_m + grad[2], -grad[2]])
+            evals, nll = evals + nfev, nll + data.size * math.log(sample.std)  # back from std units
         nll, grad = float(nll), float(np.abs(grad).max())
 
     error = None

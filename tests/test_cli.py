@@ -784,6 +784,10 @@ def _overflow_case(tmp_path, case):
         model = '{"family": "gaussian", "params": {"mu": 0, "sigma": 1e308}}'
         return ["sample", "-n", "5", "--model", model], 2, \
             "error: model: 2 of 5 draws overflow the float range\n"
+    if case == "fit equal samples":  # no spread; only their sum, inside the mean, overflows
+        (tmp_path / "errors.csv").write_text("error_m\n1e308\n1e308\n1e308\n")
+        return ["fit", "--input", str(tmp_path / "errors.csv")], 2, \
+            "error: degenerate data: all values are equal, no scale can be fitted\n"
     path = tmp_path / "ranges.csv"
     if case == "range-stats mean":  # finite errors whose sum overflows
         path.write_text("true_m,measured_m\n0.0,1e308\n0.0,1e308\n")
@@ -795,7 +799,7 @@ def _overflow_case(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["heavy-tailed study", "far-anchor study", "far-anchor solve", "sample",
-                                  "range-stats", "range-stats mean"])
+                                  "range-stats", "range-stats mean", "fit equal samples"])
 def test_overflows_exit_as_stated_without_a_numpy_warning(tmp_path, case):
     # A draw, x_r or error beyond the float range fails its solves or is
     # refused; numpy must not warn on the way, as python -W error and this
