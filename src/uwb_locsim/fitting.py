@@ -40,18 +40,27 @@ likelihood keeps rising as c grows without bound; that fit raises
 ConvergenceError naming the final c and gradient. The error's ``best`` result carries that message
 as its ``error``, and a FitResult's ``converged`` is ``error is None``.
 
+numpy makes only the passes over the samples and one eigendecomposition
+per step. The arithmetic on the 1 to 3 numbers of a point, its gradient
+and its Hessian is on Python floats: numpy's fixed cost per call is many
+times that of such arithmetic. No 3x3 matmul runs; it would call BLAS
+gemm, whose code pages add 0.4 MB to a fit's RSS.
+
 Model selection sorts and checks the samples once, makes one histogram
-and one log-normal fit (which Burr XII starts from) for all families,
-and scores each fitted density against that empirical PDF with a sum of
-squared errors at the histogram bin centers. It ranks families by one
-sort key: failed fits last, then ascending SSE (NaN last), then an exact
-SSE tie to the family with fewer parameters. So the ranking does not
-depend on the order the families are given in.
+(counted by binary search in the sorted samples: np.histogram's
+densities, bit for bit) and one log-normal fit (which Burr XII starts
+from) for all families, and scores each fitted density against that
+empirical PDF with a sum of squared errors at the histogram bin
+centers. It ranks families by one sort key: failed fits last, then
+ascending SSE (NaN last), then an exact SSE tie to the family with
+fewer parameters. So the ranking does not depend on the order the
+families are given in.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -96,19 +105,26 @@ class FitResult:
 def empirical_pdf(data, bins: int) -> EmpiricalPdf:
     """Equal-width histogram spanning [min(data), max(data)], density-normalized.
     DataError if a bin would have no width: all values equal, or a range
-    too narrow for ``bins + 1`` distinct edges."""
-    data = np.asarray(data, dtype=float)
+    too narrow for ``bins + 1`` distinct edges.
+
+    The densities are np.histogram's on the same edges, bit for bit: a bin
+    counts the samples in [its left edge, the next edge), the last bin its
+    right edge too. They are counted by binary search in the sorted samples,
+    which are sorted here unless already sorted (a selection's are)."""
+    data = np.asarray(data, dtype=float).ravel()
     if bins < 1:
         raise ParameterError("bins must be >= 1")
     if data.size < 2:
         raise DataError("need at least two data points for a histogram")
     check_array_size(bins + 1)
-    lo, hi = float(data.min()), float(data.max())
+    if not (data[:-1] <= data[1:]).all():  # NaN compares false: sorted to the end
+        data = np.sort(data)
+    lo, hi = float(data[0]), float(data[-1])
     edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram makes for ``bins``
     if not (edges[:-1] < edges[1:]).all():
         raise DataError(f"cannot make {bins} bins of finite width over [{lo!r}, {hi!r}]")
-    densities, edges = np.histogram(data, bins=edges, density=True)
-    return EmpiricalPdf(bin_edges=edges, densities=densities)
+    counts = np.diff(data.searchsorted(edges[:-1]), append=data.size)  # every sample is <= edges[-1] = hi
+    return EmpiricalPdf(bin_edges=edges, densities=counts / np.diff(edges) / data.size)
 
 
 def minimize(func, theta0, args=()):
@@ -125,33 +141,42 @@ def minimize(func, theta0, args=()):
     x, nfev, radius = np.array(theta0, dtype=float), 1, 1.0
     f, g, h = func(x, *args)
     for _ in range(200 * x.size):
-        if np.abs(g).max() <= _GTOL or radius <= 2.0**-52 * np.abs(x).max():
+        xs, gs = x.tolist(), g.tolist()
+        if max(map(abs, gs)) <= _GTOL or radius <= 2.0**-52 * max(map(abs, xs)):
             break
-        p = _trust_step(g, h, radius)
-        gain = -float(g @ p + 0.5 * (p @ h @ p))
+        p = _trust_step(gs, h, radius)
+        gain = -(_dot(gs, p) + 0.5 * _dot(p, [_dot(row, p) for row in h.tolist()]))
         if gain <= abs(f) * 2.0**-52:
             break
-        trial = func(x + p, *args)
+        trial_x = np.array([a + b for a, b in zip(xs, p)])
+        trial = func(trial_x, *args)
         nfev += 1
-        rho, size = (f - trial[0]) / gain, math.sqrt(p @ p)
+        rho, size = (f - trial[0]) / gain, math.hypot(*p)
         if not rho >= 0.25:
             radius = 0.25 * size
         elif rho > 0.75 and size >= 0.99 * radius:
             radius *= 2.0
         if rho > 0.0:
-            x, (f, g, h) = x + p, trial
+            x, (f, g, h) = trial_x, trial
     return x, f, g, nfev
+
+
+def _dot(a, b):
+    """a . b for two float sequences, its products' sum correctly rounded."""
+    return math.fsum(map(operator.mul, a, b))
 
 
 def _trust_step(g, h, radius):
     """The p minimizing g.p + p.h.p / 2 over |p| <= radius (Nocedal and
-    Wright, section 4.3), from h's eigenvalues lam: p = -(h + (sigma - lam_1)
-    I)^-1 g at sigma = lam_1 > 0 if that fits, else at the sigma >= 0 that
-    puts p on the edge, found from the left by Newton's method on 1/|p|. In
-    the hard case (g orthogonal to the lowest eigenvector and p short of the
+    Wright, section 4.3), as a list of floats for the float list g and the
+    ndarray h, from h's eigenvalues lam: p = -(h + (sigma - lam_1) I)^-1 g
+    at sigma = lam_1 > 0 if that fits, else at the sigma >= 0 that puts p
+    on the edge, found from the left by Newton's method on 1/|p|. In the
+    hard case (g orthogonal to the lowest eigenvector and p short of the
     edge at sigma = 0) the lowest eigenvector fills the rest of the radius."""
     lam, vec = np.linalg.eigh(h)
-    lam, gam = lam.tolist(), (g @ vec).tolist()  # floats: cheaper than numpy for 1 to 3 items
+    lam, vec = lam.tolist(), vec.tolist()
+    gam = [_dot(g, column) for column in zip(*vec)]  # g in the eigenvector basis
     # each |gam_i| / (lam_i - lam_1 + sigma) <= radius on the edge: a lower bound for sigma
     sigma = max(lam[0], *(abs(a) / radius - (l - lam[0]) for a, l in zip(gam, lam)))
     for _ in range(50):
@@ -163,7 +188,7 @@ def _trust_step(g, h, radius):
         sigma += (size / radius - 1.0) * size * size / sum(x * x / s for x, s in zip(p, shifted) if s > 0.0)
     if sigma <= 0.0 and size < radius:
         p[0] = math.sqrt(radius * radius - size * size)  # the hard case
-    return -(vec @ p)
+    return [-_dot(row, p) for row in vec]
 
 
 def _guarded(profile):
@@ -175,7 +200,7 @@ def _guarded(profile):
         try:
             with np.errstate(all="ignore"):
                 nll, grad, hess = profile(theta, *args)
-            if math.isfinite(nll) and np.isfinite(grad).all() and np.isfinite(hess).all():
+            if math.isfinite(nll) and all(map(math.isfinite, grad.tolist() + hess.ravel().tolist())):
                 return nll, grad, hess
         except (ArithmeticError, ValueError):  # math.exp overflow, math.log(0), n / 0
             pass
@@ -193,79 +218,88 @@ def _log_shifted(t, data, mu_bound):
 @_guarded
 def _lognormal_profile(theta, data, mu_bound):
     """Log-normal NLL in t with sigma and s at their MLEs, and its two derivatives."""
-    n = data.size
-    y, w = _log_shifted(theta[0], data, mu_bound)
-    dev = y - y.mean()
+    n, t = data.size, float(theta[0])
+    y, w = _log_shifted(t, data, mu_bound)
+    sum_y = float(y.sum())
+    dev = np.subtract(y, sum_y / n, out=y)  # y - y.mean(), in y's buffer
     var = float(dev @ dev) / n
-    nll = 0.5 * n * (math.log(var) + 1.0) + n * _LOG_SQRT2PI + y.sum()
-    e, dev_w, sum_w, w_w = math.exp(theta[0]), float(dev @ w), w.sum(), float(w @ w)
+    nll = 0.5 * n * (math.log(var) + 1.0) + n * _LOG_SQRT2PI + sum_y
+    e, dev_w, sum_w, w_w = math.exp(t), float(dev @ w), float(w.sum()), float(w @ w)
     grad = e * (dev_w / var + sum_w)
     hess = grad + e * e * ((w_w - sum_w * sum_w / n - float(np.multiply(dev, w, out=dev) @ w)) / var
                            - 2.0 * dev_w * dev_w / (n * var * var) - w_w)
-    return float(nll), np.array([grad]), np.array([[hess]])
+    return nll, np.array([grad]), np.array([[hess]])
 
 
 def _burr12_scale(phi, std):
     """sigma = std m + e^t at phi = (t, m, l), with d log sigma / d phi =
     (r_t, r_m, 0): r_t = e^t / sigma and r_m = std / sigma."""
     e = math.exp(phi[0])
-    sigma = std * float(phi[1]) + e
+    sigma = std * phi[1] + e
     return sigma, e / sigma, std / sigma
 
 
 def _burr12_terms(phi, sigma, data, mu_bound):
-    """c, the MLE of d, log z, 1/(x - mu), v = c log z and log(1 + z^c) =
-    ``_softplus(v)`` at phi with scale sigma."""
+    """c, sum(log(1 + z^c)) (the MLE of d is n over it), log z, 1/(x - mu),
+    v = c log z and log(1 + z^c) = ``_softplus(v)`` at phi with scale sigma."""
     y, w = _log_shifted(phi[0], data, mu_bound)
     log_sigma = math.log(sigma)  # ValueError where sigma <= 0
     log_z = np.subtract(y, log_sigma, out=y)  # in place: one array fewer alive in _softplus
     c = math.exp(log_sigma - phi[2])
     v = c * log_z
     tail = _softplus(v)
-    return c, data.size / float(tail.sum()), log_z, w, v, tail
+    return c, float(tail.sum()), log_z, w, v, tail
 
 
 @_guarded
 def _burr12_profile(phi, data, mu_bound, std):
     """Burr XII NLL in phi = (t, m, l) with d at its MLE, its gradient and
     its Hessian. They are made in theta = (t, log sigma, log c), where the
-    Hessian is the full NLL's Hessian in (theta, d) Schur-complemented over
-    d, and carried to phi by J = d theta / d phi (log c = log sigma - l):
-    J^T g and J^T H J + (g_sigma + g_c) C, with C the Hessian of log sigma
-    in phi. The value is the NLL less n log(std), the NLL in units of the
-    sample std, so its rounding, which decides where minimize stops, does
-    not depend on the data's units. Infinite where (c - 1) sum(log z)
+    Hessian H is the full NLL's Hessian in (theta, d) Schur-complemented
+    over d, and carried to phi by J = d theta / d phi (log c = log sigma -
+    l): J^T g and J^T H J + (g_sigma + g_c) C, with C the Hessian of log
+    sigma in phi. The value is the NLL less n log(std), the NLL in units of
+    the sample std, so its rounding, which decides where minimize stops,
+    does not depend on the data's units. Infinite where (c - 1) sum(log z)
     exceeds 2^32 times both |value| and n: there it and sum(log(1 + z^c))
-    cancel to finite rounding noise."""
-    n = data.size
+    cancel to finite rounding noise. Past the passes over the samples, all
+    is float arithmetic on the six distinct entries of H."""
+    n, phi = data.size, phi.tolist()
     sigma, r_t, r_m = _burr12_scale(phi, std)
-    c, d, log_z, w, v, tail = _burr12_terms(phi, sigma, data, mu_bound)
-    sum_log_z = log_z.sum()
+    c, sum_tail, log_z, w, v, tail = _burr12_terms(phi, sigma, data, mu_bound)
+    d, sum_log_z = n / sum_tail, float(log_z.sum())
     shape_term = (c - 1.0) * sum_log_z
-    nll = n * (phi[2] - math.log(std * d) + 1.0) - shape_term + tail.sum()
+    nll = n * (phi[2] - math.log(std * d) + 1.0) - shape_term + sum_tail
     if abs(shape_term) > 2.0**32 * max(abs(nll), n):
         return math.inf, None, None
     v -= tail
     p = np.exp(v, out=v)  # z^c / (1 + z^c)
-    e, k, sum_w, sum_p, wp, zp = math.exp(phi[0]), (d + 1.0) * c, w.sum(), p.sum(), float(w @ p), float(log_z @ p)
-    grad = np.array([e * (k * wp - (c - 1.0) * sum_w), n * c - k * sum_p, k * zp - c * sum_log_z - n])
+    e, k, sum_w, sum_p = math.exp(phi[0]), (d + 1.0) * c, float(w.sum()), float(p.sum())
+    wp, zp = float(w @ p), float(log_z @ p)
+    g_t, g_s, g_c = e * (k * wp - (c - 1.0) * sum_w), n * c - k * sum_p, k * zp - c * sum_log_z - n
     # the Hessian's sums, made in the buffers of tail and p: a new 10k array
     # costs more in page faults than its arithmetic. q = dp / d(c log z).
     q = np.subtract(p, np.multiply(p, p, out=tail), out=tail)
-    sum_q, q_w, q_z, p_w2 = q.sum(), float(q @ w), float(q @ log_z), float(np.multiply(p, w, out=p) @ w)
+    sum_q, q_w, q_z, p_w2 = float(q.sum()), float(q @ w), float(q @ log_z), float(np.multiply(p, w, out=p) @ w)
     qz = np.multiply(q, log_z, out=p)
     qz_w, qz_z, q_w2 = float(qz @ w), float(qz @ log_z), float(np.multiply(q, w, out=q) @ w)
-    h_tt = e * (k * (c * e * q_w2 + wp - e * p_w2) - (c - 1.0) * (sum_w - e * float(w @ w)))
-    h_ts, h_tc = -k * c * e * q_w, e * (k * (c * qz_w + wp) - c * sum_w)
-    h_sc, h_cc = c * n - k * (c * q_z + sum_p), k * (c * qz_z + zp) - c * sum_log_z
-    hess = np.array([[h_tt, h_ts, h_tc], [h_ts, k * c * sum_q, h_sc], [h_tc, h_sc, h_cc]])
-    tail_grad = c * np.array([e * wp, -sum_p, zp])  # of sum(log(1 + z^c)) in theta
-    hess -= np.outer(tail_grad, tail_grad) * (d * d / n)
-    jac = np.array([[1.0, 0.0, 0.0], [r_t, r_m, 0.0], [r_t, r_m, -1.0]])
-    curv = np.array([[r_t - r_t * r_t, -r_t * r_m, 0.0], [-r_t * r_m, -r_m * r_m, 0.0], [0.0, 0.0, 0.0]])  # C
-    # einsum, not two 3x3 matmuls: those call BLAS's gemm, which a fit runs
-    # nowhere else, and its code pages added 0.4 MB to a fit's peak RSS
-    return float(nll), grad @ jac, np.einsum("ji,jk,kl->il", jac, hess, jac) + (grad[1] + grad[2]) * curv
+    # H less the outer product of u, the gradient of sum(log(1 + z^c)) in theta, times d^2 / n
+    u_t, u_s, u_c, f = c * (e * wp), -c * sum_p, c * zp, d * d / n
+    h_tt = e * (k * (c * e * q_w2 + wp - e * p_w2) - (c - 1.0) * (sum_w - e * float(w @ w))) - u_t * u_t * f
+    h_ts, h_tc = -k * c * e * q_w - u_t * u_s * f, e * (k * (c * qz_w + wp) - c * sum_w) - u_t * u_c * f
+    h_ss, h_sc = k * c * sum_q - u_s * u_s * f, c * n - k * (c * q_z + sum_p) - u_s * u_c * f
+    h_cc = k * (c * qz_z + zp) - c * sum_log_z - u_c * u_c * f
+    # J = [[1, 0, 0], [r_t, r_m, 0], [r_t, r_m, -1]], C = [[r_t - r_t^2, -r_t r_m, 0],
+    # [-r_t r_m, -r_m^2, 0], [0, 0, 0]]; J^T H J from H's log sigma column plus
+    # its log c column: s_t and s_c are its t and log c entries, s the sum of its last two
+    g_sc, s_t, s_c = g_s + g_c, h_ts + h_tc, h_sc + h_cc
+    s = h_ss + h_sc + s_c
+    h_tm = r_m * (s_t + r_t * s) - g_sc * r_t * r_m
+    h_tl, h_ml = -(h_tc + r_t * s_c), -r_m * s_c
+    hess = [[h_tt + r_t * (2.0 * s_t + r_t * s) + g_sc * (r_t - r_t * r_t), h_tm, h_tl],
+            [h_tm, r_m * r_m * (s - g_sc), h_ml],
+            [h_tl, h_ml, h_cc]]
+    return nll, np.array([g_t + r_t * g_sc, r_m * g_sc, -g_c]), np.array(hess)
 
 
 class _Sample:
@@ -282,9 +316,9 @@ class _Sample:
             raise DataError("degenerate data: all values are equal, no scale can be fitted")
         with np.errstate(over="ignore", invalid="ignore"):
             std = float(data.std())  # an overflowing sum or square leaves it non-finite
-        if not math.isfinite(std):
-            raise DataError("samples must have a finite standard deviation: their spread must not overflow, "
-                            f"got {data[0]} to {data[-1]}")
+            if not math.isfinite(std):
+                what = "standard deviation: their spread" if math.isfinite(data.mean()) else "mean: their sum"
+                raise DataError(f"samples must have a finite {what} must not overflow, got {data[0]} to {data[-1]}")
         span = float(data[-1] - data[0])
         if span < bins * 2.0**-512:  # (bins / span)^2, a bound on the squared densities, overflows
             raise DataError(f"samples span {span!r}, too little for {bins} bins with finite squared densities")
@@ -330,9 +364,10 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
             # from the log-normal fit's t and sigma, with c = 1.5 / s
             phi0 = [t, (dist.sigma - math.exp(t)) / sample.std, math.log(dist.sigma * dist.s / 1.5)]
             x, nll, grad, nfev = minimize(_burr12_profile, phi0, args=(data, mu_bound, sample.std))
+            x = x.tolist()
             sigma, r_t, r_m = _burr12_scale(x, sample.std)
-            c, d, *_ = _burr12_terms(x, sigma, data, mu_bound)
-            dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
+            c, sum_tail, *_ = _burr12_terms(x, sigma, data, mu_bound)
+            dist = BurrXII(c=c, d=data.size / sum_tail, mu=mu_bound - math.exp(x[0]), sigma=sigma)
             # converged is judged in (t, log sigma, log c): J^-T times phi's gradient
             grad = np.array([grad[0] - r_t / r_m * grad[1], grad[1] / r_m + grad[2], -grad[2]])
             evals, nll = evals + nfev, nll + data.size * math.log(sample.std)  # back from std units

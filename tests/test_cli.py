@@ -788,6 +788,10 @@ def _overflow_case(tmp_path, case):
         (tmp_path / "errors.csv").write_text("error_m\n1e308\n1e308\n1e308\n")
         return ["fit", "--input", str(tmp_path / "errors.csv")], 2, \
             "error: degenerate data: all values are equal, no scale can be fitted\n"
+    if case == "fit overflowing mean":  # a spread of 2e292; only their sum, inside the mean, overflows
+        (tmp_path / "errors.csv").write_text("error_m\n1e308\n1e308\n1.0000000000000002e308\n")
+        return ["fit", "--input", str(tmp_path / "errors.csv")], 2, \
+            "error: samples must have a finite mean: their sum must not overflow, got 1e+308 to 1.0000000000000002e+308\n"
     path = tmp_path / "ranges.csv"
     if case == "range-stats mean":  # finite errors whose sum overflows
         path.write_text("true_m,measured_m\n0.0,1e308\n0.0,1e308\n")
@@ -799,7 +803,7 @@ def _overflow_case(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["heavy-tailed study", "far-anchor study", "far-anchor solve", "sample",
-                                  "range-stats", "range-stats mean", "fit equal samples"])
+                                  "range-stats", "range-stats mean", "fit equal samples", "fit overflowing mean"])
 def test_overflows_exit_as_stated_without_a_numpy_warning(tmp_path, case):
     # A draw, x_r or error beyond the float range fails its solves or is
     # refused; numpy must not warn on the way, as python -W error and this

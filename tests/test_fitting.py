@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uwb_locsim import (
     BurrXII,
@@ -54,6 +54,66 @@ def test_empirical_pdf_degenerate_inputs():
         empirical_pdf([1.0, 1.0, 1.0], bins=10)
     with pytest.raises(ParameterError):
         empirical_pdf([0.0, 1.0], bins=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=100), bins=st.integers(1, 40),
+       repeats=st.lists(st.integers(0, 99), max_size=40), on_edges=st.lists(st.integers(0, 39), max_size=20))
+def test_empirical_pdf_is_np_histogram_bit_for_bit(values, bins, repeats, on_edges):
+    # empirical_pdf counts on the sorted samples what np.histogram counts
+    # after its own sort: unsorted samples, repeated values, values on inner
+    # edges (left-closed bins) and the maximum on the last edge (closed)
+    values = np.array(values)
+    edges = np.linspace(values.min(), values.max(), bins + 1)
+    assume((edges[:-1] < edges[1:]).all())
+    data = np.concatenate([values, values[np.array(repeats, dtype=int) % values.size],
+                           edges[1:-1][np.array(on_edges, dtype=int) % max(bins - 1, 1)] if bins > 1 else []])
+    expected, _ = np.histogram(data, edges, density=True)
+    for samples in (data, np.sort(data)):
+        epdf = empirical_pdf(samples, bins)
+        assert epdf.bin_edges.tobytes() == edges.tobytes()
+        assert epdf.densities.tobytes() == expected.tobytes()
+
+
+def _numpy_trust_step(g, h, radius):
+    """fitting._trust_step with g, the eigenbasis and the step as numpy
+    arrays, as earlier versions computed it: the reference for its floats."""
+    lam, vec = np.linalg.eigh(h)
+    lam, gam = lam.tolist(), (g @ vec).tolist()
+    sigma = max(lam[0], *(abs(a) / radius - (l - lam[0]) for a, l in zip(gam, lam)))
+    for _ in range(50):
+        shifted = [l - lam[0] + sigma for l in lam]
+        p = [a / s if s > 0.0 else 0.0 for a, s in zip(gam, shifted)]
+        size = math.hypot(*p)
+        if size <= radius * (1.0 + 1e-9):
+            break
+        sigma += (size / radius - 1.0) * size * size / sum(x * x / s for x, s in zip(p, shifted) if s > 0.0)
+    if sigma <= 0.0 and size < radius:
+        p[0] = math.sqrt(radius * radius - size * size)
+    return -(vec @ p)
+
+
+def _rotated(eigenvalues, seed):
+    turn, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))
+    return turn @ np.diag(eigenvalues) @ turn.T
+
+
+@pytest.mark.parametrize("g,h", [
+    ([3.0], [[2.0]]),  # positive definite
+    ([1.0], [[-2.0]]),  # indefinite
+    ([0.0], [[-2.0]]),  # the hard case: g has no part along the negative eigenvector
+    ([0.3, -1.2, 0.5], _rotated([1.0, 3.0, 10.0], 1)),
+    ([0.3, -1.2, 0.5], _rotated([-2.0, 1.0, 5.0], 2)),
+    ([0.0, -1.2, 0.5], np.diag([-2.0, 1.0, 5.0])),
+    ([-1.2, 0.5, 0.0], np.diag([1.0, 5.0, -2.0])),
+], ids=["1-pd", "1-indefinite", "1-hard", "3-pd", "3-indefinite", "3-hard", "3-hard-permuted"])
+@pytest.mark.parametrize("radius", [0.01, 0.3, 100.0])
+def test_trust_step_floats_match_the_numpy_formulation(g, h, radius):
+    g, h = np.array(g), np.array(h, dtype=float)
+    expected = _numpy_trust_step(g, h, radius)
+    step = np.array(fitting._trust_step(g.tolist(), h, radius))
+    assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert math.hypot(*step) <= radius * (1.0 + 1e-9)
 
 
 def test_fit_gaussian_matches_closed_form_mle(monkeypatch):

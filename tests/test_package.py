@@ -64,6 +64,33 @@ def test_every_benchmark_workload_passes_its_own_checks(monkeypatch, tmp_path, s
     assert [problem for problem in problems if problem[2] is not None] == []
 
 
+def test_the_full_size_reference_checks_pass_and_catch_a_wrong_reference(monkeypatch, tmp_path):
+    # Smoke runs skip the checks against bench/reference.json's full-size
+    # figures (fit-select's seed-42 rankings, scaled-diversity's seed-42
+    # study); the benchmark runs them once per run, so they are run here
+    monkeypatch.syspath_prepend(str(_BENCH))
+    from workloads import FIT_TOLERANCE_REL, FitSelect, ScaledDiversity, load_reference
+
+    for workload in (FitSelect, ScaledDiversity):
+        for wrong in (False, True):
+            workdir = tmp_path / f"{workload.name}-{wrong}"
+            workdir.mkdir()
+            wl = workload(7, str(workdir), wrong_reference=wrong)
+            wl.setup()
+            problems = [problem for _, problem in wl.final_checks()]
+            assert problems and (any(problems) if wrong else not any(problems)), (workload.name, wrong, problems)
+            assert all("differs from reference" in problem for problem in problems if problem)
+    # half the benchmark's tolerance: a fit that drifts toward it fails here first
+    fit_select = FitSelect(7, str(tmp_path))
+    fit_select.setup()
+    got = fit_select.reference_rankings()
+    for ranking, expected in zip(got, load_reference()["fit-select"], strict=True):
+        assert [fit["family"] for fit in ranking] == [fit["family"] for fit in expected]
+        for fit, reference in zip(ranking, expected):
+            for name, value in reference["params"].items():
+                assert abs(fit["params"][name] - value) <= 0.5 * FIT_TOLERANCE_REL * abs(value), (fit["family"], name)
+
+
 def test_scenarios_turns_no_json_value_into_text_or_a_default():
     # Text must be a JSON string and a default comes only from an absent or
     # null optional key, so the reader never calls str() or dict.get()
