@@ -105,7 +105,7 @@ class FitResult:
 def empirical_pdf(data, bins: int) -> EmpiricalPdf:
     """Equal-width histogram spanning [min(data), max(data)], density-normalized.
     DataError if a bin would have no width: all values equal, or a range
-    too narrow for ``bins + 1`` distinct edges.
+    too narrow for ``bins + 1`` distinct edges; or if a density overflows.
 
     The densities are np.histogram's on the same edges, bit for bit: a bin
     counts the samples in [its left edge, the next edge), the last bin its
@@ -124,7 +124,11 @@ def empirical_pdf(data, bins: int) -> EmpiricalPdf:
     if not (edges[:-1] < edges[1:]).all():
         raise DataError(f"cannot make {bins} bins of finite width over [{lo!r}, {hi!r}]")
     counts = np.diff(data.searchsorted(edges[:-1]), append=data.size)  # every sample is <= edges[-1] = hi
-    return EmpiricalPdf(bin_edges=edges, densities=counts / np.diff(edges) / data.size)
+    with np.errstate(over="ignore"):
+        densities = counts / np.diff(edges) / data.size
+    if not np.isfinite(densities).all():
+        raise DataError(f"cannot make {bins} bins of finite density over [{lo!r}, {hi!r}]")
+    return EmpiricalPdf(bin_edges=edges, densities=densities)
 
 
 def minimize(func, theta0, args=()):
@@ -405,7 +409,7 @@ def select_best_model(data, families, bins: int = 200) -> list[FitResult]:
     results = []
     for family in families:
         try:
-            results.append(fit_mle(family, sample, bins=bins))
+            results.append(fit_mle(family, sample))
         except ConvergenceError as exc:
             results.append(exc.best)
     return sorted(results, key=lambda fit: (fit.error is not None, math.isnan(fit.sse),

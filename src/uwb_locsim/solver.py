@@ -13,9 +13,10 @@ largest flags the point failed (in exact arithmetic the pivots equal
 |R_ii| of a QR of the stacked system). Forming J^T J squares the
 condition number, so at c = 0 diverging iterates (|x| ~ 1e4 m) agree
 with a QR solve only to ~1e-5 m; converged ones agree to ~1e-14 m.
-Points whose pivots or step are not finite are flagged failed and keep
-their last finite iterate. Iteration stops when the step norm drops
-below ``delta`` or after ``k_max`` iterations.
+Points whose pivots or step are not finite (at the first step, every
+point with a range not finite and positive) are flagged failed and keep
+their last finite iterate and step norm. Iteration stops when the step
+norm drops below ``delta`` or after ``k_max`` iterations.
 
 The batched entry point runs many independent solves at once with the
 same per-point arithmetic; the single-point API runs a batch of one, so
@@ -44,16 +45,14 @@ point-major (B, N) kernel whatever the anchor count, and do not depend
 on how a batch is split.
 
 The points still iterating form an active set: their iterates, ranges
-and last step norms are held in compacted working arrays, which are
-gathered by index (``take`` of the staying positions) only on an
-iteration where some point leaves. A point's
-results are written once, when it leaves: converged at iteration k with
-k iterations; unsolvable at iteration k with k - 1 iterations, its last
-finite iterate and the norm of the step before; still active after
-``k_max`` with ``k_max`` iterations. A start ``x0`` of shape (3,) is
-shared by the whole batch: the first iteration runs the same kernel on
-one (3, 1) iterate, so numpy broadcasting forms the unit rows, the
-normal matrix and its Cholesky factor once, and only the residuals, the
+and last step norms are held in compacted working arrays, gathered by
+index (``take`` of the staying positions) only on an iteration where
+some point leaves. A point leaves when its step converges, when it is
+unsolvable (counting one iteration less) or at ``k_max``, and its
+results are written then, once. A start ``x0`` of shape (3,) is shared
+by the whole batch: the first iteration runs the same kernel on one
+(3, 1) iterate, so numpy broadcasting forms the unit rows, the normal
+matrix and its Cholesky factor once, and only the residuals, the
 right-hand side and the two triangular solves are per point.
 """
 
@@ -261,8 +260,8 @@ def solve_batch(
     ``positions`` is (N, 3) anchor coordinates (N >= 3), ``distances``
     (B, N) measured ranges and ``x0`` (B, 3) start iterates or one (3,)
     start shared by the batch, which gives the same results; any other
-    shape is a ParameterError. Points whose distances are not all finite
-    and positive, or that become unsolvable, are flagged failed.
+    shape is a ParameterError. Unsolvable points are flagged failed; a
+    distance not finite and positive makes its point so at the first step.
     """
     positions = np.asarray(positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
@@ -281,24 +280,19 @@ def solve_batch(
     c2 = config.c * config.c
     x_r = np.asarray(x_r, dtype=float).reshape(3, 1)
 
-    # Anchor-major first, so the test and the gather run along whole rows. A
-    # caller that keeps no name for its (B, N) array frees it here.
+    # Anchor-major first, so the gathers run along whole rows. A caller that keeps no name for
+    # its (B, N) array frees it here. Ranges not positive become NaN: NaN and inf fail the first step.
     ranges = distances.T.copy()
     del distances
-    solvable = np.logical_and.reduce(np.isfinite(ranges) & (ranges > 0.0))
-    failed = ~solvable
-    idx = solvable.nonzero()[0]  # the points still iterating
-    ranges = ranges.compress(solvable, axis=1)  # (N, m) for the m points in idx
-    if x0.shape == (3,):  # one start shared by the batch: the first step broadcasts it
-        x = x0[:, None]
-        out = x.repeat(n_points, axis=1)
-    else:
-        out = np.array(x0.T, order="C")  # (3, B)
-        x = out[:, idx]
+    np.copyto(ranges, np.nan, where=~(ranges > 0.0))
+    idx = np.arange(n_points)  # the points still iterating
+    x = x0[:, None] if x0.shape == (3,) else x0.T  # one shared start broadcasts in the first step
+    out = np.empty((3, n_points))
     iterations = np.zeros(n_points, dtype=int)
     converged = np.zeros(n_points, dtype=bool)
+    failed = np.zeros(n_points, dtype=bool)
     step_norms = np.zeros(n_points)
-    last = np.zeros(idx.size)  # step norms of the points in idx
+    last = np.zeros(n_points)  # step norms of the points in idx
 
     # A point's results are written once, when it leaves the active set.
     with np.errstate(all="ignore"):
@@ -308,30 +302,26 @@ def solve_batch(
             xk, step, unsolvable = _gauss_newton_step(positions, w2, c2, x_r, x, ranges, total)
             norms = np.sqrt(np.add.reduce(step * step))
             x_next = xk + step
-            done = leave = norms < config.delta
+            done = norms < config.delta
+            leave = done if k < config.k_max else np.ones_like(done)  # at k_max every point leaves
             if np.logical_or.reduce(unsolvable):  # these keep their last finite iterate and step
-                gone = idx[unsolvable]
-                out[:, gone] = np.broadcast_to(x, step.shape)[:, unsolvable]
-                iterations[gone] = k - 1
-                failed[gone] = True
-                step_norms[gone] = last[unsolvable]
-                done, leave = done & ~unsolvable, done | unsolvable
+                x_next[:, unsolvable] = np.broadcast_to(x, x_next.shape)[:, unsolvable]
+                norms[unsolvable] = last[unsolvable]
+                failed[idx[unsolvable]] = True
+                done, leave = done & ~unsolvable, leave | unsolvable
             if np.logical_or.reduce(leave):  # by index: about 3x faster than mask gathers
-                done = np.flatnonzero(done)
-                gone = idx.take(done)
-                out[:, gone] = x_next.take(done, axis=1)
+                at = np.flatnonzero(leave)
+                gone = idx.take(at)
+                out[:, gone] = x_next.take(at, axis=1)
                 iterations[gone] = k
-                converged[gone] = True
-                step_norms[gone] = norms.take(done)
+                converged[gone] = done.take(at)
+                step_norms[gone] = norms.take(at)
                 stay = np.flatnonzero(~leave)
                 idx, norms = idx.take(stay), norms.take(stay)
                 x_next, ranges = x_next.take(stay, axis=1), ranges.take(stay, axis=1)
                 del stay  # 8 bytes a point, which the next step's peak would hold
             x, last = x_next, norms
-        else:  # no break: these points were still iterating after k_max
-            out[:, idx] = x
-            iterations[idx] = config.k_max
-            step_norms[idx] = last
+    iterations -= failed  # an unsolvable point took k - 1 steps
 
     return BatchSolveResult(out.T, iterations, converged, step_norms, failed)
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uwb_locsim import (
     BurrXII,
@@ -59,17 +59,24 @@ def test_empirical_pdf_degenerate_inputs():
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=100), bins=st.integers(1, 40),
        repeats=st.lists(st.integers(0, 99), max_size=40), on_edges=st.lists(st.integers(0, 39), max_size=20))
+@example(values=[0.0, 1.1125369292536007e-308], bins=1, repeats=[], on_edges=[])  # 2 / width overflows
 def test_empirical_pdf_is_np_histogram_bit_for_bit(values, bins, repeats, on_edges):
     # empirical_pdf counts on the sorted samples what np.histogram counts
     # after its own sort: unsorted samples, repeated values, values on inner
-    # edges (left-closed bins) and the maximum on the last edge (closed)
+    # edges (left-closed bins) and the maximum on the last edge (closed);
+    # where a density np.histogram makes overflows, it is a DataError
     values = np.array(values)
     edges = np.linspace(values.min(), values.max(), bins + 1)
     assume((edges[:-1] < edges[1:]).all())
     data = np.concatenate([values, values[np.array(repeats, dtype=int) % values.size],
                            edges[1:-1][np.array(on_edges, dtype=int) % max(bins - 1, 1)] if bins > 1 else []])
-    expected, _ = np.histogram(data, edges, density=True)
+    with np.errstate(over="ignore"):
+        expected, _ = np.histogram(data, edges, density=True)
     for samples in (data, np.sort(data)):
+        if not np.isfinite(expected).all():
+            with pytest.raises(DataError, match="finite density"):
+                empirical_pdf(samples, bins)
+            continue
         epdf = empirical_pdf(samples, bins)
         assert epdf.bin_edges.tobytes() == edges.tobytes()
         assert epdf.densities.tobytes() == expected.tobytes()
@@ -485,7 +492,7 @@ def _fit(family, params, sse, error=None):
      ["gaussian", "burr12", "lognormal", "failed"]),
 ], ids=["tie-window", "exact-tie-nan-failed"])
 def test_select_sorts_by_one_key_whatever_the_input_order(monkeypatch, fits, expected):
-    monkeypatch.setattr(fitting, "fit_mle", lambda family, data, bins: fits[family])
+    monkeypatch.setattr(fitting, "fit_mle", lambda family, data: fits[family])
     label = {id(fit): name for name, fit in fits.items()}
     orders = {tuple(label[id(fit)] for fit in select_best_model([0.0, 1.0], families))
               for families in itertools.permutations(fits)}

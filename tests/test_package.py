@@ -140,6 +140,23 @@ def test_the_anchor_rules_are_worded_once_in_the_solver():
     assert sorted(raised) == sorted(rules)
 
 
+def test_solve_batch_writes_each_result_from_one_place():
+    # Every way a solve ends (bad ranges, an unsolvable step, convergence,
+    # k_max) leaves through one exit; a second subscript write of a result
+    # array is a second exit whose bookkeeping can drift from the first
+    results = ("out", "iterations", "converged", "failed", "step_norms")
+    path = Path(uwb_locsim.__file__).parent / "solver.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_batch")
+    writes = {name: [] for name in results}
+    for node in ast.walk(kernel):
+        targets = getattr(node, "targets", [getattr(node, "target", None)])  # Assign, AugAssign, For
+        for target in (elt for t in targets for elt in (t.elts if isinstance(t, ast.Tuple) else [t])):
+            if isinstance(target, ast.Subscript) and getattr(target.value, "id", None) in writes:
+                writes[target.value.id].append(node.lineno)
+    assert {name: len(lines) for name, lines in writes.items()} == dict.fromkeys(results, 1), writes
+
+
 def test_the_strategy_and_x_r_mode_rules_are_each_raised_from_one_place():
     # ranging.check_strategy and SolverConfig state these rules; a second
     # raise of either text is a second check that can drift from it

@@ -626,11 +626,12 @@ def _config(name, n_anchors):
         "default": SolverConfig(),
         "weights": SolverConfig(weights=tuple(np.linspace(0.05, 0.9, n_anchors))),
         "c0": SolverConfig(c=0.0),
+        "k_max2": SolverConfig(k_max=2),  # most points still iterating at k_max
     }[name]
 
 
 @pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
-@pytest.mark.parametrize("config", ["default", "weights", "c0"])
+@pytest.mark.parametrize("config", ["default", "weights", "c0", "k_max2"])
 def test_kernel_is_bit_identical_to_the_row_major_kernel(n_anchors, config):
     positions, distances, x_r, starts = _random_problem(n_anchors)
     config = _config(config, n_anchors)
@@ -695,7 +696,7 @@ def test_a_small_step_from_a_singular_start_fails_and_does_not_converge():
 
 
 @pytest.mark.parametrize("n_anchors", [3, 4, 7, 8, 9, 16])
-@pytest.mark.parametrize("config", ["default", "weights", "c0"])
+@pytest.mark.parametrize("config", ["default", "weights", "c0", "k_max2"])
 def test_a_shared_start_gives_the_results_of_per_point_starts(n_anchors, config):
     positions, distances, x_r, _ = _random_problem(n_anchors)
     config = _config(config, n_anchors)
