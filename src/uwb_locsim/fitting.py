@@ -40,10 +40,13 @@ likelihood keeps rising as c grows without bound; that fit raises
 ConvergenceError naming the final c and gradient. The error's ``best`` result carries that message
 as its ``error``, and a FitResult's ``converged`` is ``error is None``.
 
-numpy makes only the passes over the samples and one eigendecomposition
-per step. The arithmetic on the 1 to 3 numbers of a point, its gradient
-and its Hessian is on Python floats: numpy's fixed cost per call is many
-times that of such arithmetic. No 3x3 matmul runs; it would call BLAS
+numpy makes only the passes over the samples and, in the 3-D Burr XII
+search, one eigendecomposition per step; the 1-D step is closed form.
+The arithmetic on the 1 to 3 numbers of a point, its gradient and its
+Hessian is on Python floats, carried as lists between evaluations:
+numpy's fixed cost per call is many times that of such arithmetic.
+Burr XII's c and d come from the search's last accepted evaluation, not
+from another pass. No 3x3 matmul runs; it would call BLAS
 gemm, whose code pages add 0.4 MB to a fit's RSS.
 
 Model selection sorts and checks the samples once, makes one histogram
@@ -133,36 +136,41 @@ def empirical_pdf(data, bins: int) -> EmpiricalPdf:
 
 def minimize(func, theta0, args=()):
     """Trust-region Newton on ``func(theta, *args) -> (value, gradient,
-    Hessian)`` (Nocedal and Wright, Algorithm 4.1): the last accepted point,
-    its value and gradient, and the number of evaluations. Each step
-    minimizes the quadratic model within the radius exactly and is taken
-    when f falls. The radius starts at 1, shrinks to a quarter of a step
-    that gained less than a quarter of the model's decrease (an infinite f
-    gains -inf) and doubles after a step on its edge that gained over three
-    quarters. Stops at max|g| <= _GTOL, where the model's decrease is within
-    one ulp of f, where the radius cannot move x, or after 200 iterations
-    per dimension."""
+    Hessian, *extra)`` (Nocedal and Wright, Algorithm 4.1): the last
+    accepted point, its value and gradient, the number of evaluations and
+    then its ``extra``. Each step minimizes the quadratic model within the
+    radius exactly and is taken when f falls. The radius starts at 1,
+    shrinks to a quarter of a step that gained less than a quarter of the
+    model's decrease (an infinite f gains -inf) and doubles after a step on
+    its edge that gained over three quarters. Stops at max|g| <= _GTOL,
+    where the model's decrease is within one ulp of f, where the radius
+    cannot move x, or after 200 iterations per dimension. The point, its
+    gradient and its Hessian are carried as float lists between
+    evaluations."""
     x, nfev, radius = np.array(theta0, dtype=float), 1, 1.0
-    f, g, h = func(x, *args)
-    for _ in range(200 * x.size):
-        xs, gs = x.tolist(), g.tolist()
+    best = func(x, *args)
+    xs, gs = x.tolist(), best[1].tolist()
+    hs = None if best[2] is None else best[2].tolist()  # None where the start's value is infinite
+    for _ in range(200 * len(xs)):
         if max(map(abs, gs)) <= _GTOL or radius <= 2.0**-52 * max(map(abs, xs)):
             break
-        p = _trust_step(gs, h, radius)
-        gain = -(_dot(gs, p) + 0.5 * _dot(p, [_dot(row, p) for row in h.tolist()]))
-        if gain <= abs(f) * 2.0**-52:
+        p = _trust_step(gs, hs, radius)
+        gain = -(_dot(gs, p) + 0.5 * _dot(p, [_dot(row, p) for row in hs]))
+        if gain <= abs(best[0]) * 2.0**-52:
             break
-        trial_x = np.array([a + b for a, b in zip(xs, p)])
+        trial_xs = [a + b for a, b in zip(xs, p)]
+        trial_x = np.array(trial_xs)
         trial = func(trial_x, *args)
         nfev += 1
-        rho, size = (f - trial[0]) / gain, math.hypot(*p)
+        rho, size = (best[0] - trial[0]) / gain, math.hypot(*p)
         if not rho >= 0.25:
             radius = 0.25 * size
         elif rho > 0.75 and size >= 0.99 * radius:
             radius *= 2.0
         if rho > 0.0:
-            x, (f, g, h) = trial_x, trial
-    return x, f, g, nfev
+            x, xs, best = trial_x, trial_xs, trial
+            gs, hs = best[1].tolist(), best[2].tolist()
+    return x, best[0], best[1], nfev, *best[3:]
 
 
 def _dot(a, b):
@@ -172,12 +180,18 @@ def _dot(a, b):
 
 def _trust_step(g, h, radius):
     """The p minimizing g.p + p.h.p / 2 over |p| <= radius (Nocedal and
-    Wright, section 4.3), as a list of floats for the float list g and the
-    ndarray h, from h's eigenvalues lam: p = -(h + (sigma - lam_1) I)^-1 g
-    at sigma = lam_1 > 0 if that fits, else at the sigma >= 0 that puts p
-    on the edge, found from the left by Newton's method on 1/|p|. In the
-    hard case (g orthogonal to the lowest eigenvector and p short of the
-    edge at sigma = 0) the lowest eigenvector fills the rest of the radius."""
+    Wright, section 4.3), for the float lists g and h. In one dimension it
+    is -g / max(h, |g| / radius): the Newton step if h > 0 puts it within
+    the radius, else the edge downhill, and in the hard case (g = 0 and
+    h <= 0) the edge at -radius. Otherwise it is found from h's eigenvalues
+    lam: p = -(h + (sigma - lam_1) I)^-1 g at sigma = lam_1 > 0 if that
+    fits, else at the sigma >= 0 that puts p on the edge, found from the
+    left by Newton's method on 1/|p|. In the hard case (g orthogonal to the
+    lowest eigenvector and p short of the edge at sigma = 0) the lowest
+    eigenvector fills the rest of the radius."""
+    if len(g) == 1:
+        sigma = max(h[0][0], abs(g[0]) / radius)
+        return [-g[0] / sigma if sigma > 0.0 else -radius]
     lam, vec = np.linalg.eigh(h)
     lam, vec = lam.tolist(), vec.tolist()
     gam = [_dot(g, column) for column in zip(*vec)]  # g in the eigenvector basis
@@ -198,17 +212,18 @@ def _trust_step(g, h, radius):
 def _guarded(profile):
     """``profile`` returning an infinite NLL, which fails minimize's ratio
     test and so shrinks its trust radius, wherever its arithmetic leaves
-    the floats. The Hessian of an infinite NLL is None."""
+    the floats. The Hessian of an infinite NLL is None; the values the
+    profile returns past its Hessian are kept, unless it raised."""
 
     def guarded(theta, *args):
         try:
             with np.errstate(all="ignore"):
-                nll, grad, hess = profile(theta, *args)
+                nll, grad, hess, *extra = profile(theta, *args)
             if math.isfinite(nll) and all(map(math.isfinite, grad.tolist() + hess.ravel().tolist())):
-                return nll, grad, hess
+                return nll, grad, hess, *extra
         except (ArithmeticError, ValueError):  # math.exp overflow, math.log(0), n / 0
-            pass
-        return math.inf, np.zeros(len(theta)), None
+            extra = []
+        return math.inf, np.zeros(len(theta)), None, *extra
 
     return guarded
 
@@ -224,11 +239,11 @@ def _lognormal_profile(theta, data, mu_bound):
     """Log-normal NLL in t with sigma and s at their MLEs, and its two derivatives."""
     n, t = data.size, float(theta[0])
     y, w = _log_shifted(t, data, mu_bound)
-    sum_y = float(y.sum())
+    sum_y = float(np.add.reduce(y))
     dev = np.subtract(y, sum_y / n, out=y)  # y - y.mean(), in y's buffer
     var = float(dev @ dev) / n
     nll = 0.5 * n * (math.log(var) + 1.0) + n * _LOG_SQRT2PI + sum_y
-    e, dev_w, sum_w, w_w = math.exp(t), float(dev @ w), float(w.sum()), float(w @ w)
+    e, dev_w, sum_w, w_w = math.exp(t), float(dev @ w), float(np.add.reduce(w)), float(w @ w)
     grad = e * (dev_w / var + sum_w)
     hess = grad + e * e * ((w_w - sum_w * sum_w / n - float(np.multiply(dev, w, out=dev) @ w)) / var
                            - 2.0 * dev_w * dev_w / (n * var * var) - w_w)
@@ -243,24 +258,13 @@ def _burr12_scale(phi, std):
     return sigma, e / sigma, std / sigma
 
 
-def _burr12_terms(phi, sigma, data, mu_bound):
-    """c, sum(log(1 + z^c)) (the MLE of d is n over it), log z, 1/(x - mu),
-    v = c log z and log(1 + z^c) = ``_softplus(v)`` at phi with scale sigma."""
-    y, w = _log_shifted(phi[0], data, mu_bound)
-    log_sigma = math.log(sigma)  # ValueError where sigma <= 0
-    log_z = np.subtract(y, log_sigma, out=y)  # in place: one array fewer alive in _softplus
-    c = math.exp(log_sigma - phi[2])
-    v = c * log_z
-    tail = _softplus(v)
-    return c, float(tail.sum()), log_z, w, v, tail
-
-
 @_guarded
 def _burr12_profile(phi, data, mu_bound, std):
-    """Burr XII NLL in phi = (t, m, l) with d at its MLE, its gradient and
-    its Hessian. They are made in theta = (t, log sigma, log c), where the
-    Hessian H is the full NLL's Hessian in (theta, d) Schur-complemented
-    over d, and carried to phi by J = d theta / d phi (log c = log sigma -
+    """Burr XII NLL in phi = (t, m, l) with d at its MLE, its gradient,
+    its Hessian, and c and d, which the fit takes from the search's last
+    accepted evaluation. The derivatives are made in theta = (t, log sigma,
+    log c), where the Hessian H is the full NLL's Hessian in (theta, d)
+    Schur-complemented over d, and carried to phi by J = d theta / d phi (log c = log sigma -
     l): J^T g and J^T H J + (g_sigma + g_c) C, with C the Hessian of log
     sigma in phi. The value is the NLL less n log(std), the NLL in units of
     the sample std, so its rounding, which decides where minimize stops,
@@ -270,21 +274,29 @@ def _burr12_profile(phi, data, mu_bound, std):
     is float arithmetic on the six distinct entries of H."""
     n, phi = data.size, phi.tolist()
     sigma, r_t, r_m = _burr12_scale(phi, std)
-    c, sum_tail, log_z, w, v, tail = _burr12_terms(phi, sigma, data, mu_bound)
-    d, sum_log_z = n / sum_tail, float(log_z.sum())
+    y, w = _log_shifted(phi[0], data, mu_bound)
+    log_sigma = math.log(sigma)  # ValueError where sigma <= 0
+    log_z = np.subtract(y, log_sigma, out=y)  # in place: one array fewer alive in _softplus
+    c = math.exp(log_sigma - phi[2])
+    v = c * log_z
+    tail = _softplus(v)  # log(1 + z^c)
+    sum_tail, sum_log_z = float(np.add.reduce(tail)), float(np.add.reduce(log_z))
+    d = n / sum_tail
     shape_term = (c - 1.0) * sum_log_z
     nll = n * (phi[2] - math.log(std * d) + 1.0) - shape_term + sum_tail
     if abs(shape_term) > 2.0**32 * max(abs(nll), n):
-        return math.inf, None, None
+        return math.inf, None, None, c, d
     v -= tail
     p = np.exp(v, out=v)  # z^c / (1 + z^c)
-    e, k, sum_w, sum_p = math.exp(phi[0]), (d + 1.0) * c, float(w.sum()), float(p.sum())
+    e, k = math.exp(phi[0]), (d + 1.0) * c
+    sum_w, sum_p = float(np.add.reduce(w)), float(np.add.reduce(p))
     wp, zp = float(w @ p), float(log_z @ p)
     g_t, g_s, g_c = e * (k * wp - (c - 1.0) * sum_w), n * c - k * sum_p, k * zp - c * sum_log_z - n
     # the Hessian's sums, made in the buffers of tail and p: a new 10k array
     # costs more in page faults than its arithmetic. q = dp / d(c log z).
     q = np.subtract(p, np.multiply(p, p, out=tail), out=tail)
-    sum_q, q_w, q_z, p_w2 = float(q.sum()), float(q @ w), float(q @ log_z), float(np.multiply(p, w, out=p) @ w)
+    sum_q, q_w, q_z = float(np.add.reduce(q)), float(q @ w), float(q @ log_z)
+    p_w2 = float(np.multiply(p, w, out=p) @ w)
     qz = np.multiply(q, log_z, out=p)
     qz_w, qz_z, q_w2 = float(qz @ w), float(qz @ log_z), float(np.multiply(q, w, out=q) @ w)
     # H less the outer product of u, the gradient of sum(log(1 + z^c)) in theta, times d^2 / n
@@ -303,7 +315,7 @@ def _burr12_profile(phi, data, mu_bound, std):
     hess = [[h_tt + r_t * (2.0 * s_t + r_t * s) + g_sc * (r_t - r_t * r_t), h_tm, h_tl],
             [h_tm, r_m * r_m * (s - g_sc), h_ml],
             [h_tl, h_ml, h_cc]]
-    return nll, np.array([g_t + r_t * g_sc, r_m * g_sc, -g_c]), np.array(hess)
+    return nll, np.array([g_t + r_t * g_sc, r_m * g_sc, -g_c]), np.array(hess), c, d
 
 
 class _Sample:
@@ -367,11 +379,10 @@ def fit_mle(family: str, data, bins: int = 200) -> FitResult:
         if family == "burr12":
             # from the log-normal fit's t and sigma, with c = 1.5 / s
             phi0 = [t, (dist.sigma - math.exp(t)) / sample.std, math.log(dist.sigma * dist.s / 1.5)]
-            x, nll, grad, nfev = minimize(_burr12_profile, phi0, args=(data, mu_bound, sample.std))
+            x, nll, grad, nfev, c, d = minimize(_burr12_profile, phi0, args=(data, mu_bound, sample.std))
             x = x.tolist()
             sigma, r_t, r_m = _burr12_scale(x, sample.std)
-            c, sum_tail, *_ = _burr12_terms(x, sigma, data, mu_bound)
-            dist = BurrXII(c=c, d=data.size / sum_tail, mu=mu_bound - math.exp(x[0]), sigma=sigma)
+            dist = BurrXII(c=c, d=d, mu=mu_bound - math.exp(x[0]), sigma=sigma)
             # converged is judged in (t, log sigma, log c): J^-T times phi's gradient
             grad = np.array([grad[0] - r_t / r_m * grad[1], grad[1] / r_m + grad[2], -grad[2]])
             evals, nll = evals + nfev, nll + data.size * math.log(sample.std)  # back from std units

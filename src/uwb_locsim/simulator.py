@@ -4,7 +4,8 @@ sampling, batched solving, and error statistics.
 A study is one loop over fixed chunks of (run, point) cells. Each pass
 draws the chunk's uniforms, maps them through the error model of each
 link's condition, collapses channels with ``ranging.diversity_select``
-and solves the chunk, so draws and solver temporaries stay bounded and
+(``min`` and ``median`` before the map, ``mean`` after it) and solves
+the chunk, so draws and solver temporaries stay bounded and
 only per-point results grow with the number of runs. A chunk holds 8,192
 cells; with four anchors the solver's transient peak is about 400 bytes
 a cell (3.3 MB a chunk), the largest of the pass.
@@ -206,19 +207,27 @@ def aggregate(errors) -> AggregateStats:
 def _measured_ranges(seed, diversity, models, severity, true_dist, run, point) -> np.ndarray:
     """One chunk's (cells, anchors) ranges: each cell's draws through its
     links' condition models, plus the true distances, collapsed over the
-    channels. The draws are freed on return, before the solver runs."""
+    channels. ``min`` and ``median`` are order statistics, which commute
+    with every non-decreasing map, the quantiles and the distance added
+    after them among those: they pick each link's channel by its uniform,
+    and only that uniform is transformed. ``mean`` transforms every
+    channel, then averages. The draws are freed on return, before the
+    solver runs."""
     draws = cell_uniform_array(seed, run[:, None, None], point[:, None, None],
                                np.arange(severity.shape[1])[:, None], np.arange(diversity.channels))
-    # each (cell, anchor) link's channel draws as one opaque item: a 1-D
+    keep_one = diversity.strategy != "mean"
+    if keep_one:
+        draws = diversity_select(draws, diversity.strategy, axis=-1)[:, :, None]
+    # each (cell, anchor) link's channel draws left as one opaque item: a 1-D
     # take and put move a condition's links 3-5x faster than row indexing
-    link_dtype = np.dtype((np.void, draws.itemsize * diversity.channels))
+    link_dtype = np.dtype((np.void, draws.itemsize * draws.shape[-1]))
     links = draws.view(link_dtype).ravel()
     link_severity = severity.take(point, axis=0).ravel()
     for level, model in models.items():  # in place: uniforms, then errors, then ranges
         rows = np.flatnonzero(link_severity == level)
         np.put(links, rows, model.quantile(links.take(rows).view(float)).view(link_dtype))
     draws += true_dist.take(point, axis=0)[:, :, None]
-    return diversity_select(draws, diversity.strategy, axis=-1)
+    return draws[:, :, 0] if keep_one else diversity_select(draws, "mean", axis=-1)
 
 
 def run_scenario(scenario: Scenario) -> RunStatistics:
@@ -243,8 +252,8 @@ def run_scenario(scenario: Scenario) -> RunStatistics:
     with np.errstate(over="ignore"):
         true_dist = np.linalg.norm(positions[None, :, :] - grid[:, None, :], axis=2)
         models = {
-            level: scenario.model_table[SEVERITY_TO_CONDITION[int(level)]]
-            for level in np.unique(severity)
+            level: scenario.model_table[SEVERITY_TO_CONDITION[level]]
+            for level in np.flatnonzero(np.bincount(severity.ravel())).tolist()  # np.unique imports numpy.ma
         }
         estimates = np.empty((n_runs, n_points, 3))
         err2d, err3d = np.empty((n_runs, n_points)), np.empty((n_runs, n_points))

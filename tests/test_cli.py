@@ -450,14 +450,13 @@ _NO_SCIPY_SCRIPT = textwrap.dedent(
         "code": code,
         "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
         "minimize": callable(getattr(fitting, "minimize", None)),
+        "numpy.ma": "numpy.ma" in sys.modules,
     }))
     """
 )
 
 
-def test_simulate_process_never_imports_scipy(tmp_path):
-    # A simulation needs numpy only. The benchmark's tracer wraps
-    # fitting.minimize by name, so it must stay a module attribute.
+def _simulate_in_a_fresh_process(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -466,9 +465,22 @@ def test_simulate_process_never_imports_scipy(tmp_path):
     )
     outcome = json.loads(done.stdout)
     assert outcome["code"] == 0
+    assert (tmp_path / "out" / "points.csv").exists()
+    return outcome
+
+
+def test_simulate_process_never_imports_scipy(tmp_path):
+    # A simulation needs numpy only. The benchmark's tracer wraps
+    # fitting.minimize by name, so it must stay a module attribute.
+    outcome = _simulate_in_a_fresh_process(tmp_path)
     assert outcome["scipy"] == []
     assert outcome["minimize"] is True
-    assert (tmp_path / "out" / "points.csv").exists()
+
+
+def test_simulate_process_never_imports_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on first use, 8-11 ms in a fresh process;
+    # np.unique without indices uses it, so a study must not call that
+    assert _simulate_in_a_fresh_process(tmp_path)["numpy.ma"] is False
 
 
 _FIT_NO_SCIPY_SCRIPT = textwrap.dedent(

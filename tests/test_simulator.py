@@ -31,7 +31,7 @@ from uwb_locsim import (
 )
 from uwb_locsim import simulator
 from uwb_locsim.outputs import write_outputs
-from uwb_locsim.ranging import DIVERSITY_STRATEGIES
+from uwb_locsim.ranging import DIVERSITY_STRATEGIES, diversity_select
 from uwb_locsim.solver import BatchSolveResult
 from uwb_locsim.scenarios import scenario_from_dict, scenario_to_dict
 
@@ -444,6 +444,51 @@ def test_draws_are_made_chunk_by_chunk(monkeypatch):
     points = len(build_grid(scenario.area, scenario.grid_step, scenario.tag_height))
     assert max(sizes) <= 7 * 4 * 3
     assert sum(sizes) == 3 * points * 4 * 3
+
+
+def _transform_then_select(seed, diversity, models, severity, true_dist, run, point):
+    """The (cells, anchors) ranges as the simulator made them before it
+    selected channels by their uniforms: every channel's draw through its
+    link's condition model, plus the true distance, then the selection."""
+    anchors = severity.shape[1]
+    draws = simulator.cell_uniform_array(seed, run[:, None, None], point[:, None, None],
+                                         np.arange(anchors)[:, None], np.arange(diversity.channels))
+    link_severity = severity[point]
+    errors = np.empty_like(draws)
+    for level, model in models.items():
+        on_level = link_severity == level
+        errors[on_level] = model.quantile(draws[on_level])
+    return diversity_select(errors + true_dist[point][:, :, None], diversity.strategy, axis=-1)
+
+
+_ERROR_MODELS = st.one_of(
+    st.builds(Gaussian, mu=st.floats(-1.0, 1.0), sigma=st.floats(0.01, 2.0)),
+    st.builds(BurrXII, c=st.floats(0.5, 40.0), d=st.floats(0.1, 3.0), mu=st.floats(-2.0, 0.0),
+              sigma=st.floats(0.1, 3.0)),
+    st.builds(LogNormal, s=st.floats(0.05, 2.0), mu=st.floats(-2.0, 0.0), sigma=st.floats(0.1, 3.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), channels=st.integers(1, 5), strategy=st.sampled_from(["min", "median"]),
+       points=st.integers(1, 12), anchors=st.integers(1, 6), cells=st.integers(1, 40),
+       models=st.lists(_ERROR_MODELS, min_size=3, max_size=3), data=st.data())
+def test_selecting_channels_by_uniform_equals_transforming_every_channel(
+        seed, channels, strategy, points, anchors, cells, models, data):
+    # min and median are order statistics and every quantile is non-decreasing,
+    # so picking a link's channel by its uniform and transforming only that one
+    # gives the bits of transforming every channel and selecting afterwards
+    # (an even count's median is its lower-middle value either way)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+    severity = rng.integers(0, 3, size=(points, anchors)).astype(np.int8)
+    true_dist = rng.uniform(0.0, 30.0, size=(points, anchors))
+    run, point = rng.integers(0, 4, size=cells), rng.integers(0, points, size=cells)
+    diversity = DiversityConfig(channels=channels, strategy=strategy)
+    table = {level: models[level] for level in np.flatnonzero(np.bincount(severity.ravel())).tolist()}
+    ranges = simulator._measured_ranges(seed, diversity, table, severity, true_dist, run, point)
+    expected = _transform_then_select(seed, diversity, table, severity, true_dist, run, point)
+    assert ranges.shape == (cells, anchors)
+    assert ranges.tobytes() == expected.tobytes()
 
 
 def test_a_study_too_large_to_allocate_fails_before_classifying_links(monkeypatch):
